@@ -8,6 +8,7 @@ failure (cluster escalation exhausted, kernel optimization degenerate).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -80,12 +81,7 @@ def _load_config(args) -> RunConfig:
     config = RunConfig.from_file(args.config)
     if args.seed is not None:
         config.seed = args.seed
-        config.kf = type(config.kf)(
-            learning_rate=config.kf.learning_rate, momentum=config.kf.momentum,
-            iterations=config.kf.iterations,
-            subsamplings_per_iter=config.kf.subsamplings_per_iter,
-            batch_ratio=config.kf.batch_ratio, seed=args.seed,
-        )
+        config.kf = dataclasses.replace(config.kf, seed=args.seed)
     if args.out is not None:
         config.out_dir = args.out
     return config

@@ -1,16 +1,23 @@
 """K-means++ clustering and the supervised cluster-count escalation loop.
 
-Clustering runs on reconstructed spectra; the escalation wrapper raises the
-cluster count until the labeled ground truth shows no parasite pixel mixed
-with anything else: every cluster touching a labeled mite pixel becomes a
-'mite' cluster, and no other labeled pixel may fall into one.
+Clustering runs on the scores of the selected principal components. The
+reconstruction T[:, sel] P[:, sel]' from those components has orthonormal
+loading columns, so it keeps every pairwise distance: clustering the few
+score columns is the same computation as clustering the rebuilt spectra, at
+a fraction of the cost. The escalation wrapper raises the cluster count
+until the labeled ground truth shows no parasite pixel mixed with anything
+else: every cluster touching a labeled mite pixel becomes a 'mite' cluster,
+and no other labeled pixel may fall into one.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 CLASS_MITE = "mite"
 CLASS_BEE = "bee"
@@ -27,7 +34,7 @@ class EscalationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusterModel:
-    centroids: np.ndarray  # (k, bands) in reconstructed-scaled space
+    centroids: np.ndarray  # (k, |selected components|) in PCA score space
     class_of_cluster: dict[int, str]
 
     @property
@@ -67,11 +74,11 @@ def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def kmeanspp_init(X: np.ndarray, k: int, seed: int | np.random.Generator = 0) -> np.ndarray:
-    """D^2-weighted seeding: each next centroid favors far-away points."""
+    """D^2-weighted seeding: each next centroid favors far-away points.
+
+    Raises ValueError when X has fewer than k distinct rows.
+    """
     X = np.asarray(X, dtype=np.float64)
-    n_distinct = np.unique(X, axis=0).shape[0]
-    if k > n_distinct:
-        raise ValueError(f"k={k} exceeds the {n_distinct} distinct rows")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(X.shape[0])]
@@ -81,6 +88,8 @@ def kmeanspp_init(X: np.ndarray, k: int, seed: int | np.random.Generator = 0) ->
         if total <= 0:
             # all remaining mass on already-chosen points; fall back to any unused distinct row
             unused = np.flatnonzero(~(X[:, None] == centroids[:i][None]).all(axis=2).any(axis=1))
+            if unused.size == 0:  # every row equals one of the i distinct centroids
+                raise ValueError(f"k={k} exceeds the {i} distinct rows")
             centroids[i] = X[unused[0]]
         else:
             centroids[i] = X[rng.choice(X.shape[0], p=d2 / total)]
@@ -96,22 +105,29 @@ def lloyd_iterations(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd updates from given starting centroids.
 
+    Each update is a cluster's member mean, its members summed in row order.
     Empty clusters are re-seeded at the point farthest from its assigned
     centroid. Returns (centroids, assignment, inertia).
     """
     X = np.asarray(X, dtype=np.float64)
     centroids = np.array(centroids, dtype=np.float64)
-    k = centroids.shape[0]
+    k, d = centroids.shape
+    # flat (cluster, column) bin of every entry of X, for one bincount pass
+    column = np.arange(d)
     for _ in range(max_iter):
         sq = _squared_distances(X, centroids)
         assignment = np.argmin(sq, axis=1)
-        nearest = sq[np.arange(X.shape[0]), assignment]
+        counts = np.bincount(assignment, minlength=k)
+        sums = np.bincount(
+            (assignment[:, None] * d + column).ravel(), weights=X.ravel(), minlength=k * d
+        ).reshape(k, d)
+        filled = counts > 0
         new_centroids = centroids.copy()
-        for j in range(k):
-            members = assignment == j
-            if members.any():
-                new_centroids[j] = X[members].mean(axis=0)
-            else:
+        new_centroids[filled] = sums[filled] / counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        if empty.size:
+            nearest = sq[np.arange(X.shape[0]), assignment]
+            for j in empty:
                 far = int(np.argmax(nearest))
                 new_centroids[j] = X[far]
                 nearest[far] = 0.0  # claimed; don't hand the same point to another empty cluster
@@ -159,7 +175,7 @@ def _map_clusters(
 
 
 def fit_supervised(
-    X_recon: np.ndarray,
+    X: np.ndarray,
     labels: np.ndarray,
     mite_label: int,
     bee_label: int,
@@ -174,12 +190,13 @@ def fit_supervised(
     'mite'. An attempt fails if any other labeled pixel lands in a mite
     cluster (false alarm); by construction no labeled mite pixel can land
     outside one, which the diagnostics double-check. Each k re-seeds with
-    seed + k so a bad initialization is not inherited.
+    seed + k so a bad initialization is not inherited. Each attempt is
+    logged at DEBUG level.
     """
-    X_recon = np.asarray(X_recon, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels).ravel()
-    if labels.size != X_recon.shape[0]:
-        raise ValueError(f"labels length {labels.size} does not match {X_recon.shape[0]} rows")
+    if labels.size != X.shape[0]:
+        raise ValueError(f"labels length {labels.size} does not match {X.shape[0]} rows")
     if not np.any(labels == mite_label) or not np.any(labels == bee_label):
         raise ValueError("ground truth must contain both mite and bee pixels")
     if k0 < 2:
@@ -187,7 +204,7 @@ def fit_supervised(
 
     diagnostics = ClusterDiagnostics()
     for k in range(k0, k_max + 1):
-        centroids, assignment, inertia = kmeans_fit(X_recon, k, seed=seed + k)
+        centroids, assignment, inertia = kmeans_fit(X, k, seed=seed + k)
         mapping = _map_clusters(assignment, k, labels, mite_label, bee_label, unlabeled)
         mite_clusters = {j for j, c in mapping.items() if c == CLASS_MITE}
         in_mite = np.isin(assignment, sorted(mite_clusters))
@@ -195,6 +212,8 @@ def fit_supervised(
         false_alarms = int(np.sum(in_mite & labeled & (labels != mite_label)))
         missed = int(np.sum(~in_mite & (labels == mite_label)))
         diagnostics.attempts.append(KAttempt(k, false_alarms, missed, inertia))
+        log.debug("escalation k=%d: false_alarms=%d missed_mites=%d inertia=%.6g",
+                  k, false_alarms, missed, inertia)
         if diagnostics.attempts[-1].passed:
             model = ClusterModel(centroids=centroids, class_of_cluster=mapping)
             return model, diagnostics

@@ -18,7 +18,9 @@ from .pca import ComponentSelection, PcaModel
 from .pls import DaEncoding
 from .preprocess import ScaleModel
 
-FORMAT_VERSION = 1
+#: 2: kmeans centroids live in the score space of the selected components
+#: (format 1 stored them in reconstructed-spectrum space)
+FORMAT_VERSION = 2
 
 
 def encode_array(arr: np.ndarray) -> dict:

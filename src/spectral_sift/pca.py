@@ -138,7 +138,11 @@ def select_components(
 
 
 def reconstruct(model: PcaModel, T: np.ndarray, selection: ComponentSelection) -> np.ndarray:
-    """Rebuild spectra (still in scaled space) from the selected components only."""
+    """Rebuild spectra (still in scaled space) from the selected components only.
+
+    The loading columns are orthonormal, so the rebuild keeps every pairwise
+    distance between the rows of ``T[:, selection.selected]``.
+    """
     T = np.asarray(T, dtype=np.float64)
     if T.ndim != 2 or T.shape[1] != model.k:
         raise ValueError(f"scores must have {model.k} columns, got shape {T.shape}")

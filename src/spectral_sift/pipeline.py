@@ -1,11 +1,11 @@
 """Batch workflows: fit, apply, band selection, synthesis, inspection.
 
 Two fit paths exist. The clustering path scales, decomposes, gates the
-principal components on class correlation, reconstructs, and escalates
-K-means++ until the labeled mites sit alone. The kernel path samples labeled
-pixels, tunes the kernel by Kernel Flows, and fits kernel PLS-DA on the raw
-spectra. Applying a model never refits statistics: new images are always
-pushed through the stored calibration parameters.
+principal components on class correlation, and escalates K-means++ on the
+scores of the gated components until the labeled mites sit alone. The kernel
+path samples labeled pixels, tunes the kernel by Kernel Flows, and fits
+kernel PLS-DA on the raw spectra. Applying a model never refits statistics:
+new images are always pushed through the stored calibration parameters.
 """
 
 from __future__ import annotations
@@ -220,6 +220,8 @@ class PipelineModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineModel":
         version = doc.get("format_version")
+        if version == 1:
+            raise ConfigError("model format 1 stores spectrum-space centroids; refit the model")
         if version != modelio.FORMAT_VERSION:
             raise ConfigError(f"unrecognized model format version {version!r}")
         return cls(
@@ -301,9 +303,8 @@ def _fit_kmeans_path(cube: HyperCube, mask: LabelMask, config: RunConfig):
     selector, y = _discriminant_rows(mask, config.mite_label, config.bee_label)
     rho = pc.correlate_scores(scores[selector], y)
     selection = pc.select_components(rho, top_n=config.pc_top_n, threshold=config.pc_threshold)
-    X_recon = pc.reconstruct(pca_model, scores, selection)
     cluster_model, diag = cl.fit_supervised(
-        X_recon, mask.labels.ravel(), config.mite_label, config.bee_label,
+        scores[:, selection.selected], mask.labels.ravel(), config.mite_label, config.bee_label,
         k0=config.cluster_k0, k_max=config.cluster_k_max, seed=config.seed,
         unlabeled=UNLABELED,
     )
@@ -503,12 +504,12 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube) -> ApplyResult:
     X, index = flatten(cube)
 
     if model.workflow == "kmeans":
-        if model.scale is None or model.pca is None or model.cluster is None:
+        if (model.scale is None or model.pca is None or model.selection is None
+                or model.cluster is None):
             raise ConfigError("model file lacks the clustering-path components")
         Xs = pp.apply_scale(model.scale, X)
         scores = pc.project(model.pca, Xs)
-        X_recon = pc.reconstruct(model.pca, scores, model.selection)
-        clusters, classes = cl.assign(model.cluster, X_recon)
+        clusters, classes = cl.assign(model.cluster, scores[:, model.selection.selected])
         other_label = 0 if 0 not in (model.mite_label, model.bee_label) else \
             min(set(range(256)) - {model.mite_label, model.bee_label})
         id_of_class = {

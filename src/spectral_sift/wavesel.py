@@ -150,7 +150,8 @@ def r2_forward_select(
 
     Every step refits a PLS model (min(lv, |selection|) latent variables)
     for each unselected usable band and permanently adds the best one; among
-    bands whose R^2 is within ``TIE_RTOL`` of the best, the lowest wins.
+    bands whose R^2 is within ``TIE_RTOL`` of the best, the lowest wins. A
+    band set whose cross-product with y vanishes scores R^2 = 0.
     ``stop`` is consulted after each addition; returning True ends the
     search early (the pipeline wires the clustering success test here).
     """
@@ -183,11 +184,16 @@ def r2_forward_select(
             a = min(lv, len(cols), X.shape[0] - 1)
             try:
                 model = _fit_feasible(X[:, cols], y, a)
-            except (DegenerateDataError, ValueError):
+            except DegenerateDataError:
+                # no covariance with y even at one factor: the fit is the
+                # mean of y, a well-defined model with R^2 = 0
+                r2 = 0.0
+            except ValueError:
                 warnings.warn(f"band {band} gives a degenerate model; skipped", RuntimeWarning)
                 continue
-            rss = float(np.sum((y - predict(model, X[:, cols])) ** 2))
-            r2 = 1.0 - rss / tss
+            else:
+                rss = float(np.sum((y - predict(model, X[:, cols])) ** 2))
+                r2 = 1.0 - rss / tss
             if not np.isfinite(r2):
                 warnings.warn(f"band {band} gives non-finite R^2; skipped", RuntimeWarning)
                 continue

@@ -1,5 +1,7 @@
 """K-means++ seeding, Lloyd iterations, supervised escalation, assignment."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from spectral_sift.cluster import (
     CLASS_OTHER,
     ClusterModel,
     EscalationError,
+    _squared_distances,
     assign,
     fit_supervised,
     kmeans_fit,
@@ -22,6 +25,37 @@ def blobs(rng, centers, n_per, sigma):
     X = np.vstack([c + sigma * rng.normal(size=(n_per, centers.shape[1])) for c in centers])
     membership = np.repeat(np.arange(len(centers)), n_per)
     return X, membership
+
+
+def lloyd_reference(X, centroids, max_iter=300, tol=1e-6):
+    """Lloyd with a per-cluster loop: each mean adds its members one row at a
+    time in row order, and each empty cluster, in index order, takes the
+    farthest point not yet claimed."""
+    X = np.asarray(X, dtype=float)
+    centroids = np.array(centroids, dtype=float)
+    for _ in range(max_iter):
+        sq = _squared_distances(X, centroids)
+        assignment = np.argmin(sq, axis=1)
+        nearest = sq[np.arange(len(X)), assignment]
+        new = centroids.copy()
+        for j in range(len(centroids)):
+            members = X[assignment == j]
+            if len(members):
+                total = np.zeros(X.shape[1])
+                for row in members:
+                    total += row
+                new[j] = total / len(members)
+            else:
+                far = int(np.argmax(nearest))
+                new[j] = X[far]
+                nearest[far] = 0.0
+        movement = float(np.max(np.linalg.norm(new - centroids, axis=1)))
+        centroids = new
+        if movement < tol:
+            break
+    sq = _squared_distances(X, centroids)
+    assignment = np.argmin(sq, axis=1)
+    return centroids, assignment, float(sq[np.arange(len(X)), assignment].sum())
 
 
 class TestKmeansppInit:
@@ -104,6 +138,37 @@ class TestLloyd:
         assert set(assignment) == {0, 1}  # the empty cluster came back
         np.testing.assert_allclose(sorted(centroids[:, 0]), [0.5, 100.0])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_cluster_loop_on_blobs(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        d = (2, 5)[seed % 2]
+        k = 3 + seed % 4
+        X, _ = blobs(rng, rng.uniform(-10, 10, size=(k, d)), n_per=rng.integers(20, 60),
+                     sigma=rng.uniform(0.5, 3.0))
+        start = kmeanspp_init(X, k, seed=seed)
+        got = lloyd_iterations(X, start)
+        want = lloyd_reference(X, start)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("start", [[[0.0, 0.0], [200.0, 0.0]],
+                                       [[0.0, 0.0], [300.0, 5.0], [200.0, -5.0]]])
+    def test_matches_per_cluster_loop_with_empty_clusters(self, start):
+        # the far starting centroids capture nothing on the first pass
+        rng = np.random.default_rng(47)
+        X, _ = blobs(rng, [[0.0, 0.0], [1.0, 1.0], [30.0, 0.0]], n_per=15, sigma=0.4)
+        got = lloyd_iterations(X, start, max_iter=1)
+        want = lloyd_reference(X, start, max_iter=1)
+        assert set(np.argmin(_squared_distances(X, np.array(start)), axis=1)) == {0}
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        got = lloyd_iterations(X, start)
+        want = lloyd_reference(X, start)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
 
 class TestFitSupervised:
     def test_separable_two_classes_succeed_at_k2(self):
@@ -132,6 +197,23 @@ class TestFitSupervised:
         assert diag.attempts[-2].false_alarms > 0  # k=3 merged bee into the mite cluster
         assert diag.final.k == 4
         assert model.k == 4
+
+    def test_each_attempt_logged_at_debug(self, caplog):
+        rng = np.random.default_rng(7)
+        X, group = blobs(
+            rng, [[0, 0], [40, 0], [20, 30], [24, 30]], n_per=40, sigma=0.25
+        )
+        labels = np.select([group == 0, group == 1, group == 2, group == 3], [0, 2, 1, 3])
+        with caplog.at_level(logging.DEBUG, logger="spectral_sift.cluster"):
+            _, diag = fit_supervised(X, labels, mite_label=3, bee_label=1, k0=2, seed=0)
+        records = [r for r in caplog.records if r.name == "spectral_sift.cluster"]
+        assert len(records) == len(diag.attempts) == 3
+        for record, attempt in zip(records, diag.attempts):
+            assert record.levelno == logging.DEBUG
+            assert record.getMessage() == (
+                f"escalation k={attempt.k}: false_alarms={attempt.false_alarms} "
+                f"missed_mites={attempt.missed_mites} inertia={attempt.inertia:.6g}"
+            )
 
     def test_single_class_labels_rejected(self):
         X = np.random.default_rng(8).normal(size=(20, 2))
