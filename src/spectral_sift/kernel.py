@@ -8,19 +8,26 @@ cross-kernels against the stored support spectra.
 Kernel Flows tunes the lengthscale by stochastic descent on a
 cross-validation discrepancy: models fitted on a random batch and on half of
 it should agree on the batch. Gradients are central finite differences in
-log-lengthscale, so any kernel family plugs in unchanged.
+log-lengthscale, so any stationary kernel family plugs in unchanged.
+Distances do not depend on the lengthscale, so the training distances are
+computed once: every Gram matrix of the Kernel Flows loop and of the
+latent-count search is a kernel of index slices of that one matrix.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .pls import DaEncoding, DegenerateDataError, encode_da, decode_da
+
+log = logging.getLogger(__name__)
 
 KERNEL_FAMILIES = ("gaussian", "laplacian", "matern52", "cauchy")
 
@@ -59,7 +66,11 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if spec.family == "linear":
         # internal testing family: ties the dual fit back to primal SIMPLS
         return spec.variance * (A @ B.T)
-    r = cdist(A, B)
+    return distance_kernel(spec, cdist(A, B))
+
+
+def distance_kernel(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """Kernel values of a stationary family from Euclidean distances ``r``."""
     ell = spec.lengthscale
     if spec.family == "gaussian":
         K = np.exp(-(r**2) / (2.0 * ell**2))
@@ -68,8 +79,10 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     elif spec.family == "matern52":
         u = np.sqrt(5.0) * r / ell
         K = (1.0 + u + u**2 / 3.0) * np.exp(-u)
-    else:  # cauchy
+    elif spec.family == "cauchy":
         K = 1.0 / (1.0 + (r / ell) ** 2)
+    else:
+        raise ValueError(f"kernel family {spec.family!r} is not a function of distance")
     return spec.variance * K
 
 
@@ -163,16 +176,20 @@ def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np
     return A, Q
 
 
-def fit_kernel_pls(X: np.ndarray, labels: np.ndarray, spec: KernelSpec, a: int) -> KernelPlsModel:
-    """Fit kernel PLS-DA: centered Gram matrix against class indicators."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected 2-D spectra, got ndim={X.ndim}")
-    n = X.shape[0]
+class _GramFit(NamedTuple):
+    center_stats: KernelCenterStats
+    dual_coef: np.ndarray
+    y_means: np.ndarray
+    encoding: DaEncoding
+
+
+def _fit_gram(K: np.ndarray, labels: np.ndarray, a: int) -> _GramFit:
+    """Kernel PLS-DA on a training Gram matrix against class indicators;
+    every kernel PLS fit of the package goes through here."""
+    n = K.shape[0]
     if not 1 <= a <= n - 1:
         raise ValueError(f"a must be in [1, {n - 1}] for {n} training rows, got {a}")
     encoding = encode_da(labels)
-    K = kernel_matrix(spec, X, X)
     stats = fit_kernel_center(K)
     Kc = center_kernel(K, stats)
     if float(np.abs(Kc).max()) <= 1e-12 * max(1.0, abs(stats.mean_all)):
@@ -180,9 +197,23 @@ def fit_kernel_pls(X: np.ndarray, labels: np.ndarray, spec: KernelSpec, a: int) 
     y_means = encoding.indicators.mean(axis=0)
     Yc = encoding.indicators - y_means
     A, Q = _dual_simpls(Kc, Yc, a)
+    return _GramFit(stats, A @ Q.T, y_means, encoding)
+
+
+def _predict_gram(K: np.ndarray, fit: _GramFit | KernelPlsModel) -> np.ndarray:
+    """Indicator scores from a cross-kernel against the training rows of ``fit``."""
+    return center_kernel(K, fit.center_stats) @ fit.dual_coef + fit.y_means
+
+
+def fit_kernel_pls(X: np.ndarray, labels: np.ndarray, spec: KernelSpec, a: int) -> KernelPlsModel:
+    """Fit kernel PLS-DA: centered Gram matrix against class indicators."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected 2-D spectra, got ndim={X.ndim}")
+    stats, dual_coef, y_means, encoding = _fit_gram(kernel_matrix(spec, X, X), labels, a)
     return KernelPlsModel(
         kernel=spec, support=X.copy(), center_stats=stats,
-        dual_coef=A @ Q.T, y_means=y_means, encoding=encoding, a=a,
+        dual_coef=dual_coef, y_means=y_means, encoding=encoding, a=a,
     )
 
 
@@ -193,9 +224,7 @@ def predict_indicators(model: KernelPlsModel, X_new: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {model.support.shape[1]} bands, got shape {X_new.shape}"
         )
-    K_new = kernel_matrix(model.kernel, X_new, model.support)
-    Kc = center_kernel(K_new, model.center_stats)
-    return Kc @ model.dual_coef + model.y_means
+    return _predict_gram(kernel_matrix(model.kernel, X_new, model.support), model)
 
 
 def classify(model: KernelPlsModel, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,19 +297,19 @@ def draw_kf_batches(
     return batches
 
 
-def _fit_with_feasible_a(X: np.ndarray, labels: np.ndarray, spec: KernelSpec, a: int):
-    """Fit kernel PLS, stepping the factor count down if the Gram matrix
+def _fit_with_feasible_a(K: np.ndarray, labels: np.ndarray, a: int) -> _GramFit | None:
+    """Fit kernel PLS on a Gram matrix, stepping the factor count down if it
     cannot support it (extreme lengthscales collapse its effective rank)."""
     for a_try in range(a, 0, -1):
         try:
-            return fit_kernel_pls(X, labels, spec, a_try)
+            return _fit_gram(K, labels, a_try)
         except DegenerateDataError:
             continue
     return None
 
 
 def kf_loss(
-    X: np.ndarray,
+    D: np.ndarray,
     labels: np.ndarray,
     spec: KernelSpec,
     a: int,
@@ -288,24 +317,34 @@ def kf_loss(
 ) -> float:
     """Mean Kernel Flows discrepancy over the given batches.
 
-    Per batch: rho = ||yhat_full - yhat_half||^2 / ||yhat_full||^2 on the
-    full batch, where yhat_half comes from the model fitted on the half.
-    Returns inf when a fit degenerates outright (all-equal kernel rows).
+    ``D`` holds the Euclidean distances between all training rows; each
+    batch is a pair of sorted row-index arrays, the half within the full
+    batch, as :func:`draw_kf_batches` draws them. Per batch:
+    rho = ||yhat_full - yhat_half||^2 / ||yhat_full||^2 on the full batch,
+    where yhat_half comes from the model fitted on the half. Returns inf when
+    a fit degenerates outright (all-equal kernel rows).
     """
-    X = np.asarray(X, dtype=np.float64)
+    D = np.asarray(D, dtype=np.float64)
     labels = np.asarray(labels)
     rhos = []
     for full, half in batches:
         a_fit = min(a, half.size - 1)
+        pos = np.searchsorted(full, half)  # where the half-batch rows sit in the batch
+        if not np.array_equal(full[np.minimum(pos, full.size - 1)], half):
+            raise ValueError("each half-batch must lie within its sorted batch")
+        K_ff = distance_kernel(spec, D[np.ix_(full, full)])
+        # take, not K_ff[:, pos]: a C-ordered copy, like a kernel computed from the
+        # spectra, so row means and products round the same way
+        K_fh = K_ff.take(pos, axis=1)
         try:
-            m_full = _fit_with_feasible_a(X[full], labels[full], spec, a_fit)
-            m_half = _fit_with_feasible_a(X[half], labels[half], spec, a_fit)
+            fit_full = _fit_with_feasible_a(K_ff, labels[full], a_fit)
+            fit_half = _fit_with_feasible_a(K_fh[pos], labels[half], a_fit)
         except ValueError:
             return float("inf")
-        if m_full is None or m_half is None:
+        if fit_full is None or fit_half is None:
             return float("inf")
-        yhat_full = predict_indicators(m_full, X[full])
-        yhat_half = predict_indicators(m_half, X[full])
+        yhat_full = _predict_gram(K_ff, fit_full)
+        yhat_half = _predict_gram(K_fh, fit_half)
         denom = float(np.sum(yhat_full**2))
         if denom <= 0:
             return float("inf")
@@ -314,7 +353,7 @@ def kf_loss(
 
 
 def kf_gradient(
-    X: np.ndarray,
+    D: np.ndarray,
     labels: np.ndarray,
     spec: KernelSpec,
     a: int,
@@ -323,8 +362,8 @@ def kf_gradient(
 ) -> float:
     """d(loss)/d(log lengthscale) by central finite differences on fixed batches."""
     log_ell = np.log(spec.lengthscale)
-    up = kf_loss(X, labels, spec.with_lengthscale(np.exp(log_ell + step)), a, batches)
-    down = kf_loss(X, labels, spec.with_lengthscale(np.exp(log_ell - step)), a, batches)
+    up = kf_loss(D, labels, spec.with_lengthscale(np.exp(log_ell + step)), a, batches)
+    down = kf_loss(D, labels, spec.with_lengthscale(np.exp(log_ell - step)), a, batches)
     return (up - down) / (2.0 * step)
 
 
@@ -339,18 +378,26 @@ def kf_optimize(
 
     Each iteration draws fresh batches, averages the finite-difference
     gradient over them in a fixed order, and applies a Polyak-momentum
-    update in log-lengthscale. Afterward the latent-variable count is the
-    smallest one on ``a_grid`` whose full-data training R^2 comes within
-    0.01 of the best over the grid, evaluated with the learned kernel.
+    update in log-lengthscale, logging each iteration at DEBUG level.
+    Afterward the latent-variable count is the smallest one on ``a_grid``
+    whose full-data training R^2 comes within 0.01 of the best over the
+    grid, evaluated with the learned kernel. The distances between the
+    training rows are computed once; every Gram matrix of both loops is a
+    kernel of index slices of them.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
+    if spec0.family not in KERNEL_FAMILIES:
+        raise ValueError(
+            f"Kernel Flows cannot tune the {spec0.family!r} kernel: it has no lengthscale "
+            "and is not a function of distance"
+        )
     if not a_grid:
         raise ValueError("a_grid must not be empty")
     rng = np.random.default_rng(cfg.seed)
 
-    pairwise = cdist(X, X)
-    med = float(np.median(pairwise[np.triu_indices(X.shape[0], k=1)]))
+    D = cdist(X, X)
+    med = float(np.median(D[np.triu_indices(X.shape[0], k=1)]))
     if med <= 0:
         raise ValueError("degenerate training set: median pairwise distance is zero")
     lo, hi = np.log(LENGTHSCALE_BOUNDS[0] * med), np.log(LENGTHSCALE_BOUNDS[1] * med)
@@ -366,8 +413,8 @@ def kf_optimize(
     for it in range(cfg.iterations):
         batches = draw_kf_batches(rng, labels, cfg.subsamplings_per_iter, cfg.batch_ratio)
         spec_it = spec0.with_lengthscale(float(np.exp(log_ell)))
-        loss = kf_loss(X, labels, spec_it, a_inner, batches)
-        grad = kf_gradient(X, labels, spec_it, a_inner, batches, cfg.fd_step)
+        loss = kf_loss(D, labels, spec_it, a_inner, batches)
+        grad = kf_gradient(D, labels, spec_it, a_inner, batches, cfg.fd_step)
         if not (np.isfinite(loss) and np.isfinite(grad)):
             # degenerate lengthscale: clamp back into range and retry once
             warnings.warn(
@@ -376,13 +423,15 @@ def kf_optimize(
             )
             log_ell = float(np.clip(log_ell, lo, hi))
             spec_it = spec0.with_lengthscale(float(np.exp(log_ell)))
-            loss = kf_loss(X, labels, spec_it, a_inner, batches)
-            grad = kf_gradient(X, labels, spec_it, a_inner, batches, cfg.fd_step)
+            loss = kf_loss(D, labels, spec_it, a_inner, batches)
+            grad = kf_gradient(D, labels, spec_it, a_inner, batches, cfg.fd_step)
             if not (np.isfinite(loss) and np.isfinite(grad)):
                 raise KfConvergenceError(
                     f"Kernel Flows loss stays non-finite at lengthscale {np.exp(log_ell):.3e}"
                 )
         trace[it] = (it + 1, loss, np.exp(log_ell))
+        log.debug("Kernel Flows iteration %d: mean_rho=%.6g lengthscale=%.6g",
+                  it + 1, loss, np.exp(log_ell))
         grad = float(np.clip(grad, -cfg.max_gradient, cfg.max_gradient))
         velocity = cfg.momentum * velocity - cfg.learning_rate * grad
         log_ell = float(np.clip(log_ell + velocity, lo, hi))
@@ -393,16 +442,17 @@ def kf_optimize(
     encoding = encode_da(labels)
     Y = encoding.indicators
     tss = float(np.sum((Y - Y.mean(axis=0)) ** 2))
+    K = distance_kernel(spec_opt, D)
     r2_by_a: dict[int, float] = {}
     for a in sorted(set(int(a) for a in a_grid)):
         if a > X.shape[0] - 1:
             continue
         try:
-            model = fit_kernel_pls(X, labels, spec_opt, a)
+            fit = _fit_gram(K, labels, a)
         except (DegenerateDataError, ValueError):
             r2_by_a[a] = float("-inf")
             continue
-        rss = float(np.sum((Y - predict_indicators(model, X)) ** 2))
+        rss = float(np.sum((Y - _predict_gram(K, fit)) ** 2))
         r2_by_a[a] = 1.0 - rss / tss
     if not r2_by_a:
         raise KfConvergenceError("no feasible latent-variable count on the grid")

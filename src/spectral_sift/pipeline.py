@@ -509,7 +509,7 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube) -> ApplyResult:
             raise ConfigError("model file lacks the clustering-path components")
         Xs = pp.apply_scale(model.scale, X)
         scores = pc.project(model.pca, Xs)
-        clusters, classes = cl.assign(model.cluster, scores[:, model.selection.selected])
+        clusters, _ = cl.assign(model.cluster, scores[:, model.selection.selected])
         other_label = 0 if 0 not in (model.mite_label, model.bee_label) else \
             min(set(range(256)) - {model.mite_label, model.bee_label})
         id_of_class = {
@@ -517,7 +517,11 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube) -> ApplyResult:
             cl.CLASS_BEE: model.bee_label,
             cl.CLASS_OTHER: other_label,
         }
-        flat_ids = np.array([id_of_class[c] for c in classes], dtype=np.uint8)
+        id_of_cluster = np.array(
+            [id_of_class[model.cluster.class_of_cluster[j]] for j in range(model.cluster.k)],
+            dtype=np.uint8,
+        )
+        flat_ids = id_of_cluster[clusters]
         palette = {model.mite_label: "mite", model.bee_label: "bee", other_label: "other"}
         class_grid = np.full((cube.rows, cube.cols), other_label, dtype=np.uint8)
         class_grid[index[:, 0], index[:, 1]] = flat_ids

@@ -1,12 +1,15 @@
 """Kernel functions, centering, dual PLS-DA, and Kernel Flows tuning."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
-from spectral_sift import pls
+from spectral_sift import kernel, pls
 from spectral_sift.kernel import (
     KERNEL_FAMILIES,
+    LENGTHSCALE_BOUNDS,
     KernelSpec,
     KfConfig,
     center_kernel,
@@ -37,6 +40,46 @@ def xor_data(rng, n_per=40, noise=0.15):
     centers = np.array([[1, 1], [-1, -1], [1, -1], [-1, 1]], dtype=float)
     X = np.vstack([c + noise * rng.normal(size=(n_per, 2)) for c in centers])
     return X, np.repeat([0, 0, 1, 1], n_per)
+
+
+def three_blobs(rng, n_per=14, dims=4):
+    centers = rng.normal(scale=3.0, size=(3, dims))
+    X = np.vstack([c + 0.4 * rng.normal(size=(n_per, dims)) for c in centers])
+    return X, np.repeat([0, 1, 2], n_per)
+
+
+def reference_kf_loss(X, labels, spec, a, batches, events=None):
+    """Kernel Flows loss from the spectra themselves, batch by batch: fit on
+    X[full] and X[half], stepping the factor count down while the fit
+    degenerates, and predict both on X[full]. ``events`` collects
+    "step-down" and "inf" as they happen."""
+    events = set() if events is None else events
+    rhos = []
+    for full, half in batches:
+        a_fit = min(a, half.size - 1)
+        models = []
+        for rows in (full, half):
+            model = None
+            for a_try in range(a_fit, 0, -1):
+                try:
+                    model = fit_kernel_pls(X[rows], labels[rows], spec, a_try)
+                    break
+                except pls.DegenerateDataError:
+                    events.add("step-down")
+                except ValueError:
+                    break
+            if model is None:
+                events.add("inf")
+                return float("inf")
+            models.append(model)
+        yhat_full = predict_indicators(models[0], X[full])
+        yhat_half = predict_indicators(models[1], X[full])
+        denom = float(np.sum(yhat_full**2))
+        if denom <= 0:
+            events.add("inf")
+            return float("inf")
+        rhos.append(float(np.sum((yhat_full - yhat_half) ** 2)) / denom)
+    return float(np.mean(rhos))
 
 
 class TestKernelMatrix:
@@ -85,6 +128,10 @@ class TestKernelMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             kernel_matrix(KernelSpec("gaussian", 1.0), np.zeros((2, 3)), np.zeros((2, 4)))
+
+    def test_linear_is_not_a_distance_kernel(self):
+        with pytest.raises(ValueError, match="not a function of distance"):
+            kernel.distance_kernel(KernelSpec("linear", 1.0), np.zeros((2, 2)))
 
 
 class TestCenterKernel:
@@ -251,6 +298,72 @@ class TestKfBatches:
             draw_kf_batches(rng, labels, 1, 0.5)
 
 
+class TestKfLossOnDistances:
+    """kf_loss on one distance matrix against the loss fitted from spectra."""
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_equals_loss_from_spectra(self, family):
+        rng = np.random.default_rng(12)
+        X, labels = three_blobs(rng)
+        batches = draw_kf_batches(rng, labels, 6, 0.5)
+        med = float(np.median(pdist(X)))
+        D = cdist(X, X)
+        events = set()
+        for scale in (LENGTHSCALE_BOUNDS[0], 1.0, LENGTHSCALE_BOUNDS[1]):
+            spec = KernelSpec(family, scale * med, 1.7)
+            assert kf_loss(D, labels, spec, 5, batches) == reference_kf_loss(
+                X, labels, spec, 5, batches, events)
+        assert "step-down" in events  # the factor step-down ran at a bound
+
+    def test_degenerate_half_batch_gives_inf(self):
+        rng = np.random.default_rng(13)
+        X, labels = three_blobs(rng, n_per=4)
+        half = np.array([0, 1, 4, 5, 8, 9])
+        X[half] = X[0]  # every half-batch row alike: its Gram matrix centers to zero
+        batches = [(np.sort(np.concatenate([half, [2, 6, 10]])), half)]
+        D = cdist(X, X)
+        for family in KERNEL_FAMILIES:
+            spec = KernelSpec(family, 0.5)
+            events = set()
+            assert reference_kf_loss(X, labels, spec, 3, batches, events) == float("inf")
+            assert events == {"inf"}
+            assert kf_loss(D, labels, spec, 3, batches) == float("inf")
+
+    def test_half_outside_batch_rejected(self):
+        rng = np.random.default_rng(14)
+        X, labels = three_blobs(rng, n_per=4)
+        batches = [(np.arange(0, 12, 2), np.array([0, 1, 4]))]
+        with pytest.raises(ValueError, match="half-batch"):
+            kf_loss(cdist(X, X), labels, KernelSpec("gaussian", 1.0), 2, batches)
+
+    def test_optimizer_matches_loss_from_spectra(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        X, labels = three_blobs(rng)
+        cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=4,
+                       subsamplings_per_iter=5, seed=3)
+        spec0 = KernelSpec("matern52", float(np.median(pdist(X))))
+        fast = kf_optimize(X, labels, spec0, cfg, a_grid=(1, 2, 3, 4))
+        monkeypatch.setattr(kernel, "kf_loss", lambda D, *args: reference_kf_loss(X, *args))
+        slow = kf_optimize(X, labels, spec0, cfg, a_grid=(1, 2, 3, 4))
+        np.testing.assert_array_equal(fast.trace, slow.trace)
+        assert fast.spec == slow.spec
+        assert fast.a_star == slow.a_star
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_r2_by_a_equals_fit_and_predict(self, family):
+        rng = np.random.default_rng(16)
+        X, labels = three_blobs(rng)
+        cfg = KfConfig(iterations=2, subsamplings_per_iter=4, seed=1)
+        result = kf_optimize(X, labels, KernelSpec(family, 2.0), cfg, a_grid=(1, 2, 3, 5, 8))
+        Y = pls.encode_da(labels).indicators
+        tss = float(np.sum((Y - Y.mean(axis=0)) ** 2))
+        expected = {}
+        for a in (1, 2, 3, 5, 8):
+            model = fit_kernel_pls(X, labels, result.spec, a)
+            expected[a] = 1.0 - float(np.sum((Y - predict_indicators(model, X)) ** 2)) / tss
+        assert result.r2_by_a == expected
+
+
 class TestKfOptimize:
     def test_config_defaults_match_reported_settings(self):
         cfg = KfConfig()
@@ -277,8 +390,9 @@ class TestKfOptimize:
             batches = draw_kf_batches(rng, labels, 8, 0.5)
             ell = float(np.median(pdist(X))) * rng.uniform(0.5, 2.0)
             spec = KernelSpec("gaussian", ell)
-            g_coarse = kf_gradient(X, labels, spec, 3, batches, step=1e-4)
-            g_fine = kf_gradient(X, labels, spec, 3, batches, step=5e-5)
+            D = cdist(X, X)
+            g_coarse = kf_gradient(D, labels, spec, 3, batches, step=1e-4)
+            g_fine = kf_gradient(D, labels, spec, 3, batches, step=5e-5)
             assert abs(g_coarse - g_fine) <= 1e-3 * max(abs(g_fine), 1e-6)
 
     def test_recovers_grid_search_lengthscale(self):
@@ -288,7 +402,8 @@ class TestKfOptimize:
         batch_rng = np.random.default_rng(7)
         batches = draw_kf_batches(batch_rng, labels, 40, 0.5)
         grid = np.exp(np.linspace(np.log(0.05), np.log(3.0), 25))
-        losses = [kf_loss(X, labels, KernelSpec("gaussian", g), 8, batches) for g in grid]
+        D = cdist(X, X)
+        losses = [kf_loss(D, labels, KernelSpec("gaussian", g), 8, batches) for g in grid]
         ell_star = float(grid[int(np.argmin(losses))])
 
         cfg = KfConfig(learning_rate=0.02, momentum=0.8, iterations=25,
@@ -325,6 +440,24 @@ class TestKfOptimize:
         assert result.a_star == 3
         assert result.r2_by_a[3] == pytest.approx(1.0, abs=1e-3)
         assert result.r2_by_a[2] < 0.9
+
+    def test_linear_kernel_rejected(self):
+        X, labels = three_blobs(np.random.default_rng(17))
+        with pytest.raises(ValueError, match="'linear'.*not a function of distance"):
+            kf_optimize(X, labels, KernelSpec("linear", 1.0), KfConfig(iterations=1))
+
+    def test_each_iteration_logged_at_debug(self, caplog):
+        X, labels = three_blobs(np.random.default_rng(18))
+        cfg = KfConfig(iterations=3, subsamplings_per_iter=4, seed=2)
+        with caplog.at_level(logging.DEBUG, logger="spectral_sift.kernel"):
+            result = kf_optimize(X, labels, KernelSpec("gaussian", 2.0), cfg, a_grid=(1, 2))
+        records = [r for r in caplog.records if r.name == "spectral_sift.kernel"]
+        assert len(records) == cfg.iterations
+        for record, (it, rho, ell) in zip(records, result.trace):
+            assert record.levelno == logging.DEBUG
+            assert record.getMessage() == (
+                f"Kernel Flows iteration {int(it)}: mean_rho={rho:.6g} lengthscale={ell:.6g}"
+            )
 
     def test_xor_tuning_reaches_perfect_training_accuracy(self):
         rng = np.random.default_rng(3)

@@ -55,17 +55,26 @@ def tiny_scene():
 
 
 @pytest.fixture(scope="module")
-def fitted(tmp_path_factory):
-    """The scene on disk, a kmeans fit on it, and the saved model file."""
+def scene(tmp_path_factory):
+    """The tiny scene written to disk, and its label mask."""
     root = tmp_path_factory.mktemp("scene")
     cube, mask = tiny_scene()
     write_envi(cube, root / "cube.hdr", root / "cube.raw", dtype="f8")
     write_label_mask_envi(mask, root / "mask.hdr", root / "mask.raw")
     (root / "palette.json").write_text(json.dumps({str(k): v for k, v in mask.palette.items()}))
-    config = RunConfig(
-        workflow="kmeans", cube_header=str(root / "cube.hdr"), mask=str(root / "mask.hdr"),
-        palette=str(root / "palette.json"),
-    )
+    return root, mask
+
+
+def scene_config(root, **settings) -> RunConfig:
+    return RunConfig(cube_header=str(root / "cube.hdr"), mask=str(root / "mask.hdr"),
+                     palette=str(root / "palette.json"), **settings)
+
+
+@pytest.fixture(scope="module")
+def fitted(scene):
+    """The scene on disk, a kmeans fit on it, and the saved model file."""
+    root, mask = scene
+    config = scene_config(root, workflow="kmeans")
     model, diagnostics = fit_pipeline(config)
     model.save(root / "model.json")
     return root, config, mask, model, diagnostics
@@ -86,6 +95,11 @@ def test_saved_model_reproduces_fit_assignments(fitted):
     k = diagnostics["final_k"]
     _, assignment, _ = cl.kmeans_fit(scores[:, model.selection.selected], k, seed=config.seed + k)
     np.testing.assert_array_equal(result.cluster_ids.ravel(), assignment)
+
+    # the class mask, mapped one pixel at a time from the cluster's class name
+    mask_id = {cl.CLASS_MITE: config.mite_label, cl.CLASS_BEE: config.bee_label, cl.CLASS_OTHER: 0}
+    per_pixel = [mask_id[model.cluster.class_of_cluster[int(j)]] for j in assignment]
+    np.testing.assert_array_equal(result.class_labels.ravel(), per_pixel)
 
     mite = result.class_labels == config.mite_label
     np.testing.assert_array_equal(mite, mask.labels == config.mite_label)
@@ -109,6 +123,24 @@ def test_escalation_matches_clustering_reconstructed_spectra(fitted):
     np.testing.assert_allclose([a["inertia"] for a in got],
                                [a.inertia for a in oracle.attempts], rtol=1e-9)
     assert len(got) > 1  # the escalation had to climb
+
+
+def test_saved_kfpls_model_reproduces_in_memory_apply(scene, tmp_path):
+    root = scene[0]
+    config = scene_config(root, workflow="kfpls", samples_per_class=20,
+                          kf=KfConfig(iterations=1, subsamplings_per_iter=4))
+    model, diagnostics = fit_pipeline(config)
+    assert diagnostics["training_pixels"] == 60
+    model.save(tmp_path / "model.json")
+    loaded = PipelineModel.load(tmp_path / "model.json")
+
+    cube = read_envi(root / "cube.hdr")
+    expected = apply_pipeline(model, cube)
+    result = apply_pipeline(loaded, cube)
+    np.testing.assert_array_equal(result.class_labels, expected.class_labels)
+    assert result.counts == expected.counts
+    assert result.palette == expected.palette
+    assert set(np.unique(result.class_labels)) == {0, 1, 3}
 
 
 def test_format_1_model_rejected_by_apply(fitted, tmp_path, caplog):
