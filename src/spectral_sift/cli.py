@@ -8,14 +8,13 @@ failure (cluster escalation exhausted, kernel optimization degenerate).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 
 from .cluster import EscalationError
 from .kernel import KfConvergenceError, save_loss_trace
+from .modelio import dumps
 from .pipeline import (
     EXIT_OK,
     EXIT_QUALITY,
@@ -81,14 +80,13 @@ def _load_config(args) -> RunConfig:
     config = RunConfig.from_file(args.config)
     if args.seed is not None:
         config.seed = args.seed
-        config.kf = dataclasses.replace(config.kf, seed=args.seed)
     if args.out is not None:
         config.out_dir = args.out
     return config
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(dumps(doc))
 
 
 def _cmd_fit(args) -> int:
@@ -100,9 +98,7 @@ def _cmd_fit(args) -> int:
     if trace is not None:
         save_loss_trace(trace, out / "kf_loss_trace.csv")
     model.save(out / "model.json")
-    (out / "diagnostics.json").write_text(
-        json.dumps(diagnostics, sort_keys=True, indent=2) + "\n"
-    )
+    (out / "diagnostics.json").write_text(dumps(diagnostics))
     log.info("model written to %s", out / "model.json")
     _emit({"model": str(out / "model.json"), "diagnostics": diagnostics})
     return EXIT_OK
@@ -119,7 +115,7 @@ def _cmd_apply(args) -> int:
 
 def _cmd_select_bands(args) -> int:
     config = _load_config(args)
-    if config.band_method == "none":
+    if config.band_selection.method == "none":
         raise ConfigError("select-bands needs band_selection.method of 'r2' or 'covproc'")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -128,7 +124,7 @@ def _cmd_select_bands(args) -> int:
     doc = report.to_dict()
     doc["bands_for_model"] = [int(b) for b in bands]
     doc["bands_for_model_nm"] = [float(cube.wavelengths_nm[b]) for b in bands]
-    (out / "selection_report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    (out / "selection_report.json").write_text(dumps(doc))
     _emit(doc)
     return EXIT_OK
 

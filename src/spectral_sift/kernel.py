@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .pls import DaEncoding, DegenerateDataError, encode_da, decode_da
+from .pls import DegenerateDataError, encode_da, decode_da
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +121,7 @@ class KernelPlsModel:
     center_stats: KernelCenterStats
     dual_coef: np.ndarray  # (n, n_classes): centered indicators = K_centered @ dual_coef
     y_means: np.ndarray  # (n_classes,)
-    encoding: DaEncoding
+    classes: np.ndarray  # class label of each indicator column, sorted
     a: int
 
     @property
@@ -145,7 +145,8 @@ def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np
     scale_ref = max(float(np.linalg.norm(Kc)), 1e-300)
 
     for i in range(a):
-        M = G.T @ (Kc @ G)  # = S'S in feature space
+        KG = Kc @ G
+        M = G.T @ KG  # = S'S in feature space
         _, vecs = np.linalg.eigh(M)
         q_dom = vecs[:, -1]
         pivot = np.argmax(np.abs(q_dom))
@@ -171,7 +172,7 @@ def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np
             raise DegenerateDataError(f"kernel loading basis degenerate at factor {i + 1}")
         c /= np.sqrt(vnorm2)
         C[:, i] = c
-        G = G - c[:, None] @ (c[None, :] @ (Kc @ G))
+        G = G - c[:, None] @ (c[None, :] @ KG)
 
     return A, Q
 
@@ -180,7 +181,7 @@ class _GramFit(NamedTuple):
     center_stats: KernelCenterStats
     dual_coef: np.ndarray
     y_means: np.ndarray
-    encoding: DaEncoding
+    classes: np.ndarray
 
 
 def _fit_gram(K: np.ndarray, labels: np.ndarray, a: int) -> _GramFit:
@@ -197,7 +198,7 @@ def _fit_gram(K: np.ndarray, labels: np.ndarray, a: int) -> _GramFit:
     y_means = encoding.indicators.mean(axis=0)
     Yc = encoding.indicators - y_means
     A, Q = _dual_simpls(Kc, Yc, a)
-    return _GramFit(stats, A @ Q.T, y_means, encoding)
+    return _GramFit(stats, A @ Q.T, y_means, encoding.classes)
 
 
 def _predict_gram(K: np.ndarray, fit: _GramFit | KernelPlsModel) -> np.ndarray:
@@ -210,11 +211,8 @@ def fit_kernel_pls(X: np.ndarray, labels: np.ndarray, spec: KernelSpec, a: int) 
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected 2-D spectra, got ndim={X.ndim}")
-    stats, dual_coef, y_means, encoding = _fit_gram(kernel_matrix(spec, X, X), labels, a)
-    return KernelPlsModel(
-        kernel=spec, support=X.copy(), center_stats=stats,
-        dual_coef=dual_coef, y_means=y_means, encoding=encoding, a=a,
-    )
+    fit = _fit_gram(kernel_matrix(spec, X, X), labels, a)
+    return KernelPlsModel(kernel=spec, support=X.copy(), a=a, **fit._asdict())
 
 
 def predict_indicators(model: KernelPlsModel, X_new: np.ndarray) -> np.ndarray:
@@ -230,7 +228,7 @@ def predict_indicators(model: KernelPlsModel, X_new: np.ndarray) -> np.ndarray:
 def classify(model: KernelPlsModel, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class for each new spectrum plus the raw indicator scores."""
     scores = predict_indicators(model, X_new)
-    return decode_da(model.encoding, scores), scores
+    return decode_da(model.classes, scores), scores
 
 
 @dataclass(frozen=True)
@@ -240,7 +238,7 @@ class KfConfig:
     iterations: int = 150
     subsamplings_per_iter: int = 20
     batch_ratio: float = 0.5
-    seed: int = 0
+    a_grid: tuple[int, ...] = tuple(range(1, 11))  # latent-variable counts tried after descent
     fd_step: float = 1e-4  # central-difference step in log-lengthscale
     max_gradient: float = 1.0  # clip |d loss / d log ell|; tames cliff artifacts
 
@@ -253,14 +251,24 @@ class KfConfig:
             raise ValueError("learning_rate must be > 0 and momentum in [0, 1)")
         if self.max_gradient <= 0:
             raise ValueError("max_gradient must be > 0")
+        if not self.a_grid:
+            raise ValueError("a_grid must not be empty")
 
 
 @dataclass(frozen=True)
 class KfResult:
-    spec: KernelSpec
-    a_star: int
+    model: KernelPlsModel  # fitted on all rows at the learned kernel and a*
+    predicted: np.ndarray  # the model's class for each training row
     trace: np.ndarray  # (iterations, 3): iteration, mean rho, lengthscale evaluated
     r2_by_a: dict[int, float]
+
+    @property
+    def spec(self) -> KernelSpec:
+        return self.model.kernel
+
+    @property
+    def a_star(self) -> int:
+        return self.model.a
 
 
 def draw_kf_batches(
@@ -372,18 +380,19 @@ def kf_optimize(
     labels: np.ndarray,
     spec0: KernelSpec,
     cfg: KfConfig = KfConfig(),
-    a_grid: tuple[int, ...] = tuple(range(1, 11)),
+    seed: int = 0,
 ) -> KfResult:
     """Learn the kernel lengthscale by stochastic Kernel Flows descent.
 
     Each iteration draws fresh batches, averages the finite-difference
     gradient over them in a fixed order, and applies a Polyak-momentum
     update in log-lengthscale, logging each iteration at DEBUG level.
-    Afterward the latent-variable count is the smallest one on ``a_grid``
-    whose full-data training R^2 comes within 0.01 of the best over the
-    grid, evaluated with the learned kernel. The distances between the
+    Afterward the latent-variable count a* is the smallest one on
+    ``cfg.a_grid`` whose full-data training R^2 comes within 0.01 of the
+    best over the grid, evaluated with the learned kernel; the fit at a* is
+    returned with its training predictions. The distances between the
     training rows are computed once; every Gram matrix of both loops is a
-    kernel of index slices of them.
+    kernel of index slices of them. ``seed`` draws the batches.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
@@ -392,9 +401,7 @@ def kf_optimize(
             f"Kernel Flows cannot tune the {spec0.family!r} kernel: it has no lengthscale "
             "and is not a function of distance"
         )
-    if not a_grid:
-        raise ValueError("a_grid must not be empty")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     D = cdist(X, X)
     med = float(np.median(D[np.triu_indices(X.shape[0], k=1)]))
@@ -403,7 +410,7 @@ def kf_optimize(
     lo, hi = np.log(LENGTHSCALE_BOUNDS[0] * med), np.log(LENGTHSCALE_BOUNDS[1] * med)
 
     n_half = max(max(int(round(cfg.batch_ratio * X.shape[0])), 2) // 2, 1)
-    a_inner = min(max(a_grid), n_half - 1)
+    a_inner = min(max(cfg.a_grid), n_half - 1)
     if a_inner < 1:
         raise ValueError("batches too small for even one latent variable")
 
@@ -444,7 +451,8 @@ def kf_optimize(
     tss = float(np.sum((Y - Y.mean(axis=0)) ** 2))
     K = distance_kernel(spec_opt, D)
     r2_by_a: dict[int, float] = {}
-    for a in sorted(set(int(a) for a in a_grid)):
+    fits = {}
+    for a in sorted(set(int(a) for a in cfg.a_grid)):
         if a > X.shape[0] - 1:
             continue
         try:
@@ -452,14 +460,18 @@ def kf_optimize(
         except (DegenerateDataError, ValueError):
             r2_by_a[a] = float("-inf")
             continue
-        rss = float(np.sum((Y - _predict_gram(K, fit)) ** 2))
-        r2_by_a[a] = 1.0 - rss / tss
-    if not r2_by_a:
+        scores = _predict_gram(K, fit)
+        fits[a] = fit, scores
+        r2_by_a[a] = 1.0 - float(np.sum((Y - scores) ** 2)) / tss
+    if not fits:
         raise KfConvergenceError("no feasible latent-variable count on the grid")
     best = max(r2_by_a.values())
     a_star = min(a for a, r2 in r2_by_a.items() if r2 >= best - 0.01)
 
-    return KfResult(spec=spec_opt, a_star=a_star, trace=trace, r2_by_a=r2_by_a)
+    fit, scores = fits[a_star]
+    model = KernelPlsModel(kernel=spec_opt, support=X.copy(), a=a_star, **fit._asdict())
+    return KfResult(model=model, predicted=decode_da(fit.classes, scores), trace=trace,
+                    r2_by_a=r2_by_a)
 
 
 def save_loss_trace(trace: np.ndarray, path: str | Path) -> None:

@@ -10,7 +10,6 @@ new images are always pushed through the stored calibration parameters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from . import pca as pc
 from . import pls
 from . import preprocess as pp
 from . import wavesel as ws
+from .modelio import ConfigError
 from .specdata import (
     UNLABELED,
     HyperCube,
@@ -45,141 +45,100 @@ WORKFLOWS = ("kmeans", "kfpls")
 BAND_METHODS = ("none", "r2", "covproc")
 
 
-class ConfigError(ValueError):
-    """Invalid or unknown run-configuration content."""
+@dataclass
+class InputsConfig:
+    cube_header: str = ""
+    cube_data: str | None = None  # None: the payload next to the header
+    mask: str = ""
+    palette: str | None = None  # JSON file mapping mask ids to class names
 
 
-def _take(section: dict, name: str, allowed: dict):
-    """Pop known keys with defaults; reject anything unexpected."""
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in config section {name!r}")
-    return {key: section.get(key, default) for key, default in allowed.items()}
+@dataclass
+class LabelsConfig:
+    mite: int = 3
+    bee: int = 1
+
+
+@dataclass
+class PcaConfig:
+    components: int | None = None  # None: the fit_pca default (at most 20)
+    top_n: int | None = None  # None without a threshold: the top 2 components
+    threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.top_n is not None and self.threshold is not None:
+            raise ConfigError("give only one of top_n or threshold")
+        if self.threshold is None and self.top_n is None:
+            self.top_n = 2
+
+
+@dataclass
+class ClusterConfig:
+    k0: int = 2
+    k_max: int = 12
+
+
+@dataclass
+class KernelConfig:
+    family: str = "matern52"
+    lengthscale: float | None = None  # None: median pairwise distance of the samples
+    variance: float = 1.0
+
+
+@dataclass
+class BandSelectionConfig:
+    method: str = "none"
+    n_tail: int = 10
+    init_m: int = 3
+    target_count: int = 12
+    lv: int = ws.DEFAULT_FORWARD_LV
+    rounds: int = 4
+    round_order: tuple[int, ...] | None = None
+    stop_by_clustering: bool = False
 
 
 @dataclass
 class RunConfig:
+    """One run, as its JSON config file holds it, key for key.
+
+    Sections: ``inputs`` (cube, mask and palette files), ``labels`` (mite
+    and bee mask ids), ``pca`` (components kept, then top_n or threshold
+    gating), ``cluster`` (escalation k0..k_max), ``kernel`` (family,
+    lengthscale, variance), ``kf`` (:class:`kernel.KfConfig`: Kernel Flows
+    descent and the latent-count grid ``a_grid``) and ``band_selection``;
+    top-level keys are ``workflow``, ``samples_per_class``, ``seed`` and
+    ``out_dir``. Field defaults are the defaults of omitted keys.
+    """
+
     workflow: str = "kmeans"
-    cube_header: str = ""
-    cube_data: str | None = None
-    mask: str = ""
-    palette: str | None = None
-    mite_label: int = 3
-    bee_label: int = 1
-    pca_components: int | None = None
-    pc_top_n: int | None = 2
-    pc_threshold: float | None = None
-    cluster_k0: int = 2
-    cluster_k_max: int = 12
-    kernel_family: str = "matern52"
-    kernel_lengthscale: float | None = None  # None: median pairwise distance of the samples
-    kernel_variance: float = 1.0
+    inputs: InputsConfig = field(default_factory=InputsConfig)
+    labels: LabelsConfig = field(default_factory=LabelsConfig)
+    pca: PcaConfig = field(default_factory=PcaConfig)
+    cluster: ClusterConfig = field(default_factory=ClusterConfig)
+    kernel: KernelConfig = field(default_factory=KernelConfig)
     kf: kn.KfConfig = field(default_factory=kn.KfConfig)
-    a_grid: tuple[int, ...] = tuple(range(1, 11))
     samples_per_class: int = 300
-    band_method: str = "none"
-    band_n_tail: int = 10
-    band_init_m: int = 3
-    band_target_count: int = 12
-    band_lv: int = ws.DEFAULT_FORWARD_LV
-    band_rounds: int = 4
-    band_round_order: tuple[int, ...] | None = None
-    band_stop_by_clustering: bool = False
+    band_selection: BandSelectionConfig = field(default_factory=BandSelectionConfig)
     seed: int = 0
     out_dir: str = "."
 
     def __post_init__(self) -> None:
         if self.workflow not in WORKFLOWS:
             raise ConfigError(f"workflow must be one of {WORKFLOWS}, got {self.workflow!r}")
-        if self.band_method not in BAND_METHODS:
-            raise ConfigError(f"band selection method must be one of {BAND_METHODS}")
-        if self.mite_label == self.bee_label:
-            raise ConfigError("mite and bee labels must differ")
-        if (self.pc_top_n is None) == (self.pc_threshold is None):
-            raise ConfigError("give exactly one of pca top_n or threshold")
-        if self.kernel_family not in kn.KERNEL_FAMILIES:
-            raise ConfigError(f"kernel family must be one of {kn.KERNEL_FAMILIES}")
+        if self.band_selection.method not in BAND_METHODS:
+            raise ConfigError(f"band_selection.method must be one of {BAND_METHODS}")
+        if self.labels.mite == self.labels.bee:
+            raise ConfigError("labels.mite and labels.bee must differ")
+        if self.kernel.family not in kn.KERNEL_FAMILIES:
+            raise ConfigError(f"kernel.family must be one of {kn.KERNEL_FAMILIES}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        top = _take(doc, "<top-level>", {
-            "workflow": "kmeans", "inputs": {}, "labels": {}, "pca": {}, "cluster": {},
-            "kernel": {}, "kf": {}, "samples_per_class": 300, "band_selection": {},
-            "seed": 0, "out_dir": ".",
-        })
-        inputs = _take(top["inputs"], "inputs", {
-            "cube_header": "", "cube_data": None, "mask": "", "palette": None,
-        })
-        labels = _take(top["labels"], "labels", {"mite": 3, "bee": 1})
-        pca_sec = _take(top["pca"], "pca", {"components": None, "top_n": 2, "threshold": None})
-        if pca_sec["threshold"] is not None:
-            pca_sec["top_n"] = None
-        cluster_sec = _take(top["cluster"], "cluster", {"k0": 2, "k_max": 12})
-        kernel_sec = _take(top["kernel"], "kernel", {
-            "family": "matern52", "lengthscale": None, "variance": 1.0,
-        })
-        kf_sec = _take(top["kf"], "kf", {
-            "learning_rate": 0.1, "momentum": 0.9, "iterations": 150,
-            "subsamplings_per_iter": 20, "batch_ratio": 0.5, "a_grid": list(range(1, 11)),
-        })
-        band_sec = _take(top["band_selection"], "band_selection", {
-            "method": "none", "n_tail": 10, "init_m": 3, "target_count": 12,
-            "lv": ws.DEFAULT_FORWARD_LV, "rounds": 4, "round_order": None,
-            "stop_by_clustering": False,
-        })
-        try:
-            kf_cfg = kn.KfConfig(
-                learning_rate=float(kf_sec["learning_rate"]),
-                momentum=float(kf_sec["momentum"]),
-                iterations=int(kf_sec["iterations"]),
-                subsamplings_per_iter=int(kf_sec["subsamplings_per_iter"]),
-                batch_ratio=float(kf_sec["batch_ratio"]),
-                seed=int(top["seed"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad Kernel Flows settings: {exc}") from exc
-        return cls(
-            workflow=top["workflow"],
-            cube_header=inputs["cube_header"],
-            cube_data=inputs["cube_data"],
-            mask=inputs["mask"],
-            palette=inputs["palette"],
-            mite_label=int(labels["mite"]),
-            bee_label=int(labels["bee"]),
-            pca_components=None if pca_sec["components"] is None else int(pca_sec["components"]),
-            pc_top_n=None if pca_sec["top_n"] is None else int(pca_sec["top_n"]),
-            pc_threshold=None if pca_sec["threshold"] is None else float(pca_sec["threshold"]),
-            cluster_k0=int(cluster_sec["k0"]),
-            cluster_k_max=int(cluster_sec["k_max"]),
-            kernel_family=kernel_sec["family"],
-            kernel_lengthscale=(None if kernel_sec["lengthscale"] is None
-                                else float(kernel_sec["lengthscale"])),
-            kernel_variance=float(kernel_sec["variance"]),
-            kf=kf_cfg,
-            a_grid=tuple(int(a) for a in kf_sec["a_grid"]),
-            samples_per_class=int(top["samples_per_class"]),
-            band_method=band_sec["method"],
-            band_n_tail=int(band_sec["n_tail"]),
-            band_init_m=int(band_sec["init_m"]),
-            band_target_count=int(band_sec["target_count"]),
-            band_lv=int(band_sec["lv"]),
-            band_rounds=int(band_sec["rounds"]),
-            band_round_order=(None if band_sec["round_order"] is None
-                              else tuple(int(r) for r in band_sec["round_order"])),
-            band_stop_by_clustering=bool(band_sec["stop_by_clustering"]),
-            seed=int(top["seed"]),
-            out_dir=str(top["out_dir"]),
-        )
+        return modelio.decode(cls, doc)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(modelio.load_json(path))
 
 
 @dataclass
@@ -199,63 +158,28 @@ class PipelineModel:
     selection_report: dict | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "format_version": modelio.FORMAT_VERSION,
-            "workflow": self.workflow,
-            "palette": {str(k): v for k, v in sorted(self.palette.items())},
-            "mite_label": self.mite_label,
-            "bee_label": self.bee_label,
-            "original_bands": self.original_bands,
-            "wavelengths_nm": modelio.encode_array(self.wavelengths_nm),
-            "band_subset": self.band_subset,
-            "scale": None if self.scale is None else modelio.scale_to_dict(self.scale),
-            "pca": None if self.pca is None else modelio.pca_to_dict(self.pca),
-            "selection": None if self.selection is None else modelio.selection_to_dict(self.selection),
-            "cluster": None if self.cluster is None else modelio.cluster_to_dict(self.cluster),
-            "kernel": None if self.kernel is None else modelio.kernel_pls_to_dict(self.kernel),
-            "selection_report": self.selection_report,
-        }
-        return doc
+        return {"format_version": modelio.FORMAT_VERSION, **modelio.encode(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineModel":
-        version = doc.get("format_version")
+        doc = dict(doc)
+        version = doc.pop("format_version", None)
         if version == 1:
             raise ConfigError("model format 1 stores spectrum-space centroids; refit the model")
         if version != modelio.FORMAT_VERSION:
-            raise ConfigError(f"unrecognized model format version {version!r}")
-        return cls(
-            workflow=doc["workflow"],
-            palette={int(k): str(v) for k, v in doc["palette"].items()},
-            mite_label=int(doc["mite_label"]),
-            bee_label=int(doc["bee_label"]),
-            original_bands=int(doc["original_bands"]),
-            wavelengths_nm=modelio.decode_array(doc["wavelengths_nm"]),
-            band_subset=doc["band_subset"],
-            scale=None if doc["scale"] is None else modelio.scale_from_dict(doc["scale"]),
-            pca=None if doc["pca"] is None else modelio.pca_from_dict(doc["pca"]),
-            selection=(None if doc["selection"] is None
-                       else modelio.selection_from_dict(doc["selection"])),
-            cluster=None if doc["cluster"] is None else modelio.cluster_from_dict(doc["cluster"]),
-            kernel=None if doc["kernel"] is None else modelio.kernel_pls_from_dict(doc["kernel"]),
-            selection_report=doc["selection_report"],
-        )
+            raise ConfigError(f"model format {version!r} cannot be read by this version "
+                              f"(format {modelio.FORMAT_VERSION}); refit the model")
+        return modelio.decode(cls, doc)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(modelio.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineModel":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"model file {path} is not valid JSON: {exc}") from exc
+        doc = modelio.load_json(path)
         if not isinstance(doc, dict):
             raise ConfigError(f"model file {path} must hold a JSON object")
-        try:
-            return cls.from_dict(doc)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"model file {path} is incomplete or corrupt: {exc}") from exc
+        return cls.from_dict(doc)
 
 
 def restrict_bands(cube: HyperCube, bands: list[int]) -> HyperCube:
@@ -271,11 +195,12 @@ def restrict_bands(cube: HyperCube, bands: list[int]) -> HyperCube:
 
 
 def load_inputs(config: RunConfig) -> tuple[HyperCube, LabelMask]:
-    cube = read_envi(config.cube_header, config.cube_data)
+    inputs = config.inputs
+    cube = read_envi(inputs.cube_header, inputs.cube_data)
     palette = None
-    if config.palette:
-        palette = {int(k): str(v) for k, v in json.loads(Path(config.palette).read_text()).items()}
-    mask = read_label_mask(config.mask, palette=palette)
+    if inputs.palette:
+        palette = {int(k): str(v) for k, v in modelio.load_json(inputs.palette).items()}
+    mask = read_label_mask(inputs.mask, palette=palette)
     if not mask.matches(cube):
         raise ValueError(
             f"mask {(mask.rows, mask.cols)} does not match cube {(cube.rows, cube.cols)}"
@@ -299,24 +224,20 @@ def _fit_kmeans_path(cube: HyperCube, mask: LabelMask, config: RunConfig):
     X, _ = flatten(cube)
     scale = pp.fit_scale(X)
     Xs = pp.apply_scale(scale, X)
-    pca_model, scores = pc.fit_pca(Xs, k=config.pca_components)
-    selector, y = _discriminant_rows(mask, config.mite_label, config.bee_label)
+    pca_model, scores = pc.fit_pca(Xs, k=config.pca.components)
+    selector, y = _discriminant_rows(mask, config.labels.mite, config.labels.bee)
     rho = pc.correlate_scores(scores[selector], y)
-    selection = pc.select_components(rho, top_n=config.pc_top_n, threshold=config.pc_threshold)
+    selection = pc.select_components(rho, top_n=config.pca.top_n, threshold=config.pca.threshold)
     cluster_model, diag = cl.fit_supervised(
-        scores[:, selection.selected], mask.labels.ravel(), config.mite_label, config.bee_label,
-        k0=config.cluster_k0, k_max=config.cluster_k_max, seed=config.seed,
+        scores[:, selection.selected], mask.labels.ravel(), config.labels.mite, config.labels.bee,
+        k0=config.cluster.k0, k_max=config.cluster.k_max, seed=config.seed,
         unlabeled=UNLABELED,
     )
     diagnostics = {
         "selected_components": [int(i) for i in selection.selected],
         "component_correlations": [float(v) for v in rho],
         "explained_variance_ratio": [float(v) for v in pca_model.explained_variance_ratio],
-        "escalation": [
-            {"k": a.k, "false_alarms": a.false_alarms, "missed_mites": a.missed_mites,
-             "inertia": a.inertia}
-            for a in diag.attempts
-        ],
+        "escalation": modelio.encode(diag.attempts),  # k, false_alarms, missed_mites, inertia
         "final_k": diag.final.k,
     }
     return scale, pca_model, selection, cluster_model, diagnostics
@@ -344,11 +265,11 @@ def _fit_kfpls_path(cube: HyperCube, mask: LabelMask, config: RunConfig):
     labels = mask.labels.ravel()
     if np.unique(labels[labels != UNLABELED]).size < 2:
         raise ValueError("kernel workflow needs at least 2 labeled classes")
-    _discriminant_rows(mask, config.mite_label, config.bee_label)  # both insects must exist
+    _discriminant_rows(mask, config.labels.mite, config.labels.bee)  # both insects must exist
     X_train, y_train = _sample_labeled_pixels(X, labels, config.samples_per_class, config.seed)
 
-    if config.kernel_lengthscale is not None:
-        ell0 = config.kernel_lengthscale
+    if config.kernel.lengthscale is not None:
+        ell0 = config.kernel.lengthscale
     else:
         from scipy.spatial.distance import pdist
 
@@ -356,20 +277,17 @@ def _fit_kfpls_path(cube: HyperCube, mask: LabelMask, config: RunConfig):
         ell0 = float(np.median(dists[dists > 0]))
         if not np.isfinite(ell0) or ell0 <= 0:
             raise ValueError("cannot derive a lengthscale: sampled spectra are identical")
-    spec0 = kn.KernelSpec(config.kernel_family, ell0, config.kernel_variance)
-    result = kn.kf_optimize(X_train, y_train, spec0, config.kf, config.a_grid)
-    model = kn.fit_kernel_pls(X_train, y_train, result.spec, result.a_star)
-    predicted, _ = kn.classify(model, X_train)
+    spec0 = kn.KernelSpec(config.kernel.family, ell0, config.kernel.variance)
+    result = kn.kf_optimize(X_train, y_train, spec0, config.kf, config.seed)
     diagnostics = {
-        "kernel": {"family": result.spec.family, "lengthscale": result.spec.lengthscale,
-                   "variance": result.spec.variance},
+        "kernel": modelio.encode(result.spec),
         "initial_lengthscale": ell0,
         "latent_variables": result.a_star,
         "r2_by_a": {str(a): float(v) for a, v in sorted(result.r2_by_a.items())},
-        "training_accuracy": float(np.mean(predicted == y_train)),
+        "training_accuracy": float(np.mean(result.predicted == y_train)),
         "training_pixels": int(y_train.size),
     }
-    return model, result, diagnostics
+    return result, diagnostics
 
 
 def _clustering_stop_test(cube: HyperCube, mask: LabelMask, config: RunConfig):
@@ -390,31 +308,32 @@ def _clustering_stop_test(cube: HyperCube, mask: LabelMask, config: RunConfig):
 
 def run_band_selection(cube: HyperCube, mask: LabelMask, config: RunConfig):
     """Run the configured selector; returns (report, bands_for_model)."""
+    bands_cfg = config.band_selection
     X, _ = flatten(cube)
-    selector, y = _discriminant_rows(mask, config.mite_label, config.bee_label)
+    selector, y = _discriminant_rows(mask, config.labels.mite, config.labels.bee)
     Xbm = X[selector]
-    excluded = ws.exclude_tail(cube.bands, config.band_n_tail)
+    excluded = ws.exclude_tail(cube.bands, bands_cfg.n_tail)
     stop = None
-    if config.band_stop_by_clustering:
+    if bands_cfg.stop_by_clustering:
         stop = _clustering_stop_test(cube, mask, config)
 
-    if config.band_method == "r2":
-        init = ws.init_by_correlation(Xbm, y, m=config.band_init_m, exclude=excluded)
+    if bands_cfg.method == "r2":
+        init = ws.init_by_correlation(Xbm, y, m=bands_cfg.init_m, exclude=excluded)
         report = ws.r2_forward_select(
-            Xbm, y, target_count=config.band_target_count, init=init, lv=config.band_lv,
+            Xbm, y, target_count=bands_cfg.target_count, init=init, lv=bands_cfg.lv,
             exclude=excluded, stop=stop, wavelengths_nm=cube.wavelengths_nm,
         )
         return report, list(report.selected)
 
-    if config.band_method == "covproc":
+    if bands_cfg.method == "covproc":
         scale = pp.fit_scale(Xbm)
         Xs = pp.apply_scale(scale, Xbm)
         yc = y - y.mean()
         report = ws.covproc_select(
-            Xs, yc, rounds=config.band_rounds, exclude=excluded,
+            Xs, yc, rounds=bands_cfg.rounds, exclude=excluded,
             wavelengths_nm=cube.wavelengths_nm,
         )
-        order = config.band_round_order or tuple(r.index for r in report.rounds)
+        order = bands_cfg.round_order or tuple(r.index for r in report.rounds)
         bands = ws.reorder_rounds(report, order)
         if stop is not None:
             for size in range(1, len(bands) + 1):
@@ -428,7 +347,7 @@ def run_band_selection(cube: HyperCube, mask: LabelMask, config: RunConfig):
                 )
         return report, bands
 
-    raise ConfigError(f"band selection method {config.band_method!r} cannot be run")
+    raise ConfigError(f"band selection method {bands_cfg.method!r} cannot be run")
 
 
 def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
@@ -440,7 +359,7 @@ def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
     original_bands = cube.bands
     report_doc = None
     band_subset = None
-    if config.band_method != "none":
+    if config.band_selection.method != "none":
         report, bands = run_band_selection(cube, mask, config)
         report_doc = report.to_dict()
         report_doc["bands_for_model"] = [int(b) for b in bands]
@@ -451,8 +370,8 @@ def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
     model = PipelineModel(
         workflow=config.workflow,
         palette=palette,
-        mite_label=config.mite_label,
-        bee_label=config.bee_label,
+        mite_label=config.labels.mite,
+        bee_label=config.labels.bee,
         original_bands=original_bands,
         wavelengths_nm=cube.wavelengths_nm,
         band_subset=band_subset,
@@ -467,8 +386,8 @@ def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
         model.cluster = cluster_model
         diagnostics.update(diag)
     else:
-        kernel_model, result, diag = _fit_kfpls_path(cube, mask, config)
-        model.kernel = kernel_model
+        result, diag = _fit_kfpls_path(cube, mask, config)
+        model.kernel = result.model
         diagnostics.update(diag)
         diagnostics["_kf_trace"] = result.trace  # stripped before JSON emission
 
@@ -537,7 +456,7 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube) -> ApplyResult:
     class_grid = np.zeros((cube.rows, cube.cols), dtype=np.uint8)
     class_grid[index[:, 0], index[:, 1]] = predicted.astype(np.uint8)
     palette = {int(c): model.palette.get(int(c), f"class-{int(c)}")
-               for c in model.kernel.encoding.classes}
+               for c in model.kernel.classes}
     counts = {name: int(np.sum(predicted == label)) for label, name in sorted(palette.items())}
     return ApplyResult(class_labels=class_grid, palette=palette, counts=counts)
 
@@ -556,12 +475,9 @@ def write_apply_outputs(result: ApplyResult, out_dir: str | Path) -> dict:
         )
         write_label_mask_envi(cluster_mask, out / "cluster_mask.hdr", out / "cluster_mask.raw")
         write_label_mask_pgm(cluster_mask, out / "cluster_mask.pgm")
-    (out / "palette.json").write_text(
-        json.dumps({str(k): v for k, v in sorted(result.palette.items())},
-                   sort_keys=True, indent=2) + "\n"
-    )
+    (out / "palette.json").write_text(modelio.dumps(result.palette))
     summary = {"counts": result.counts, "pixels": int(result.class_labels.size)}
-    (out / "counts.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    (out / "counts.json").write_text(modelio.dumps(summary))
     return summary
 
 
@@ -572,7 +488,7 @@ def inspect_model(model: PipelineModel) -> dict:
         "workflow": model.workflow,
         "bands": int(model.wavelengths_nm.size),
         "band_subset": model.band_subset,
-        "palette": {str(k): v for k, v in sorted(model.palette.items())},
+        "palette": modelio.encode(model.palette),
     }
     if model.band_subset is not None:
         doc["band_subset_nm"] = [float(v) for v in model.wavelengths_nm]
@@ -590,12 +506,10 @@ def inspect_model(model: PipelineModel) -> dict:
         }
     if model.kernel is not None:
         doc["kernel"] = {
-            "family": model.kernel.kernel.family,
-            "lengthscale": model.kernel.kernel.lengthscale,
-            "variance": model.kernel.kernel.variance,
+            **modelio.encode(model.kernel.kernel),
             "latent_variables": model.kernel.a,
             "support_spectra": model.kernel.n_support,
-            "classes": [int(c) for c in model.kernel.encoding.classes],
+            "classes": modelio.encode(model.kernel.classes),
         }
     if model.selection_report is not None:
         doc["band_selection"] = {
@@ -615,10 +529,7 @@ def run_synth(scene_path: str | Path, seed: int, out_dir: str | Path) -> dict:
     write_envi(cube, out / "cube.hdr", out / "cube.raw", dtype="f8")
     write_label_mask_envi(mask, out / "mask.hdr", out / "mask.raw")
     write_label_mask_pgm(mask, out / "mask.pgm")
-    (out / "palette.json").write_text(
-        json.dumps({str(k): v for k, v in sorted(mask.palette.items())},
-                   sort_keys=True, indent=2) + "\n"
-    )
+    (out / "palette.json").write_text(modelio.dumps(mask.palette))
     return {
         "rows": cube.rows, "cols": cube.cols, "bands": cube.bands,
         "classes": {str(k): v for k, v in sorted(mask.palette.items())},

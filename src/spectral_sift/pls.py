@@ -61,12 +61,13 @@ def encode_da(labels: np.ndarray) -> DaEncoding:
     return DaEncoding(classes=classes, indicators=Y)
 
 
-def decode_da(encoding: DaEncoding, y_hat: np.ndarray) -> np.ndarray:
-    """Row-wise argmax of predicted indicators; ties go to the lowest class index."""
+def decode_da(classes: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Row-wise argmax of predicted indicators, one column per entry of
+    ``classes``; ties go to the lowest class index."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y_hat.ndim != 2 or y_hat.shape[1] != encoding.classes.size:
-        raise ValueError(f"expected {encoding.classes.size} indicator columns, got {y_hat.shape}")
-    return encoding.classes[np.argmax(y_hat, axis=1)]
+    if y_hat.ndim != 2 or y_hat.shape[1] != classes.size:
+        raise ValueError(f"expected {classes.size} indicator columns, got {y_hat.shape}")
+    return classes[np.argmax(y_hat, axis=1)]
 
 
 def _dominant_right_vector(S: np.ndarray) -> np.ndarray:

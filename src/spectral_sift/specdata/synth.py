@@ -8,12 +8,12 @@ Generation is fully deterministic under a seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ..modelio import decode, load_json
 from .cube import UNLABELED, HyperCube, LabelMask
 
 
@@ -89,37 +89,8 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SceneSpec":
-        doc = json.loads(Path(path).read_text())
-        try:
-            classes = [
-                ClassSpec(label=int(c["label"]), name=str(c["name"]),
-                          knots=[(float(a), float(b)) for a, b in c["knots"]])
-                for c in doc["classes"]
-            ]
-            blobs = [
-                BlobSpec(label=int(b["label"]), row=int(b["row"]), col=int(b["col"]),
-                         height=int(b["height"]), width=int(b["width"]),
-                         shape=str(b.get("shape", "rect")))
-                for b in doc.get("blobs", [])
-            ]
-            shadow = None
-            if doc.get("shadow") is not None:
-                shadow = ShadowSpec(strength=float(doc["shadow"]["strength"]),
-                                    axis=str(doc["shadow"].get("axis", "col")))
-            return cls(
-                rows=int(doc["rows"]),
-                cols=int(doc["cols"]),
-                wavelengths_nm=np.asarray(doc["wavelengths_nm"], dtype=np.float64),
-                classes=classes,
-                background=int(doc["background"]),
-                blobs=blobs,
-                noise_sigma=float(doc.get("noise_sigma", 0.0)),
-                shadow=shadow,
-                gain=float(doc.get("gain", 1.0)),
-                occlusion=str(doc.get("occlusion", "error")),
-            )
-        except KeyError as exc:
-            raise ValueError(f"scene file {path} is missing key {exc}") from exc
+        """Scene from a JSON file laid out field for field like this class."""
+        return decode(cls, load_json(path))
 
 
 def _blob_mask(spec: SceneSpec, blob: BlobSpec) -> np.ndarray:

@@ -82,6 +82,34 @@ def reference_kf_loss(X, labels, spec, a, batches, events=None):
     return float(np.mean(rhos))
 
 
+def reference_dual_simpls(Kc, Yc, a):
+    """The dual SIMPLS loop as it was before it kept Kc @ G for the
+    deflation: Kc @ G is evaluated twice per factor."""
+    n = Kc.shape[0]
+    G = Yc.copy()
+    A, Q, C = np.empty((n, a)), np.empty((Yc.shape[1], a)), np.zeros((n, a))
+    for i in range(a):
+        M = G.T @ (Kc @ G)
+        _, vecs = np.linalg.eigh(M)
+        q_dom = vecs[:, -1]
+        if q_dom[np.argmax(np.abs(q_dom))] < 0:
+            q_dom = -q_dom
+        alpha = G @ q_dom
+        t = Kc @ alpha
+        normt = float(np.linalg.norm(t))
+        t /= normt
+        alpha /= normt
+        A[:, i] = alpha
+        Q[:, i] = Yc.T @ t
+        c = t.copy()
+        if i > 0:
+            c -= C[:, :i] @ (C[:, :i].T @ (Kc @ t))
+        c /= np.sqrt(float(c @ (Kc @ c)))
+        C[:, i] = c
+        G = G - c[:, None] @ (c[None, :] @ (Kc @ G))
+    return A, Q
+
+
 class TestKernelMatrix:
     def test_self_similarity_is_variance(self):
         rng = np.random.default_rng(0)
@@ -183,7 +211,7 @@ class TestKernelPls:
         X, labels = xor_data(rng)
         enc = pls.encode_da(labels)
         linear = pls.fit_simpls(X, enc.indicators, a=2)
-        linear_acc = np.mean(pls.decode_da(enc, pls.predict(linear, X)) == labels)
+        linear_acc = np.mean(pls.decode_da(enc.classes, pls.predict(linear, X)) == labels)
         assert linear_acc < 1.0
         model = fit_kernel_pls(X, labels, KernelSpec("gaussian", 0.7), a=4)
         predicted, _ = classify(model, X)
@@ -229,6 +257,20 @@ class TestKernelPls:
         pred_fit, _ = classify(model, X)
         pred_again, _ = classify(model, X.copy())
         np.testing.assert_array_equal(pred_fit, pred_again)
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 5])
+    def test_dual_simpls_equals_loop_with_repeated_products(self, n_classes):
+        rng = np.random.default_rng(40 + n_classes)
+        X = rng.normal(size=(45, 6))
+        labels = np.arange(45) % n_classes
+        Y = pls.encode_da(labels).indicators
+        Yc = Y - Y.mean(axis=0)
+        K = kernel_matrix(KernelSpec("matern52", 2.0), X, X)
+        Kc = center_kernel(K, fit_kernel_center(K))
+        for a in (1, 2, 4, 7):
+            A, Q = kernel._dual_simpls(Kc, Yc, a)
+            A_ref, Q_ref = reference_dual_simpls(Kc, Yc, a)
+            assert np.array_equal(A, A_ref) and np.array_equal(Q, Q_ref)
 
     def test_degenerate_kernel_rejected(self):
         X = np.ones((8, 3))
@@ -340,11 +382,11 @@ class TestKfLossOnDistances:
         rng = np.random.default_rng(15)
         X, labels = three_blobs(rng)
         cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=4,
-                       subsamplings_per_iter=5, seed=3)
+                       subsamplings_per_iter=5, a_grid=(1, 2, 3, 4))
         spec0 = KernelSpec("matern52", float(np.median(pdist(X))))
-        fast = kf_optimize(X, labels, spec0, cfg, a_grid=(1, 2, 3, 4))
+        fast = kf_optimize(X, labels, spec0, cfg, seed=3)
         monkeypatch.setattr(kernel, "kf_loss", lambda D, *args: reference_kf_loss(X, *args))
-        slow = kf_optimize(X, labels, spec0, cfg, a_grid=(1, 2, 3, 4))
+        slow = kf_optimize(X, labels, spec0, cfg, seed=3)
         np.testing.assert_array_equal(fast.trace, slow.trace)
         assert fast.spec == slow.spec
         assert fast.a_star == slow.a_star
@@ -353,8 +395,8 @@ class TestKfLossOnDistances:
     def test_r2_by_a_equals_fit_and_predict(self, family):
         rng = np.random.default_rng(16)
         X, labels = three_blobs(rng)
-        cfg = KfConfig(iterations=2, subsamplings_per_iter=4, seed=1)
-        result = kf_optimize(X, labels, KernelSpec(family, 2.0), cfg, a_grid=(1, 2, 3, 5, 8))
+        cfg = KfConfig(iterations=2, subsamplings_per_iter=4, a_grid=(1, 2, 3, 5, 8))
+        result = kf_optimize(X, labels, KernelSpec(family, 2.0), cfg, seed=1)
         Y = pls.encode_da(labels).indicators
         tss = float(np.sum((Y - Y.mean(axis=0)) ** 2))
         expected = {}
@@ -407,9 +449,8 @@ class TestKfOptimize:
         ell_star = float(grid[int(np.argmin(losses))])
 
         cfg = KfConfig(learning_rate=0.02, momentum=0.8, iterations=25,
-                       subsamplings_per_iter=40, seed=11)
-        result = kf_optimize(X, labels, KernelSpec("gaussian", 3.0 * ell_star), cfg,
-                             a_grid=tuple(range(1, 9)))
+                       subsamplings_per_iter=40, a_grid=tuple(range(1, 9)))
+        result = kf_optimize(X, labels, KernelSpec("gaussian", 3.0 * ell_star), cfg, seed=11)
         ratio = result.spec.lengthscale / ell_star
         assert 0.5 <= ratio <= 2.0
         moving = np.convolve(result.trace[:, 1], np.ones(10) / 10, mode="valid")
@@ -419,9 +460,9 @@ class TestKfOptimize:
         rng = np.random.default_rng(10)
         X, labels = checkerboard(rng, cells=4, n_per=4)
         cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=6,
-                       subsamplings_per_iter=8, seed=21)
-        r1 = kf_optimize(X, labels, KernelSpec("gaussian", 0.8), cfg, a_grid=(1, 2, 3))
-        r2 = kf_optimize(X, labels, KernelSpec("gaussian", 0.8), cfg, a_grid=(1, 2, 3))
+                       subsamplings_per_iter=8, a_grid=(1, 2, 3))
+        r1 = kf_optimize(X, labels, KernelSpec("gaussian", 0.8), cfg, seed=21)
+        r2 = kf_optimize(X, labels, KernelSpec("gaussian", 0.8), cfg, seed=21)
         np.testing.assert_array_equal(r1.trace, r2.trace)
         assert r1.spec.lengthscale == r2.spec.lengthscale
         assert r1.a_star == r2.a_star
@@ -434,12 +475,25 @@ class TestKfOptimize:
         X = np.vstack([c + 0.05 * rng.normal(size=(25, 2)) for c in centers])
         labels = np.repeat([0, 1, 2, 3], 25)
         cfg = KfConfig(learning_rate=0.02, momentum=0.8, iterations=10,
-                       subsamplings_per_iter=10, seed=2)
-        result = kf_optimize(X, labels, KernelSpec("gaussian", 3.0), cfg,
-                             a_grid=tuple(range(1, 7)))
+                       subsamplings_per_iter=10, a_grid=tuple(range(1, 7)))
+        result = kf_optimize(X, labels, KernelSpec("gaussian", 3.0), cfg, seed=2)
         assert result.a_star == 3
         assert result.r2_by_a[3] == pytest.approx(1.0, abs=1e-3)
         assert result.r2_by_a[2] < 0.9
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_returns_the_fit_at_a_star(self, family):
+        # oracle: refit at the learned kernel and a*, then classify the training rows
+        X, labels = three_blobs(np.random.default_rng(19))
+        cfg = KfConfig(iterations=2, subsamplings_per_iter=4, a_grid=(1, 2, 3, 5))
+        result = kf_optimize(X, labels, KernelSpec(family, 2.0), cfg, seed=4)
+        oracle = fit_kernel_pls(X, labels, result.spec, result.a_star)
+        assert result.model.a == oracle.a and result.model.kernel == oracle.kernel
+        for name in ("support", "dual_coef", "y_means", "classes"):
+            assert np.array_equal(getattr(result.model, name), getattr(oracle, name)), name
+        assert np.array_equal(result.model.center_stats.col_means, oracle.center_stats.col_means)
+        assert result.model.center_stats.mean_all == oracle.center_stats.mean_all
+        assert np.array_equal(result.predicted, classify(oracle, X)[0])
 
     def test_linear_kernel_rejected(self):
         X, labels = three_blobs(np.random.default_rng(17))
@@ -448,9 +502,9 @@ class TestKfOptimize:
 
     def test_each_iteration_logged_at_debug(self, caplog):
         X, labels = three_blobs(np.random.default_rng(18))
-        cfg = KfConfig(iterations=3, subsamplings_per_iter=4, seed=2)
+        cfg = KfConfig(iterations=3, subsamplings_per_iter=4, a_grid=(1, 2))
         with caplog.at_level(logging.DEBUG, logger="spectral_sift.kernel"):
-            result = kf_optimize(X, labels, KernelSpec("gaussian", 2.0), cfg, a_grid=(1, 2))
+            result = kf_optimize(X, labels, KernelSpec("gaussian", 2.0), cfg, seed=2)
         records = [r for r in caplog.records if r.name == "spectral_sift.kernel"]
         assert len(records) == cfg.iterations
         for record, (it, rho, ell) in zip(records, result.trace):
@@ -464,9 +518,8 @@ class TestKfOptimize:
         X, labels = xor_data(rng)
         ell0 = float(np.median(pdist(X)))
         cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=40,
-                       subsamplings_per_iter=20, seed=5)
-        result = kf_optimize(X, labels, KernelSpec("gaussian", ell0), cfg,
-                             a_grid=tuple(range(1, 9)))
+                       subsamplings_per_iter=20, a_grid=tuple(range(1, 9)))
+        result = kf_optimize(X, labels, KernelSpec("gaussian", ell0), cfg, seed=5)
         model = fit_kernel_pls(X, labels, result.spec, result.a_star)
         predicted, _ = classify(model, X)
         assert np.mean(predicted == labels) == 1.0

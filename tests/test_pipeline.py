@@ -13,7 +13,9 @@ from spectral_sift import pca as pc
 from spectral_sift import preprocess as pp
 from spectral_sift.kernel import KfConfig
 from spectral_sift.pipeline import (
+    EXIT_OK,
     EXIT_USAGE,
+    InputsConfig,
     PipelineModel,
     RunConfig,
     apply_pipeline,
@@ -27,6 +29,7 @@ from spectral_sift.specdata import (
     ShadowSpec,
     flatten,
     read_envi,
+    read_label_mask,
     synth_scene,
     write_envi,
     write_label_mask_envi,
@@ -66,8 +69,9 @@ def scene(tmp_path_factory):
 
 
 def scene_config(root, **settings) -> RunConfig:
-    return RunConfig(cube_header=str(root / "cube.hdr"), mask=str(root / "mask.hdr"),
-                     palette=str(root / "palette.json"), **settings)
+    inputs = InputsConfig(cube_header=str(root / "cube.hdr"), mask=str(root / "mask.hdr"),
+                          palette=str(root / "palette.json"))
+    return RunConfig(inputs=inputs, **settings)
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +101,12 @@ def test_saved_model_reproduces_fit_assignments(fitted):
     np.testing.assert_array_equal(result.cluster_ids.ravel(), assignment)
 
     # the class mask, mapped one pixel at a time from the cluster's class name
-    mask_id = {cl.CLASS_MITE: config.mite_label, cl.CLASS_BEE: config.bee_label, cl.CLASS_OTHER: 0}
+    mask_id = {cl.CLASS_MITE: config.labels.mite, cl.CLASS_BEE: config.labels.bee, cl.CLASS_OTHER: 0}
     per_pixel = [mask_id[model.cluster.class_of_cluster[int(j)]] for j in assignment]
     np.testing.assert_array_equal(result.class_labels.ravel(), per_pixel)
 
-    mite = result.class_labels == config.mite_label
-    np.testing.assert_array_equal(mite, mask.labels == config.mite_label)
+    mite = result.class_labels == config.labels.mite
+    np.testing.assert_array_equal(mite, mask.labels == config.labels.mite)
 
 
 def test_escalation_matches_clustering_reconstructed_spectra(fitted):
@@ -112,8 +116,8 @@ def test_escalation_matches_clustering_reconstructed_spectra(fitted):
     X_recon = pc.reconstruct(pca_model, scores, model.selection)
     assert X_recon.shape[1] == 24
     _, oracle = cl.fit_supervised(
-        X_recon, mask.labels.ravel(), config.mite_label, config.bee_label,
-        k0=config.cluster_k0, k_max=config.cluster_k_max, seed=config.seed,
+        X_recon, mask.labels.ravel(), config.labels.mite, config.labels.bee,
+        k0=config.cluster.k0, k_max=config.cluster.k_max, seed=config.seed,
         unlabeled=UNLABELED,
     )
     got = diagnostics["escalation"]
@@ -125,14 +129,22 @@ def test_escalation_matches_clustering_reconstructed_spectra(fitted):
     assert len(got) > 1  # the escalation had to climb
 
 
-def test_saved_kfpls_model_reproduces_in_memory_apply(scene, tmp_path):
-    root = scene[0]
-    config = scene_config(root, workflow="kfpls", samples_per_class=20,
+@pytest.fixture(scope="module")
+def fitted_kfpls(scene, tmp_path_factory):
+    """A kfpls fit on the tiny scene (20 px/class, 1 KF iteration) and its model file."""
+    config = scene_config(scene[0], workflow="kfpls", samples_per_class=20,
                           kf=KfConfig(iterations=1, subsamplings_per_iter=4))
     model, diagnostics = fit_pipeline(config)
+    path = tmp_path_factory.mktemp("kfpls") / "model.json"
+    model.save(path)
+    return path, model, diagnostics
+
+
+def test_saved_kfpls_model_reproduces_in_memory_apply(scene, fitted_kfpls):
+    root = scene[0]
+    path, model, diagnostics = fitted_kfpls
     assert diagnostics["training_pixels"] == 60
-    model.save(tmp_path / "model.json")
-    loaded = PipelineModel.load(tmp_path / "model.json")
+    loaded = PipelineModel.load(path)
 
     cube = read_envi(root / "cube.hdr")
     expected = apply_pipeline(model, cube)
@@ -157,8 +169,93 @@ def test_format_1_model_rejected_by_apply(fitted, tmp_path, caplog):
 
 
 def test_seed_override_keeps_every_kf_setting(monkeypatch):
-    kf = KfConfig(iterations=7, fd_step=3e-3, max_gradient=0.25, seed=1)
-    monkeypatch.setattr(RunConfig, "from_file", classmethod(lambda cls, path: RunConfig(kf=kf)))
+    kf = KfConfig(iterations=7, fd_step=3e-3, max_gradient=0.25, a_grid=(1, 3))
+    monkeypatch.setattr(RunConfig, "from_file",
+                        classmethod(lambda cls, path: RunConfig(kf=kf, seed=1)))
     config = cli._load_config(argparse.Namespace(config="run.json", seed=9, out=None))
     assert config.seed == 9
-    assert config.kf == KfConfig(iterations=7, fd_step=3e-3, max_gradient=0.25, seed=9)
+    assert config.kf == KfConfig(iterations=7, fd_step=3e-3, max_gradient=0.25, a_grid=(1, 3))
+
+
+@pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
+def test_model_file_resaves_byte_identically(fixture, request, tmp_path):
+    value = request.getfixturevalue(fixture)
+    path = value[0] / "model.json" if fixture == "fitted" else value[0]
+    PipelineModel.load(path).save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_format_2_model_rejected_by_apply(fitted, tmp_path, caplog):
+    root = fitted[0]
+    doc = json.loads((root / "model.json").read_text())
+    doc["format_version"] = 2
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["apply", "--model", str(tmp_path / "model.json"),
+                         "--cube", str(root / "cube.hdr"), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "model format 2" in caplog.text and "refit the model" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"band_selection": {"stop_by_clustering": "false"}}, "band_selection.stop_by_clustering"),
+    ({"cluster": {"k0": 2.9, "k_max": 12.5}}, "cluster.k0"),
+    ({"pca": {"top_n": 3, "threshold": 0.5}}, "top_n"),
+    ({"inputs": []}, "inputs"),
+    ({"labels": {"mite": None}}, "labels.mite"),
+])
+def test_malformed_config_exits_1_naming_the_key(doc, key, tmp_path, caplog):
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["fit", "--config", str(tmp_path / "run.json"),
+                         "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert key in caplog.text
+
+
+def test_pca_section_defaults_to_the_top_2_components():
+    assert RunConfig.from_dict({"pca": {}}).pca.top_n == 2
+    gated = RunConfig.from_dict({"pca": {"threshold": 0.5}}).pca
+    assert (gated.top_n, gated.threshold) == (None, 0.5)
+
+
+def test_kf_section_sets_every_kf_setting():
+    doc = {"learning_rate": 0.2, "momentum": 0.5, "iterations": 3, "subsamplings_per_iter": 4,
+           "batch_ratio": 0.4, "a_grid": [1, 4], "fd_step": 1e-3, "max_gradient": 0.5}
+    assert RunConfig.from_dict({"kf": doc}).kf == KfConfig(**{**doc, "a_grid": (1, 4)})
+
+
+def test_synth_scene_file_matches_the_dataclass(tmp_path):
+    # the tiny scene, leaving out every key whose default it uses
+    doc = {
+        "rows": 40, "cols": 36, "wavelengths_nm": np.linspace(400.0, 1000.0, 24).tolist(),
+        "classes": [{"label": c.label, "name": c.name, "knots": c.knots} for c in CLASSES],
+        "background": 0, "noise_sigma": 0.01, "shadow": {"strength": 0.4},
+        "occlusion": "order", "blobs": [],
+    }
+    for row, col in BEES:
+        doc["blobs"].append({"label": 1, "row": row, "col": col, "height": 14, "width": 10,
+                             "shape": "ellipse"})
+        doc["blobs"].append({"label": 3, "row": row + 5, "col": col + 3, "height": 3, "width": 3})
+    (tmp_path / "scene.json").write_text(json.dumps(doc))
+    code = cli.main(["synth", "--scene", str(tmp_path / "scene.json"), "--seed", "0",
+                     "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    cube, mask = tiny_scene()
+    np.testing.assert_array_equal(read_envi(tmp_path / "out" / "cube.hdr").data, cube.data)
+    written = read_label_mask(tmp_path / "out" / "mask.hdr")
+    np.testing.assert_array_equal(written.labels, mask.labels)
+
+
+def test_synth_scene_file_with_unknown_key_exits_1(tmp_path, caplog):
+    doc = {"rows": 4, "cols": 4, "wavelengths_nm": [400.0, 500.0],
+           "classes": [{"label": 0, "name": "background", "knots": [[400.0, 0.5]]}],
+           "background": 0, "blobs": [{"label": 0, "row": 0, "col": 0, "height": 1,
+                                       "width": 1, "colour": "red"}]}
+    (tmp_path / "scene.json").write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["synth", "--scene", str(tmp_path / "scene.json"),
+                         "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "blobs[0].colour" in caplog.text

@@ -186,18 +186,18 @@ class TestDaEncoding:
 
     def test_decode_argmax(self):
         enc = encode_da(np.array(["A", "B"]))
-        out = decode_da(enc, np.array([[0.2, 0.9], [0.7, 0.1]]))
+        out = decode_da(enc.classes, np.array([[0.2, 0.9], [0.7, 0.1]]))
         np.testing.assert_array_equal(out, ["B", "A"])
 
     def test_decode_tie_goes_to_lowest_class(self):
         enc = encode_da(np.array([1, 2]))
-        out = decode_da(enc, np.array([[0.5, 0.5]]))
+        out = decode_da(enc.classes, np.array([[0.5, 0.5]]))
         assert out[0] == 1
 
     def test_roundtrip_identity(self):
         labels = np.array([3, 1, 0, 3, 1, 1, 0])
         enc = encode_da(labels)
-        np.testing.assert_array_equal(decode_da(enc, enc.indicators), labels)
+        np.testing.assert_array_equal(decode_da(enc.classes, enc.indicators), labels)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="at least 2 classes"):
@@ -212,5 +212,5 @@ def test_plsda_end_to_end_separable():
     X = centers[labels] + 0.2 * rng.normal(size=(n, 4))
     enc = encode_da(labels)
     model = fit_simpls(X, enc.indicators, a=3)
-    decoded = decode_da(enc, predict(model, X))
+    decoded = decode_da(enc.classes, predict(model, X))
     assert np.mean(decoded == labels) == 1.0
