@@ -30,7 +30,7 @@ from .pipeline import (
     run_synth,
     write_apply_outputs,
 )
-from .specdata import EnviFormatError, read_envi
+from .specdata import EnviFormatError, flatten, read_envi
 
 log = logging.getLogger("spectral_sift")
 
@@ -120,7 +120,8 @@ def _cmd_select_bands(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cube, mask = load_inputs(config)
-    report, bands = run_band_selection(cube, mask, config)
+    report, bands = run_band_selection(flatten(cube), mask.labels.ravel(), cube.wavelengths_nm,
+                                       config)
     doc = report.to_dict()
     doc["bands_for_model"] = [int(b) for b in bands]
     doc["bands_for_model_nm"] = [float(cube.wavelengths_nm[b]) for b in bands]
@@ -190,7 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     except (EscalationError, KfConvergenceError) as exc:
         log.error("model quality failure: %s", exc)
         return EXIT_QUALITY
-    except (ConfigError, EnviFormatError, FileNotFoundError, NotADirectoryError, ValueError) as exc:
+    except (ConfigError, EnviFormatError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
 

@@ -231,6 +231,13 @@ def classify(model: KernelPlsModel, X_new: np.ndarray) -> tuple[np.ndarray, np.n
     return decode_da(model.classes, scores), scores
 
 
+@dataclass
+class KernelConfig:
+    family: str = "matern52"
+    lengthscale: float | None = None  # None: median non-zero distance between the training rows
+    variance: float = 1.0
+
+
 @dataclass(frozen=True)
 class KfConfig:
     learning_rate: float = 0.1
@@ -261,6 +268,7 @@ class KfResult:
     predicted: np.ndarray  # the model's class for each training row
     trace: np.ndarray  # (iterations, 3): iteration, mean rho, lengthscale evaluated
     r2_by_a: dict[int, float]
+    initial_lengthscale: float  # the descent's starting point, before clamping
 
     @property
     def spec(self) -> KernelSpec:
@@ -378,13 +386,15 @@ def kf_gradient(
 def kf_optimize(
     X: np.ndarray,
     labels: np.ndarray,
-    spec0: KernelSpec,
+    kernel: KernelConfig,
     cfg: KfConfig = KfConfig(),
     seed: int = 0,
 ) -> KfResult:
     """Learn the kernel lengthscale by stochastic Kernel Flows descent.
 
-    Each iteration draws fresh batches, averages the finite-difference
+    The descent starts at ``kernel.lengthscale``, or, when that is None, at
+    the median of the non-zero distances between the training rows. Each
+    iteration draws fresh batches, averages the finite-difference
     gradient over them in a fixed order, and applies a Polyak-momentum
     update in log-lengthscale, logging each iteration at DEBUG level.
     Afterward the latent-variable count a* is the smallest one on
@@ -396,15 +406,23 @@ def kf_optimize(
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
-    if spec0.family not in KERNEL_FAMILIES:
+    if kernel.family not in KERNEL_FAMILIES:
         raise ValueError(
-            f"Kernel Flows cannot tune the {spec0.family!r} kernel: it has no lengthscale "
+            f"Kernel Flows cannot tune the {kernel.family!r} kernel: it has no lengthscale "
             "and is not a function of distance"
         )
     rng = np.random.default_rng(seed)
 
     D = cdist(X, X)
-    med = float(np.median(D[np.triu_indices(X.shape[0], k=1)]))
+    upper = D[np.triu_indices(X.shape[0], k=1)]
+    ell0 = kernel.lengthscale
+    if ell0 is None:
+        nonzero = upper[upper > 0]
+        if nonzero.size == 0:
+            raise ValueError("cannot derive a lengthscale: sampled spectra are identical")
+        ell0 = float(np.median(nonzero))
+    spec0 = KernelSpec(kernel.family, ell0, kernel.variance)
+    med = float(np.median(upper))
     if med <= 0:
         raise ValueError("degenerate training set: median pairwise distance is zero")
     lo, hi = np.log(LENGTHSCALE_BOUNDS[0] * med), np.log(LENGTHSCALE_BOUNDS[1] * med)
@@ -471,7 +489,7 @@ def kf_optimize(
     fit, scores = fits[a_star]
     model = KernelPlsModel(kernel=spec_opt, support=X.copy(), a=a_star, **fit._asdict())
     return KfResult(model=model, predicted=decode_da(fit.classes, scores), trace=trace,
-                    r2_by_a=r2_by_a)
+                    r2_by_a=r2_by_a, initial_lengthscale=ell0)
 
 
 def save_loss_trace(trace: np.ndarray, path: str | Path) -> None:

@@ -6,6 +6,12 @@ scores of the gated components until the labeled mites sit alone. The kernel
 path samples labeled pixels, tunes the kernel by Kernel Flows, and fits
 kernel PLS-DA on the raw spectra. Applying a model never refits statistics:
 new images are always pushed through the stored calibration parameters.
+
+Cubes are read and written as :class:`HyperCube`; the stages take the
+pixels-by-bands matrix ``X = flatten(cube)`` and the flat mask labels. A band
+subset is ``X.take(sorted_bands, axis=1)``, row-major like ``X`` (``X[:, bands]``
+is column-major, which changes the column sums' rounding), and a per-pixel
+result reshapes to the image grid.
 """
 
 from __future__ import annotations
@@ -79,13 +85,6 @@ class ClusterConfig:
 
 
 @dataclass
-class KernelConfig:
-    family: str = "matern52"
-    lengthscale: float | None = None  # None: median pairwise distance of the samples
-    variance: float = 1.0
-
-
-@dataclass
 class BandSelectionConfig:
     method: str = "none"
     n_tail: int = 10
@@ -115,7 +114,7 @@ class RunConfig:
     labels: LabelsConfig = field(default_factory=LabelsConfig)
     pca: PcaConfig = field(default_factory=PcaConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
+    kernel: kn.KernelConfig = field(default_factory=kn.KernelConfig)
     kf: kn.KfConfig = field(default_factory=kn.KfConfig)
     samples_per_class: int = 300
     band_selection: BandSelectionConfig = field(default_factory=BandSelectionConfig)
@@ -157,6 +156,15 @@ class PipelineModel:
     kernel: kn.KernelPlsModel | None = None
     selection_report: dict | None = None
 
+    def __post_init__(self) -> None:
+        # a model file comes from outside: check the subset before apply indexes with it
+        subset = self.band_subset
+        if subset is not None and (not subset or subset != sorted(set(subset)) or subset[0] < 0
+                                   or subset[-1] >= self.original_bands
+                                   or len(subset) != self.wavelengths_nm.size):
+            raise ConfigError(f"band_subset {subset} must be sorted unique indices below "
+                              f"{self.original_bands}, one per wavelength")
+
     def to_dict(self) -> dict:
         return {"format_version": modelio.FORMAT_VERSION, **modelio.encode(self)}
 
@@ -182,20 +190,11 @@ class PipelineModel:
         return cls.from_dict(doc)
 
 
-def restrict_bands(cube: HyperCube, bands: list[int]) -> HyperCube:
-    """Sub-cube on a sorted subset of band indices."""
-    bands = sorted(set(int(b) for b in bands))
-    if not bands or bands[0] < 0 or bands[-1] >= cube.bands:
-        raise ValueError(f"band subset {bands} out of range for {cube.bands} bands")
-    return HyperCube(
-        data=cube.data[:, :, bands],
-        wavelengths_nm=cube.wavelengths_nm[bands],
-        interleave=cube.interleave,
-    )
-
-
 def load_inputs(config: RunConfig) -> tuple[HyperCube, LabelMask]:
     inputs = config.inputs
+    for key in ("cube_header", "mask"):
+        if not getattr(inputs, key):
+            raise ConfigError(f"inputs.{key} must name a file")
     cube = read_envi(inputs.cube_header, inputs.cube_data)
     palette = None
     if inputs.palette:
@@ -208,9 +207,8 @@ def load_inputs(config: RunConfig) -> tuple[HyperCube, LabelMask]:
     return cube, mask
 
 
-def _discriminant_rows(mask: LabelMask, mite_label: int, bee_label: int) -> tuple[np.ndarray, np.ndarray]:
+def _discriminant_rows(labels: np.ndarray, mite_label: int, bee_label: int) -> tuple[np.ndarray, np.ndarray]:
     """Row selector for bee/mite pixels and the 0/1 discriminant (bee = 1)."""
-    labels = mask.labels.ravel()
     selector = (labels == mite_label) | (labels == bee_label)
     if not np.any(labels == mite_label):
         raise ValueError(f"mask has no mite pixels (label {mite_label})")
@@ -220,16 +218,15 @@ def _discriminant_rows(mask: LabelMask, mite_label: int, bee_label: int) -> tupl
     return selector, y
 
 
-def _fit_kmeans_path(cube: HyperCube, mask: LabelMask, config: RunConfig):
-    X, _ = flatten(cube)
+def _fit_kmeans_path(X: np.ndarray, labels: np.ndarray, config: RunConfig):
     scale = pp.fit_scale(X)
     Xs = pp.apply_scale(scale, X)
     pca_model, scores = pc.fit_pca(Xs, k=config.pca.components)
-    selector, y = _discriminant_rows(mask, config.labels.mite, config.labels.bee)
+    selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
     rho = pc.correlate_scores(scores[selector], y)
     selection = pc.select_components(rho, top_n=config.pca.top_n, threshold=config.pca.threshold)
     cluster_model, diag = cl.fit_supervised(
-        scores[:, selection.selected], mask.labels.ravel(), config.labels.mite, config.labels.bee,
+        scores[:, selection.selected], labels, config.labels.mite, config.labels.bee,
         k0=config.cluster.k0, k_max=config.cluster.k_max, seed=config.seed,
         unlabeled=UNLABELED,
     )
@@ -260,28 +257,15 @@ def _sample_labeled_pixels(
     return X[sel], np.concatenate(out_labels)
 
 
-def _fit_kfpls_path(cube: HyperCube, mask: LabelMask, config: RunConfig):
-    X, _ = flatten(cube)
-    labels = mask.labels.ravel()
+def _fit_kfpls_path(X: np.ndarray, labels: np.ndarray, config: RunConfig):
     if np.unique(labels[labels != UNLABELED]).size < 2:
         raise ValueError("kernel workflow needs at least 2 labeled classes")
-    _discriminant_rows(mask, config.labels.mite, config.labels.bee)  # both insects must exist
+    _discriminant_rows(labels, config.labels.mite, config.labels.bee)  # both insects must exist
     X_train, y_train = _sample_labeled_pixels(X, labels, config.samples_per_class, config.seed)
-
-    if config.kernel.lengthscale is not None:
-        ell0 = config.kernel.lengthscale
-    else:
-        from scipy.spatial.distance import pdist
-
-        dists = pdist(X_train)
-        ell0 = float(np.median(dists[dists > 0]))
-        if not np.isfinite(ell0) or ell0 <= 0:
-            raise ValueError("cannot derive a lengthscale: sampled spectra are identical")
-    spec0 = kn.KernelSpec(config.kernel.family, ell0, config.kernel.variance)
-    result = kn.kf_optimize(X_train, y_train, spec0, config.kf, config.seed)
+    result = kn.kf_optimize(X_train, y_train, config.kernel, config.kf, config.seed)
     diagnostics = {
         "kernel": modelio.encode(result.spec),
-        "initial_lengthscale": ell0,
+        "initial_lengthscale": result.initial_lengthscale,
         "latent_variables": result.a_star,
         "r2_by_a": {str(a): float(v) for a, v in sorted(result.r2_by_a.items())},
         "training_accuracy": float(np.mean(result.predicted == y_train)),
@@ -290,15 +274,14 @@ def _fit_kfpls_path(cube: HyperCube, mask: LabelMask, config: RunConfig):
     return result, diagnostics
 
 
-def _clustering_stop_test(cube: HyperCube, mask: LabelMask, config: RunConfig):
+def _clustering_stop_test(X: np.ndarray, labels: np.ndarray, config: RunConfig):
     """Success test for band subsets: does the full supervised pipeline pass?"""
 
     def passes(bands: list[int]) -> bool:
         if not bands:
             return False
-        sub = restrict_bands(cube, bands)
         try:
-            _fit_kmeans_path(sub, mask, config)
+            _fit_kmeans_path(X.take(sorted(set(bands)), axis=1), labels, config)
         except (cl.EscalationError, ValueError, pls.DegenerateDataError):
             return False
         return True
@@ -306,22 +289,21 @@ def _clustering_stop_test(cube: HyperCube, mask: LabelMask, config: RunConfig):
     return passes
 
 
-def run_band_selection(cube: HyperCube, mask: LabelMask, config: RunConfig):
-    """Run the configured selector; returns (report, bands_for_model)."""
+def run_band_selection(X: np.ndarray, labels: np.ndarray, wavelengths_nm: np.ndarray, config: RunConfig):
+    """Run the configured selector on the pixel matrix; returns (report, bands_for_model)."""
     bands_cfg = config.band_selection
-    X, _ = flatten(cube)
-    selector, y = _discriminant_rows(mask, config.labels.mite, config.labels.bee)
+    selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
     Xbm = X[selector]
-    excluded = ws.exclude_tail(cube.bands, bands_cfg.n_tail)
+    excluded = ws.exclude_tail(X.shape[1], bands_cfg.n_tail)
     stop = None
     if bands_cfg.stop_by_clustering:
-        stop = _clustering_stop_test(cube, mask, config)
+        stop = _clustering_stop_test(X, labels, config)
 
     if bands_cfg.method == "r2":
         init = ws.init_by_correlation(Xbm, y, m=bands_cfg.init_m, exclude=excluded)
         report = ws.r2_forward_select(
             Xbm, y, target_count=bands_cfg.target_count, init=init, lv=bands_cfg.lv,
-            exclude=excluded, stop=stop, wavelengths_nm=cube.wavelengths_nm,
+            exclude=excluded, stop=stop, wavelengths_nm=wavelengths_nm,
         )
         return report, list(report.selected)
 
@@ -330,8 +312,7 @@ def run_band_selection(cube: HyperCube, mask: LabelMask, config: RunConfig):
         Xs = pp.apply_scale(scale, Xbm)
         yc = y - y.mean()
         report = ws.covproc_select(
-            Xs, yc, rounds=bands_cfg.rounds, exclude=excluded,
-            wavelengths_nm=cube.wavelengths_nm,
+            Xs, yc, rounds=bands_cfg.rounds, exclude=excluded, wavelengths_nm=wavelengths_nm,
         )
         order = bands_cfg.round_order or tuple(r.index for r in report.rounds)
         bands = ws.reorder_rounds(report, order)
@@ -353,40 +334,39 @@ def run_band_selection(cube: HyperCube, mask: LabelMask, config: RunConfig):
 def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
     """Calibrate a full pipeline per the run configuration."""
     cube, mask = load_inputs(config)
-    palette = dict(mask.palette)
+    X, labels, wavelengths_nm = flatten(cube), mask.labels.ravel(), cube.wavelengths_nm
     diagnostics: dict = {"workflow": config.workflow, "seed": config.seed}
 
-    original_bands = cube.bands
     report_doc = None
     band_subset = None
     if config.band_selection.method != "none":
-        report, bands = run_band_selection(cube, mask, config)
+        report, bands = run_band_selection(X, labels, wavelengths_nm, config)
         report_doc = report.to_dict()
         report_doc["bands_for_model"] = [int(b) for b in bands]
         band_subset = sorted(set(bands))
-        cube = restrict_bands(cube, band_subset)
+        X, wavelengths_nm = X.take(band_subset, axis=1), wavelengths_nm[band_subset]
         diagnostics["band_selection"] = report_doc
 
     model = PipelineModel(
         workflow=config.workflow,
-        palette=palette,
+        palette=dict(mask.palette),
         mite_label=config.labels.mite,
         bee_label=config.labels.bee,
-        original_bands=original_bands,
-        wavelengths_nm=cube.wavelengths_nm,
+        original_bands=cube.bands,
+        wavelengths_nm=wavelengths_nm,
         band_subset=band_subset,
         selection_report=report_doc,
     )
 
     if config.workflow == "kmeans":
-        scale, pca_model, selection, cluster_model, diag = _fit_kmeans_path(cube, mask, config)
+        scale, pca_model, selection, cluster_model, diag = _fit_kmeans_path(X, labels, config)
         model.scale = scale
         model.pca = pca_model
         model.selection = selection
         model.cluster = cluster_model
         diagnostics.update(diag)
     else:
-        result, diag = _fit_kfpls_path(cube, mask, config)
+        result, diag = _fit_kfpls_path(X, labels, config)
         model.kernel = result.model
         diagnostics.update(diag)
         diagnostics["_kf_trace"] = result.trace  # stripped before JSON emission
@@ -402,25 +382,27 @@ class ApplyResult:
     cluster_ids: np.ndarray | None = None  # (rows, cols), kmeans path only
 
 
-def _prepare_apply_cube(model: PipelineModel, cube: HyperCube) -> HyperCube:
+def _model_columns(model: PipelineModel, X: np.ndarray, wavelengths_nm: np.ndarray) -> np.ndarray:
+    """The model's columns of ``X``: a full-band cube is cut to the band subset,
+    a cube recorded on those bands alone passes as it is."""
     n_model = model.wavelengths_nm.size
-    if model.band_subset is not None and cube.bands == model.original_bands:
-        cube = restrict_bands(cube, model.band_subset)
-    if cube.bands != n_model:
+    if model.band_subset is not None and X.shape[1] == model.original_bands:
+        X, wavelengths_nm = X.take(model.band_subset, axis=1), wavelengths_nm[model.band_subset]
+    if X.shape[1] != n_model:
         raise ValueError(
-            f"cube has {cube.bands} bands; model expects {n_model}"
+            f"cube has {X.shape[1]} bands; model expects {n_model}"
             + ("" if model.band_subset is None
                else f" (or the {model.original_bands} pre-selection bands)")
         )
-    if not np.allclose(cube.wavelengths_nm, model.wavelengths_nm, rtol=1e-6, atol=1e-6):
+    if not np.allclose(wavelengths_nm, model.wavelengths_nm, rtol=1e-6, atol=1e-6):
         raise ValueError("cube wavelengths do not match the model's calibration grid")
-    return cube
+    return X
 
 
 def apply_pipeline(model: PipelineModel, cube: HyperCube) -> ApplyResult:
     """Classify a new cube with stored calibration statistics only."""
-    cube = _prepare_apply_cube(model, cube)
-    X, index = flatten(cube)
+    X = _model_columns(model, flatten(cube), cube.wavelengths_nm)
+    grid = (cube.rows, cube.cols)
 
     if model.workflow == "kmeans":
         if (model.scale is None or model.pca is None or model.selection is None
@@ -442,23 +424,18 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube) -> ApplyResult:
         )
         flat_ids = id_of_cluster[clusters]
         palette = {model.mite_label: "mite", model.bee_label: "bee", other_label: "other"}
-        class_grid = np.full((cube.rows, cube.cols), other_label, dtype=np.uint8)
-        class_grid[index[:, 0], index[:, 1]] = flat_ids
-        cluster_grid = np.zeros((cube.rows, cube.cols), dtype=np.uint8)
-        cluster_grid[index[:, 0], index[:, 1]] = clusters.astype(np.uint8)
         counts = {name: int(np.sum(flat_ids == label)) for label, name in sorted(palette.items())}
-        return ApplyResult(class_labels=class_grid, palette=palette, counts=counts,
-                           cluster_ids=cluster_grid)
+        return ApplyResult(class_labels=flat_ids.reshape(grid), palette=palette, counts=counts,
+                           cluster_ids=clusters.astype(np.uint8).reshape(grid))
 
     if model.kernel is None:
         raise ConfigError("model file lacks the kernel-path components")
     predicted, _ = kn.classify(model.kernel, X)
-    class_grid = np.zeros((cube.rows, cube.cols), dtype=np.uint8)
-    class_grid[index[:, 0], index[:, 1]] = predicted.astype(np.uint8)
     palette = {int(c): model.palette.get(int(c), f"class-{int(c)}")
                for c in model.kernel.classes}
     counts = {name: int(np.sum(predicted == label)) for label, name in sorted(palette.items())}
-    return ApplyResult(class_labels=class_grid, palette=palette, counts=counts)
+    return ApplyResult(class_labels=predicted.astype(np.uint8).reshape(grid), palette=palette,
+                       counts=counts)
 
 
 def write_apply_outputs(result: ApplyResult, out_dir: str | Path) -> dict:

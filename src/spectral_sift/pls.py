@@ -175,15 +175,3 @@ def predict(model: PlsModel, X_new: np.ndarray) -> np.ndarray:
     Y = invert_scale(model.y_scale, Yw) if model.y_scale is not None else Yw
     return Y[:, 0] if model.y_1d else Y
 
-
-def r_squared(model: PlsModel, X: np.ndarray, Y: np.ndarray) -> float:
-    """Training-style R^2 = 1 - RSS/TSS, pooled over response columns."""
-    Y = np.asarray(Y, dtype=np.float64)
-    Y2 = Y[:, None] if Y.ndim == 1 else Y
-    Y_hat = predict(model, X)
-    Y_hat = Y_hat[:, None] if Y_hat.ndim == 1 else Y_hat
-    rss = float(np.sum((Y2 - Y_hat) ** 2))
-    tss = float(np.sum((Y2 - Y2.mean(axis=0)) ** 2))
-    if tss == 0:
-        raise ValueError("Y has zero variance")
-    return 1.0 - rss / tss

@@ -7,7 +7,6 @@ from .cube import (
     LabelMask,
     flatten,
     nm_to_band,
-    unflatten,
 )
 from .envi import (
     DATA_TYPES,
@@ -29,7 +28,6 @@ __all__ = [
     "HyperCube",
     "LabelMask",
     "flatten",
-    "unflatten",
     "nm_to_band",
     "EnviFormatError",
     "EnviHeader",

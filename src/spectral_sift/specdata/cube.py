@@ -2,7 +2,9 @@
 
 A cube is always held in (row, col, band) order internally, as float64,
 regardless of how it was laid out on disk. Wavelengths are band centers in
-nanometres and must be strictly increasing.
+nanometres and must be strictly increasing. The cube is the type of file
+I/O and scene synthesis; the pipeline stages take its :func:`flatten`
+pixels-by-bands matrix instead.
 """
 
 from __future__ import annotations
@@ -115,45 +117,15 @@ class LabelMask:
         return (self.rows, self.cols) == (cube.rows, cube.cols)
 
 
-def flatten(
-    cube: HyperCube,
-    mask: LabelMask | None = None,
-    keep_labels: set[int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unroll a cube into a pixels-as-rows matrix.
+def flatten(cube: HyperCube) -> np.ndarray:
+    """The cube as a pixels-by-bands matrix, rows in row-major scan order.
 
-    Rows follow row-major scan order. When ``keep_labels`` is given, only
-    pixels whose mask label is in the set are kept.
-
-    Returns
-    -------
-    X : ndarray, shape (n_pixels, bands)
-    index : ndarray, shape (n_pixels, 2)
-        (row, col) of each matrix row, for mapping results back to the grid.
+    This is the matrix every pipeline stage works on: a band subset is a
+    column selection and a per-pixel result reshapes to ``(rows, cols)``.
+    It is a reshape view of ``cube.data`` (no copy when the data are
+    contiguous), so writing to it writes to the cube.
     """
-    if keep_labels is not None and mask is None:
-        raise ValueError("keep_labels requires a mask")
-    if mask is not None and not mask.matches(cube):
-        raise ValueError(
-            f"mask shape {(mask.rows, mask.cols)} does not match cube {(cube.rows, cube.cols)}"
-        )
-    n = cube.rows * cube.cols
-    X = cube.data.reshape(n, cube.bands)
-    rr, cc = np.divmod(np.arange(n), cube.cols)
-    index = np.column_stack([rr, cc])
-    if keep_labels is not None:
-        sel = np.isin(mask.labels.reshape(n), sorted(keep_labels))
-        X = X[sel]
-        index = index[sel]
-    return X.copy(), index
-
-
-def unflatten(X: np.ndarray, index: np.ndarray, rows: int, cols: int, fill: float = 0.0) -> np.ndarray:
-    """Scatter matrix rows back onto the (rows, cols) grid; inverse of :func:`flatten`."""
-    X = np.asarray(X, dtype=np.float64)
-    out = np.full((rows, cols, X.shape[1]), fill, dtype=np.float64)
-    out[index[:, 0], index[:, 1]] = X
-    return out
+    return cube.data.reshape(cube.rows * cube.cols, cube.bands)
 
 
 def nm_to_band(cube: HyperCube, target_nm: float) -> int:

@@ -10,6 +10,7 @@ from spectral_sift import kernel, pls
 from spectral_sift.kernel import (
     KERNEL_FAMILIES,
     LENGTHSCALE_BOUNDS,
+    KernelConfig,
     KernelSpec,
     KfConfig,
     center_kernel,
@@ -383,7 +384,7 @@ class TestKfLossOnDistances:
         X, labels = three_blobs(rng)
         cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=4,
                        subsamplings_per_iter=5, a_grid=(1, 2, 3, 4))
-        spec0 = KernelSpec("matern52", float(np.median(pdist(X))))
+        spec0 = KernelConfig("matern52", float(np.median(pdist(X))))
         fast = kf_optimize(X, labels, spec0, cfg, seed=3)
         monkeypatch.setattr(kernel, "kf_loss", lambda D, *args: reference_kf_loss(X, *args))
         slow = kf_optimize(X, labels, spec0, cfg, seed=3)
@@ -396,7 +397,7 @@ class TestKfLossOnDistances:
         rng = np.random.default_rng(16)
         X, labels = three_blobs(rng)
         cfg = KfConfig(iterations=2, subsamplings_per_iter=4, a_grid=(1, 2, 3, 5, 8))
-        result = kf_optimize(X, labels, KernelSpec(family, 2.0), cfg, seed=1)
+        result = kf_optimize(X, labels, KernelConfig(family, 2.0), cfg, seed=1)
         Y = pls.encode_da(labels).indicators
         tss = float(np.sum((Y - Y.mean(axis=0)) ** 2))
         expected = {}
@@ -450,7 +451,7 @@ class TestKfOptimize:
 
         cfg = KfConfig(learning_rate=0.02, momentum=0.8, iterations=25,
                        subsamplings_per_iter=40, a_grid=tuple(range(1, 9)))
-        result = kf_optimize(X, labels, KernelSpec("gaussian", 3.0 * ell_star), cfg, seed=11)
+        result = kf_optimize(X, labels, KernelConfig("gaussian", 3.0 * ell_star), cfg, seed=11)
         ratio = result.spec.lengthscale / ell_star
         assert 0.5 <= ratio <= 2.0
         moving = np.convolve(result.trace[:, 1], np.ones(10) / 10, mode="valid")
@@ -461,8 +462,8 @@ class TestKfOptimize:
         X, labels = checkerboard(rng, cells=4, n_per=4)
         cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=6,
                        subsamplings_per_iter=8, a_grid=(1, 2, 3))
-        r1 = kf_optimize(X, labels, KernelSpec("gaussian", 0.8), cfg, seed=21)
-        r2 = kf_optimize(X, labels, KernelSpec("gaussian", 0.8), cfg, seed=21)
+        r1 = kf_optimize(X, labels, KernelConfig("gaussian", 0.8), cfg, seed=21)
+        r2 = kf_optimize(X, labels, KernelConfig("gaussian", 0.8), cfg, seed=21)
         np.testing.assert_array_equal(r1.trace, r2.trace)
         assert r1.spec.lengthscale == r2.spec.lengthscale
         assert r1.a_star == r2.a_star
@@ -476,7 +477,7 @@ class TestKfOptimize:
         labels = np.repeat([0, 1, 2, 3], 25)
         cfg = KfConfig(learning_rate=0.02, momentum=0.8, iterations=10,
                        subsamplings_per_iter=10, a_grid=tuple(range(1, 7)))
-        result = kf_optimize(X, labels, KernelSpec("gaussian", 3.0), cfg, seed=2)
+        result = kf_optimize(X, labels, KernelConfig("gaussian", 3.0), cfg, seed=2)
         assert result.a_star == 3
         assert result.r2_by_a[3] == pytest.approx(1.0, abs=1e-3)
         assert result.r2_by_a[2] < 0.9
@@ -486,7 +487,7 @@ class TestKfOptimize:
         # oracle: refit at the learned kernel and a*, then classify the training rows
         X, labels = three_blobs(np.random.default_rng(19))
         cfg = KfConfig(iterations=2, subsamplings_per_iter=4, a_grid=(1, 2, 3, 5))
-        result = kf_optimize(X, labels, KernelSpec(family, 2.0), cfg, seed=4)
+        result = kf_optimize(X, labels, KernelConfig(family, 2.0), cfg, seed=4)
         oracle = fit_kernel_pls(X, labels, result.spec, result.a_star)
         assert result.model.a == oracle.a and result.model.kernel == oracle.kernel
         for name in ("support", "dual_coef", "y_means", "classes"):
@@ -495,16 +496,31 @@ class TestKfOptimize:
         assert result.model.center_stats.mean_all == oracle.center_stats.mean_all
         assert np.array_equal(result.predicted, classify(oracle, X)[0])
 
+    def test_null_lengthscale_starts_at_median_nonzero_distance(self):
+        X, labels = three_blobs(np.random.default_rng(20))
+        X = np.vstack([X, X[:5]])  # repeated rows put zeros among the distances
+        labels = np.concatenate([labels, labels[:5]])
+        cfg = KfConfig(iterations=1, subsamplings_per_iter=2, a_grid=(1, 2))
+        result = kf_optimize(X, labels, KernelConfig("gaussian"), cfg, seed=0)
+        d = pdist(X)
+        assert result.initial_lengthscale == float(np.median(d[d > 0]))
+        assert result.trace[0, 2] == pytest.approx(result.initial_lengthscale, rel=1e-12)
+
+    def test_null_lengthscale_on_identical_spectra_rejected(self):
+        X, labels = np.ones((8, 3)), np.repeat([0, 1], 4)
+        with pytest.raises(ValueError, match="sampled spectra are identical"):
+            kf_optimize(X, labels, KernelConfig("gaussian"), KfConfig(iterations=1))
+
     def test_linear_kernel_rejected(self):
         X, labels = three_blobs(np.random.default_rng(17))
         with pytest.raises(ValueError, match="'linear'.*not a function of distance"):
-            kf_optimize(X, labels, KernelSpec("linear", 1.0), KfConfig(iterations=1))
+            kf_optimize(X, labels, KernelConfig("linear", 1.0), KfConfig(iterations=1))
 
     def test_each_iteration_logged_at_debug(self, caplog):
         X, labels = three_blobs(np.random.default_rng(18))
         cfg = KfConfig(iterations=3, subsamplings_per_iter=4, a_grid=(1, 2))
         with caplog.at_level(logging.DEBUG, logger="spectral_sift.kernel"):
-            result = kf_optimize(X, labels, KernelSpec("gaussian", 2.0), cfg, seed=2)
+            result = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=2)
         records = [r for r in caplog.records if r.name == "spectral_sift.kernel"]
         assert len(records) == cfg.iterations
         for record, (it, rho, ell) in zip(records, result.trace):
@@ -519,7 +535,7 @@ class TestKfOptimize:
         ell0 = float(np.median(pdist(X)))
         cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=40,
                        subsamplings_per_iter=20, a_grid=tuple(range(1, 9)))
-        result = kf_optimize(X, labels, KernelSpec("gaussian", ell0), cfg, seed=5)
+        result = kf_optimize(X, labels, KernelConfig("gaussian", ell0), cfg, seed=5)
         model = fit_kernel_pls(X, labels, result.spec, result.a_star)
         predicted, _ = classify(model, X)
         assert np.mean(predicted == labels) == 1.0

@@ -1,6 +1,8 @@
 """Fit, save, load and apply through the pipeline and the CLI on a tiny scene."""
 
 import argparse
+import base64
+import dataclasses
 import json
 import logging
 
@@ -15,6 +17,7 @@ from spectral_sift.kernel import KfConfig
 from spectral_sift.pipeline import (
     EXIT_OK,
     EXIT_USAGE,
+    BandSelectionConfig,
     InputsConfig,
     PipelineModel,
     RunConfig,
@@ -26,6 +29,7 @@ from spectral_sift.specdata import (
     BlobSpec,
     ClassSpec,
     SceneSpec,
+    HyperCube,
     ShadowSpec,
     flatten,
     read_envi,
@@ -94,7 +98,7 @@ def test_saved_model_reproduces_fit_assignments(fitted):
     result = apply_pipeline(loaded, cube)
 
     # the fit's own assignments: its final K-means run, on the selected scores
-    X, _ = flatten(cube)
+    X = flatten(cube)
     _, scores = pc.fit_pca(pp.apply_scale(model.scale, X))
     k = diagnostics["final_k"]
     _, assignment, _ = cl.kmeans_fit(scores[:, model.selection.selected], k, seed=config.seed + k)
@@ -111,7 +115,7 @@ def test_saved_model_reproduces_fit_assignments(fitted):
 
 def test_escalation_matches_clustering_reconstructed_spectra(fitted):
     root, config, mask, model, diagnostics = fitted
-    X, _ = flatten(read_envi(root / "cube.hdr"))
+    X = flatten(read_envi(root / "cube.hdr"))
     pca_model, scores = pc.fit_pca(pp.apply_scale(model.scale, X))
     X_recon = pc.reconstruct(pca_model, scores, model.selection)
     assert X_recon.shape[1] == 24
@@ -153,6 +157,84 @@ def test_saved_kfpls_model_reproduces_in_memory_apply(scene, fitted_kfpls):
     assert result.counts == expected.counts
     assert result.palette == expected.palette
     assert set(np.unique(result.class_labels)) == {0, 1, 3}
+
+
+@pytest.fixture(scope="module", params=[("r2", "kmeans"), ("covproc", "kmeans"), ("r2", "kfpls")],
+                ids=lambda p: "-".join(p))
+def fitted_bands(request, scene, tmp_path_factory):
+    """A fit after band selection on the tiny scene, and its saved model file."""
+    method, workflow = request.param
+    bands = BandSelectionConfig(method=method, n_tail=4, target_count=4,
+                                stop_by_clustering=method == "covproc")
+    config = scene_config(scene[0], workflow=workflow, band_selection=bands, samples_per_class=20,
+                          kf=KfConfig(iterations=1, subsamplings_per_iter=4))
+    model, _ = fit_pipeline(config)
+    path = tmp_path_factory.mktemp("bands") / "model.json"
+    model.save(path)
+    return path, model
+
+
+def test_band_subset_model_round_trips_through_apply(scene, fitted_bands):
+    path, model = fitted_bands
+    assert 0 < len(model.band_subset) < 24
+    loaded = PipelineModel.load(path)
+    full = read_envi(scene[0] / "cube.hdr")
+    cut = HyperCube(data=full.data[:, :, model.band_subset],
+                    wavelengths_nm=full.wavelengths_nm[model.band_subset])
+    expected = apply_pipeline(model, full)
+    for cube in (full, cut):  # a camera may record only the selected bands
+        result = apply_pipeline(loaded, cube)
+        np.testing.assert_array_equal(result.class_labels, expected.class_labels)
+        assert result.counts == expected.counts
+
+
+def test_band_subset_fit_equals_fit_on_the_cut_cube(scene, fitted_bands, tmp_path):
+    root, mask = scene
+    path, model = fitted_bands
+    full = read_envi(root / "cube.hdr")
+    cut = HyperCube(data=full.data[:, :, model.band_subset],
+                    wavelengths_nm=full.wavelengths_nm[model.band_subset])
+    write_envi(cut, tmp_path / "cube.hdr", tmp_path / "cube.raw", dtype="f8")
+    config = scene_config(root, workflow=model.workflow, samples_per_class=20,
+                          kf=KfConfig(iterations=1, subsamplings_per_iter=4))
+    config.inputs.cube_header = str(tmp_path / "cube.hdr")
+    on_cut, _ = fit_pipeline(config)
+    on_cut = dataclasses.replace(on_cut, original_bands=24, band_subset=model.band_subset,
+                                 selection_report=model.selection_report)
+    assert on_cut.to_dict() == model.to_dict()  # every float array bit for bit
+
+
+@pytest.mark.parametrize("subset", [[2, 999], [5, 2], [2, 5, 9]])
+def test_corrupt_band_subset_exits_1(subset, fitted, tmp_path, caplog):
+    root = fitted[0]
+    doc = json.loads((root / "model.json").read_text())
+    wavelengths = np.linspace(400.0, 1000.0, 24)[[2, 5]]
+    doc["band_subset"] = subset
+    doc["wavelengths_nm"] = {"shape": [2], "data": base64.b64encode(wavelengths.tobytes()).decode()}
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["apply", "--model", str(tmp_path / "model.json"),
+                         "--cube", str(root / "cube.hdr"), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "band_subset" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-empty-config", "inspect-dir-model", "apply-dir-cube"])
+def test_missing_input_file_exits_1(command, fitted, tmp_path, caplog):
+    root = fitted[0]
+    (tmp_path / "run.json").write_text("{}")
+    argv, message = {
+        "fit-empty-config": (["fit", "--config", str(tmp_path / "run.json"),
+                              "--out", str(tmp_path / "out")], "inputs.cube_header"),
+        "inspect-dir-model": (["inspect", "--model", str(tmp_path)], str(tmp_path)),
+        "apply-dir-cube": (["apply", "--model", str(root / "model.json"), "--cube", str(tmp_path),
+                            "--out", str(tmp_path / "out")], str(tmp_path)),
+    }[command]
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(argv)
+    assert code == EXIT_USAGE
+    assert message in caplog.text
 
 
 def test_format_1_model_rejected_by_apply(fitted, tmp_path, caplog):

@@ -10,10 +10,15 @@ from spectral_sift.pls import (
     encode_da,
     fit_simpls,
     predict,
-    r_squared,
     regression_coefficients,
 )
 from spectral_sift.preprocess import apply_scale, fit_scale
+
+
+def r_squared(model, X, Y):
+    """Training R^2 = 1 - RSS/TSS, pooled over the response columns."""
+    rss = float(np.sum((Y - predict(model, X)) ** 2))
+    return 1.0 - rss / float(np.sum((Y - Y.mean(axis=0)) ** 2))
 
 
 def random_problem(rng, n=40, p=8, q=1, noise=0.0):

@@ -17,7 +17,6 @@ from spectral_sift.specdata import (
     read_envi,
     read_label_mask,
     synth_scene,
-    unflatten,
     write_envi,
     write_label_mask_envi,
     write_label_mask_pgm,
@@ -209,29 +208,11 @@ class TestFlatten:
             data=np.arange(12, dtype=float).reshape(2, 2, 3),
             wavelengths_nm=[400.0, 500.0, 600.0],
         )
-        X, index = flatten(cube)
+        X = flatten(cube)
         assert X.shape == (4, 3)
-        np.testing.assert_array_equal(index, [[0, 0], [0, 1], [1, 0], [1, 1]])
-        np.testing.assert_allclose(X[1], cube.data[0, 1])
-
-    def test_keep_labels(self):
-        cube = make_cube(rows=2, cols=2, bands=3)
-        labels = np.array([[0, 0], [3, 0]], dtype=np.uint8)
-        mask = LabelMask(labels=labels, palette={0: "background", 3: "mite"})
-        X, index = flatten(cube, mask, keep_labels={3})
-        assert X.shape == (1, 3)
-        np.testing.assert_array_equal(index, [[1, 0]])
-        np.testing.assert_allclose(X[0], cube.data[1, 0])
-
-    def test_keep_labels_without_mask(self):
-        with pytest.raises(ValueError, match="requires a mask"):
-            flatten(make_cube(), keep_labels={1})
-
-    def test_roundtrip_is_bijection(self):
-        cube = make_cube(seed=5)
-        X, index = flatten(cube)
-        back = unflatten(X, index, cube.rows, cube.cols)
-        np.testing.assert_array_equal(back, cube.data)
+        for i, (row, col) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            np.testing.assert_array_equal(X[i], cube.data[row, col])
+        assert np.shares_memory(X, cube.data)
 
 
 class TestNmToBand:
