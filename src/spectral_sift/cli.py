@@ -30,7 +30,8 @@ from .pipeline import (
     run_synth,
     write_apply_outputs,
 )
-from .specdata import EnviFormatError, flatten, read_envi
+from .specdata import EnviFormatError, flatten, open_envi
+from .specdata import read_envi  # noqa: F401  bench/spans.py traces cli.read_envi by name
 
 log = logging.getLogger("spectral_sift")
 
@@ -106,8 +107,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_apply(args) -> int:
     model = PipelineModel.load(args.model)
-    cube = read_envi(args.cube, args.cube_data)
-    result = apply_pipeline(model, cube)
+    result = apply_pipeline(model, open_envi(args.cube, args.cube_data))
     summary = write_apply_outputs(result, args.out)
     _emit(summary)
     return EXIT_OK

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .pls import DegenerateDataError, encode_da, decode_da
 
@@ -55,6 +54,18 @@ class KernelSpec:
 
     def with_lengthscale(self, lengthscale: float) -> "KernelSpec":
         return KernelSpec(self.family, lengthscale, self.variance)
+
+
+def cdist(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``XA`` and ``XB``, by scipy.
+
+    scipy is imported on the first call, so commands that never compute a
+    kernel do not load it. The kernel code calls this through the module
+    global ``cdist``, which tracing can replace.
+    """
+    from scipy.spatial.distance import cdist as scipy_cdist
+
+    return scipy_cdist(XA, XB)
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

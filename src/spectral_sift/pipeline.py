@@ -7,15 +7,19 @@ path samples labeled pixels, tunes the kernel by Kernel Flows, and fits
 kernel PLS-DA on the raw spectra. Applying a model never refits statistics:
 new images are always pushed through the stored calibration parameters.
 
-Cubes are read and written as :class:`HyperCube`; the stages take the
-pixels-by-bands matrix ``X = flatten(cube)`` and the flat mask labels. A band
-subset is ``X.take(sorted_bands, axis=1)``, row-major like ``X`` (``X[:, bands]``
-is column-major, which changes the column sums' rounding), and a per-pixel
-result reshapes to the image grid.
+A fit reads its cube whole, as a float64 :class:`HyperCube`; the stages take
+the pixels-by-bands matrix ``X = flatten(cube)`` and the flat mask labels. A
+band subset is ``X.take(sorted_bands, axis=1)``, row-major like ``X``
+(``X[:, bands]`` is column-major, which changes the column sums' rounding),
+and a per-pixel result reshapes to the image grid. Apply never holds a cube
+as float64: it maps the file (:class:`MappedCube`) and classifies row tiles,
+each converted to a row-major float64 matrix of the model's columns only.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,8 +35,10 @@ from . import wavesel as ws
 from .modelio import ConfigError
 from .specdata import (
     UNLABELED,
+    EnviFormatError,
     HyperCube,
     LabelMask,
+    MappedCube,
     SceneSpec,
     flatten,
     read_envi,
@@ -382,35 +388,39 @@ class ApplyResult:
     cluster_ids: np.ndarray | None = None  # (rows, cols), kmeans path only
 
 
-def _model_columns(model: PipelineModel, X: np.ndarray, wavelengths_nm: np.ndarray) -> np.ndarray:
-    """The model's columns of ``X``: a full-band cube is cut to the band subset,
-    a cube recorded on those bands alone passes as it is."""
+#: float64 cells that all of apply's tiles in flight may hold: pixels × the
+#: widest per-pixel row of one tile, summed over the worker threads
+TILE_CELLS = 1 << 20
+
+
+def _model_columns(model: PipelineModel, n_bands: int,
+                   wavelengths_nm: np.ndarray) -> list[int] | None:
+    """The cube columns the model reads, None for all of them: a full-band cube
+    is cut to the band subset, a cube recorded on those bands alone is read
+    whole. Checks the band count and the wavelength grid."""
+    columns = None
     n_model = model.wavelengths_nm.size
-    if model.band_subset is not None and X.shape[1] == model.original_bands:
-        X, wavelengths_nm = X.take(model.band_subset, axis=1), wavelengths_nm[model.band_subset]
-    if X.shape[1] != n_model:
+    if model.band_subset is not None and n_bands == model.original_bands:
+        columns, wavelengths_nm = model.band_subset, wavelengths_nm[model.band_subset]
+    if wavelengths_nm.size != n_model:
         raise ValueError(
-            f"cube has {X.shape[1]} bands; model expects {n_model}"
+            f"cube has {n_bands} bands; model expects {n_model}"
             + ("" if model.band_subset is None
                else f" (or the {model.original_bands} pre-selection bands)")
         )
     if not np.allclose(wavelengths_nm, model.wavelengths_nm, rtol=1e-6, atol=1e-6):
         raise ValueError("cube wavelengths do not match the model's calibration grid")
-    return X
+    return columns
 
 
-def apply_pipeline(model: PipelineModel, cube: HyperCube) -> ApplyResult:
-    """Classify a new cube with stored calibration statistics only."""
-    X = _model_columns(model, flatten(cube), cube.wavelengths_nm)
-    grid = (cube.rows, cube.cols)
-
+def _pixel_classifier(model: PipelineModel):
+    """``(classify, width, palette)``: ``classify`` maps a pixels-by-bands float64
+    matrix to uint8 mask ids and uint8 cluster ids (None on the kernel path);
+    ``width`` is its widest per-pixel row."""
     if model.workflow == "kmeans":
         if (model.scale is None or model.pca is None or model.selection is None
                 or model.cluster is None):
             raise ConfigError("model file lacks the clustering-path components")
-        Xs = pp.apply_scale(model.scale, X)
-        scores = pc.project(model.pca, Xs)
-        clusters, _ = cl.assign(model.cluster, scores[:, model.selection.selected])
         other_label = 0 if 0 not in (model.mite_label, model.bee_label) else \
             min(set(range(256)) - {model.mite_label, model.bee_label})
         id_of_class = {
@@ -422,20 +432,80 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube) -> ApplyResult:
             [id_of_class[model.cluster.class_of_cluster[j]] for j in range(model.cluster.k)],
             dtype=np.uint8,
         )
-        flat_ids = id_of_cluster[clusters]
         palette = {model.mite_label: "mite", model.bee_label: "bee", other_label: "other"}
-        counts = {name: int(np.sum(flat_ids == label)) for label, name in sorted(palette.items())}
-        return ApplyResult(class_labels=flat_ids.reshape(grid), palette=palette, counts=counts,
-                           cluster_ids=clusters.astype(np.uint8).reshape(grid))
+
+        def classify_kmeans(X: np.ndarray):
+            scores = pc.project(model.pca, pp.apply_scale(model.scale, X))
+            clusters, _ = cl.assign(model.cluster, scores[:, model.selection.selected])
+            return id_of_cluster[clusters], clusters.astype(np.uint8)
+
+        return classify_kmeans, max(model.pca.n_bands, model.pca.k, model.cluster.k), palette
 
     if model.kernel is None:
         raise ConfigError("model file lacks the kernel-path components")
-    predicted, _ = kn.classify(model.kernel, X)
     palette = {int(c): model.palette.get(int(c), f"class-{int(c)}")
                for c in model.kernel.classes}
-    counts = {name: int(np.sum(predicted == label)) for label, name in sorted(palette.items())}
-    return ApplyResult(class_labels=predicted.astype(np.uint8).reshape(grid), palette=palette,
-                       counts=counts)
+
+    def classify_kfpls(X: np.ndarray):
+        predicted, _ = kn.classify(model.kernel, X)
+        return predicted.astype(np.uint8), None
+
+    return classify_kfpls, max(model.kernel.n_support, model.wavelengths_nm.size), palette
+
+
+def apply_pipeline(model: PipelineModel, cube: HyperCube | MappedCube) -> ApplyResult:
+    """Classify a new cube with stored calibration statistics only.
+
+    The band count and wavelength grid are checked once; then row tiles are
+    classified on a thread pool with one worker per usable CPU (at most one
+    per tile). Rows per tile are chosen so that the widest per-pixel arrays
+    of all tiles in flight hold at most ``TILE_CELLS`` float64 cells, so peak
+    memory depends on neither the cube's size nor the CPU count. Each tile
+    converts only the model's columns to float64, checks them for NaN/Inf
+    and writes its rows of the preallocated masks; the counts are taken from
+    the finished masks.
+    """
+    columns = _model_columns(model, cube.bands, cube.wavelengths_nm)
+    classify, width, palette = _pixel_classifier(model)
+    rows, cols = cube.rows, cube.cols
+    cpus = len(os.sched_getaffinity(0))
+    step = max(1, TILE_CELLS // (cpus * cols * width))
+    tiles = iter(range(0, rows, step))  # shared by the workers; a range iterator is thread-safe
+    class_labels = np.empty((rows, cols), dtype=np.uint8)
+    cluster_ids = np.empty((rows, cols), dtype=np.uint8) if model.workflow == "kmeans" else None
+    source = f"payload of {cube.path}" if isinstance(cube, MappedCube) else "cube data"
+
+    def classify_tile(r0: int) -> None:
+        tile = cube.data[r0:r0 + step]
+        if columns is not None:
+            tile = tile[:, :, columns]  # take() would first copy every band of a strided view
+        X = np.ascontiguousarray(tile, dtype=np.float64).reshape(-1, tile.shape[2])
+        if not np.all(np.isfinite(X)):
+            raise EnviFormatError(f"{source} contains NaN/Inf in rows {r0}-{r0 + len(tile) - 1}")
+        ids, clusters = classify(X)
+        class_labels[r0:r0 + step] = ids.reshape(-1, cols)
+        if cluster_ids is not None:
+            cluster_ids[r0:r0 + step] = clusters.reshape(-1, cols)
+
+    def worker() -> None:
+        for r0 in tiles:
+            classify_tile(r0)
+
+    n_workers = min(cpus, -(-rows // step))
+    with ThreadPoolExecutor(n_workers) as pool:
+        futures = [pool.submit(worker) for _ in range(n_workers)]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:  # on a failure or an interrupt the workers stop after their current tile
+            for _ in tiles:
+                pass
+        for future in futures:
+            future.result()
+
+    counts = {name: int(np.count_nonzero(class_labels == label))
+              for label, name in sorted(palette.items())}
+    return ApplyResult(class_labels=class_labels, palette=palette, counts=counts,
+                       cluster_ids=cluster_ids)
 
 
 def write_apply_outputs(result: ApplyResult, out_dir: str | Path) -> dict:

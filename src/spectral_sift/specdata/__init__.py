@@ -12,7 +12,9 @@ from .envi import (
     DATA_TYPES,
     EnviFormatError,
     EnviHeader,
+    MappedCube,
     format_envi_header,
+    open_envi,
     parse_envi_header,
     read_envi,
     read_label_mask,
@@ -31,9 +33,11 @@ __all__ = [
     "nm_to_band",
     "EnviFormatError",
     "EnviHeader",
+    "MappedCube",
     "DATA_TYPES",
     "parse_envi_header",
     "format_envi_header",
+    "open_envi",
     "read_envi",
     "write_envi",
     "read_label_mask",

@@ -1,10 +1,12 @@
 """Hyperspectral cube and label-mask data model.
 
-A cube is always held in (row, col, band) order internally, as float64,
-regardless of how it was laid out on disk. Wavelengths are band centers in
-nanometres and must be strictly increasing. The cube is the type of file
-I/O and scene synthesis; the pipeline stages take its :func:`flatten`
-pixels-by-bands matrix instead.
+A :class:`HyperCube` holds a whole cube in memory, in (row, col, band) order
+as float64, regardless of how it was laid out on disk. Wavelengths are band
+centers in nanometres and must be strictly increasing. The cube is the type
+of file I/O and scene synthesis; the pipeline stages take its :func:`flatten`
+pixels-by-bands matrix instead. ``apply`` does not load a cube: it reads row
+tiles of an :class:`~spectral_sift.specdata.envi.MappedCube`, a view of the
+file in its stored dtype, and converts each tile to float64 on its own.
 """
 
 from __future__ import annotations

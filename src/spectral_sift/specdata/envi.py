@@ -99,6 +99,9 @@ def parse_envi_header(text: str) -> EnviHeader:
     lines = take_int("lines")
     bands = take_int("bands")
     data_type = take_int("data type")
+    if min(samples, lines, bands) < 1:
+        raise EnviFormatError(f"samples, lines and bands must be positive, got "
+                              f"{samples}, {lines}, {bands}")
     if data_type not in DATA_TYPES:
         raise EnviFormatError(f"unsupported data type code {data_type}")
 
@@ -158,23 +161,33 @@ def format_envi_header(header: EnviHeader) -> str:
     return "\n".join(out) + "\n"
 
 
-def _read_payload(header: EnviHeader, data_path: Path) -> np.ndarray:
-    """Read raw payload as a float64 (row, col, band) array."""
-    blob = data_path.read_bytes()[header.header_offset:]
-    if len(blob) != header.payload_bytes():
+#: axes that turn each interleave's on-disk array into (row, col, band) order
+_DISK_SHAPE = {
+    "bsq": (("bands", "lines", "samples"), (1, 2, 0)),
+    "bil": (("lines", "bands", "samples"), (0, 2, 1)),
+    "bip": (("lines", "samples", "bands"), (0, 1, 2)),
+}
+
+
+def _open_payload(header: EnviHeader, data_path: Path, mapped: bool = False) -> np.ndarray:
+    """The payload as a (row, col, band) view in its stored dtype, whatever the
+    interleave: mapped read-only from the file when ``mapped``, else read into
+    memory. The file size is checked first."""
+    size = max(data_path.stat().st_size - header.header_offset, 0)
+    if size != header.payload_bytes():
         raise EnviFormatError(
-            f"payload is {len(blob)} bytes, header implies {header.payload_bytes()} "
+            f"payload is {size} bytes, header implies {header.payload_bytes()} "
             f"({header.samples}x{header.lines}x{header.bands}, type {header.data_type})"
         )
-    endian = ">" if header.byte_order == 1 else "<"
-    flat = np.frombuffer(blob, dtype=endian + DATA_TYPES[header.data_type])
-    if header.interleave == "bsq":
-        arr = flat.reshape(header.bands, header.lines, header.samples).transpose(1, 2, 0)
-    elif header.interleave == "bil":
-        arr = flat.reshape(header.lines, header.bands, header.samples).transpose(0, 2, 1)
-    else:  # bip
-        arr = flat.reshape(header.lines, header.samples, header.bands)
-    return np.ascontiguousarray(arr, dtype=np.float64)
+    dtype = np.dtype((">" if header.byte_order == 1 else "<") + DATA_TYPES[header.data_type])
+    names, axes = _DISK_SHAPE[header.interleave]
+    shape = tuple(getattr(header, name) for name in names)
+    if mapped:
+        disk = np.memmap(data_path, dtype=dtype, mode="r", offset=header.header_offset,
+                         shape=shape)
+    else:
+        disk = np.fromfile(data_path, dtype=dtype, offset=header.header_offset).reshape(shape)
+    return disk.transpose(axes)
 
 
 def _infer_data_path(header_path: Path) -> Path:
@@ -186,20 +199,62 @@ def _infer_data_path(header_path: Path) -> Path:
     raise EnviFormatError(f"cannot infer data file for header {header_path}")
 
 
-def read_envi(header_path: str | Path, data_path: str | Path | None = None) -> HyperCube:
-    """Load an ENVI cube; the header must carry a wavelength list.
+@dataclass(frozen=True)
+class MappedCube:
+    """An ENVI cube mapped from its file, not read.
 
-    Values are converted to float64 and the array is normalized to
-    (row, col, band) order whatever the on-disk interleave was.
+    ``data`` is a read-only (row, col, band) view of the payload in its stored
+    dtype, so only the pages a caller touches are read, and they stay file
+    cache that the operating system can reclaim. Nothing is checked beyond
+    the file size: a reader converts the part it uses and checks it for
+    NaN/Inf itself. The file must not shrink while the view is in use.
     """
+
+    data: np.ndarray
+    wavelengths_nm: np.ndarray
+    path: Path
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def bands(self) -> int:
+        return self.data.shape[2]
+
+
+def _open_cube(header_path: str | Path, data_path: str | Path | None, mapped: bool):
     header_path = Path(header_path)
     header = parse_envi_header(header_path.read_text())
     data_path = Path(data_path) if data_path is not None else _infer_data_path(header_path)
-    data = _read_payload(header, data_path)
-    if not np.all(np.isfinite(data)):
-        raise EnviFormatError(f"payload of {data_path} contains NaN/Inf")
+    data = _open_payload(header, data_path, mapped)
     if header.wavelengths_nm is None:
         raise EnviFormatError(f"header {header_path} has no wavelength list")
+    return header, data, data_path
+
+
+def open_envi(header_path: str | Path, data_path: str | Path | None = None) -> MappedCube:
+    """Map an ENVI cube for reading in parts; the header must carry a wavelength list."""
+    header, data, data_path = _open_cube(header_path, data_path, mapped=True)
+    return MappedCube(data=data, wavelengths_nm=header.wavelengths_nm, path=data_path)
+
+
+def read_envi(header_path: str | Path, data_path: str | Path | None = None) -> HyperCube:
+    """Load a whole ENVI cube into memory; the header must carry a wavelength list.
+
+    Values are converted to float64 and the array is put in (row, col, band)
+    order whatever the on-disk interleave was; a native float64 BIP payload
+    needs neither, so the array read from the file is the cube. Every value
+    is checked for NaN/Inf.
+    """
+    header, data, data_path = _open_cube(header_path, data_path, mapped=False)
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    if not np.all(np.isfinite(data)):
+        raise EnviFormatError(f"payload of {data_path} contains NaN/Inf")
     return HyperCube(data=data, wavelengths_nm=header.wavelengths_nm, interleave=header.interleave)
 
 
@@ -307,5 +362,5 @@ def read_label_mask(
         if header.bands != 1 or header.data_type != 1:
             raise EnviFormatError("mask ENVI files must be single-band 8-bit (data type 1)")
         data_path = Path(data_path) if data_path is not None else _infer_data_path(path)
-        labels = _read_payload(header, data_path)[:, :, 0].astype(np.uint8)
+        labels = _open_payload(header, data_path)[:, :, 0]
     return LabelMask(labels=labels, palette=palette or {})

@@ -1,6 +1,10 @@
 """Kernel functions, centering, dual PLS-DA, and Kernel Flows tuning."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -548,3 +552,16 @@ def test_save_loss_trace(tmp_path):
     assert lines[0] == "iteration,mean_rho,lengthscale"
     assert lines[1].startswith("1,0.5,")
     assert len(lines) == 3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded on the first distance computation, not by importing the CLI
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    code = ("import sys, spectral_sift.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+

@@ -5,12 +5,15 @@ import base64
 import dataclasses
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spectral_sift import cli
 from spectral_sift import cluster as cl
+from spectral_sift import kernel as kn
+from spectral_sift import pipeline
 from spectral_sift import pca as pc
 from spectral_sift import preprocess as pp
 from spectral_sift.kernel import KfConfig
@@ -32,6 +35,7 @@ from spectral_sift.specdata import (
     HyperCube,
     ShadowSpec,
     flatten,
+    open_envi,
     read_envi,
     read_label_mask,
     synth_scene,
@@ -341,3 +345,149 @@ def test_synth_scene_file_with_unknown_key_exits_1(tmp_path, caplog):
                          "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
     assert "blobs[0].colour" in caplog.text
+
+
+def tile_settings(monkeypatch, model, cube, rows_per_tile, workers):
+    """Make apply run ``workers`` threads on tiles of ``rows_per_tile`` rows."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    width = pipeline._pixel_classifier(model)[1]
+    monkeypatch.setattr(pipeline, "TILE_CELLS", rows_per_tile * workers * cube.cols * width)
+
+
+def spy_tile_pixels(monkeypatch, model):
+    """Record the pixel count of every tile the model's arithmetic receives."""
+    seen = []
+    module, name = (pc, "project") if model.workflow == "kmeans" else (kn, "classify")
+    original = getattr(module, name)
+
+    def spy(m, X):
+        seen.append(X.shape[0])
+        return original(m, X)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def assert_tiles_match_whole_cube(monkeypatch, model, root, workers):
+    """Tiles of 1 row, 7 rows and the whole cube give the same bytes, from the
+    mapped file and from the cube read into memory."""
+    cube = open_envi(root / "bil.hdr")
+    seen = spy_tile_pixels(monkeypatch, model)
+    results = []
+    for rows_per_tile, source in [(cube.rows, read_envi(root / "bil.hdr")), (cube.rows, cube),
+                                  (7, cube), (1, cube)]:
+        seen.clear()
+        tile_settings(monkeypatch, model, cube, rows_per_tile, workers)
+        results.append(apply_pipeline(model, source))
+        assert sorted(seen, reverse=True) == [
+            min(rows_per_tile, cube.rows - r0) * cube.cols
+            for r0 in range(0, cube.rows, rows_per_tile)]
+    whole = results[0]
+    for result in results[1:]:
+        assert result.class_labels.tobytes() == whole.class_labels.tobytes()
+        assert result.counts == whole.counts and result.palette == whole.palette
+        if whole.cluster_ids is None:
+            assert result.cluster_ids is None
+        else:
+            assert result.cluster_ids.tobytes() == whole.cluster_ids.tobytes()
+
+
+@pytest.fixture(scope="module")
+def bil_copy(scene):
+    """The tiny scene also written as float32 BIL, the layout of a camera frame."""
+    root = scene[0]
+    write_envi(read_envi(root / "cube.hdr"), root / "bil.hdr", root / "bil.raw",
+               interleave="bil", dtype="f4")
+    return root
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
+def test_row_tiles_give_identical_masks(fixture, workers, request, bil_copy, monkeypatch):
+    value = request.getfixturevalue(fixture)
+    model = value[3] if fixture == "fitted" else value[1]
+    assert_tiles_match_whole_cube(monkeypatch, model, bil_copy, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_band_subset_row_tiles_give_identical_masks(fitted_bands, workers, bil_copy, monkeypatch):
+    assert_tiles_match_whole_cube(monkeypatch, fitted_bands[1], bil_copy, workers)
+
+
+@pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
+def test_apply_memory_does_not_grow_with_rows(fixture, request, tmp_path, monkeypatch):
+    value = request.getfixturevalue(fixture)
+    model = value[3] if fixture == "fitted" else value[1]
+    rng = np.random.default_rng(0)
+    cols, heights = 64, (32, 128)
+    for rows in heights:
+        cube = HyperCube(data=rng.uniform(0.05, 0.8, size=(rows, cols, 24)),
+                         wavelengths_nm=np.linspace(400.0, 1000.0, 24))
+        write_envi(cube, tmp_path / f"{rows}.hdr", tmp_path / f"{rows}.raw", interleave="bil")
+    tile_settings(monkeypatch, model, cube, 4, 1)  # one worker: two may or may not peak together
+    apply_pipeline(model, open_envi(tmp_path / "32.hdr"))  # imports and first calls, not per row
+    peaks = {}
+    for rows in heights:
+        cube = open_envi(tmp_path / f"{rows}.hdr")  # mapped pages are not numpy buffers
+        tracemalloc.start()
+        try:
+            apply_pipeline(model, cube)
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the masks grow with the rows: class ids, cluster ids (kmeans) and one count comparison
+    mask_bytes = heights[1] * cols * (3 if model.workflow == "kmeans" else 2)
+    assert peaks[heights[1]] <= 1.25 * peaks[heights[0]] + mask_bytes, peaks
+
+
+def test_nan_in_last_row_exits_1_without_masks(fitted, bil_copy, tmp_path, monkeypatch, caplog):
+    root, model = fitted[0], fitted[3]
+    for suffix in ("hdr", "raw"):
+        (tmp_path / f"cube.{suffix}").write_bytes((bil_copy / f"bil.{suffix}").read_bytes())
+    cube = open_envi(tmp_path / "cube.hdr")
+    payload = np.memmap(tmp_path / "cube.raw", dtype="<f4", mode="r+",
+                        shape=(cube.rows, cube.bands, cube.cols))  # BIL: line, band, sample
+    payload[-1, 3, 5] = np.nan
+    payload.flush()
+    del payload, cube
+    tile_settings(monkeypatch, model, open_envi(tmp_path / "cube.hdr"), 1, 2)
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["apply", "--model", str(root / "model.json"),
+                         "--cube", str(tmp_path / "cube.hdr"), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert str(tmp_path / "cube.raw") in caplog.text and "NaN" in caplog.text
+    assert not (tmp_path / "out" / "class_mask.raw").exists()
+
+
+def test_truncated_payload_exits_1_before_any_tile(fitted, bil_copy, tmp_path, monkeypatch, caplog):
+    (tmp_path / "cube.hdr").write_bytes((bil_copy / "bil.hdr").read_bytes())
+    (tmp_path / "cube.raw").write_bytes((bil_copy / "bil.raw").read_bytes()[:-4])
+    seen = spy_tile_pixels(monkeypatch, fitted[3])
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["apply", "--model", str(fitted[0] / "model.json"),
+                         "--cube", str(tmp_path / "cube.hdr"), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "bytes, header implies" in caplog.text
+    assert seen == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ("drop-band", "cube has 23 bands; model expects 24"),
+    ("shift-grid", "cube wavelengths do not match the model's calibration grid"),
+])
+def test_band_or_wavelength_mismatch_exits_1(change, message, fitted, tmp_path, monkeypatch,
+                                             caplog):
+    root, model = fitted[0], fitted[3]
+    cube = read_envi(root / "cube.hdr")
+    if change == "drop-band":
+        cube = HyperCube(data=cube.data[:, :, :-1], wavelengths_nm=cube.wavelengths_nm[:-1])
+    else:
+        cube = HyperCube(data=cube.data, wavelengths_nm=cube.wavelengths_nm + 5.0)
+    write_envi(cube, tmp_path / "cube.hdr", tmp_path / "cube.raw", interleave="bil")
+    seen = spy_tile_pixels(monkeypatch, model)
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["apply", "--model", str(root / "model.json"),
+                         "--cube", str(tmp_path / "cube.hdr"), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert message in caplog.text
+    assert seen == [] and not (tmp_path / "out").exists()

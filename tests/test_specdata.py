@@ -13,6 +13,7 @@ from spectral_sift.specdata import (
     ShadowSpec,
     flatten,
     nm_to_band,
+    open_envi,
     parse_envi_header,
     read_envi,
     read_label_mask,
@@ -79,6 +80,11 @@ class TestEnviHeader:
         with pytest.raises(EnviFormatError, match="unsupported data type"):
             parse_envi_header(text)
 
+    def test_parse_rejects_empty_dimensions(self):
+        text = "samples = 4\nlines = 0\nbands = 2\ndata type = 4\ninterleave = bil\n"
+        with pytest.raises(EnviFormatError, match="must be positive"):
+            parse_envi_header(text)
+
     def test_parse_rejects_missing_required_key(self):
         with pytest.raises(EnviFormatError, match="missing required"):
             parse_envi_header("samples = 2\nlines = 2\ndata type = 4\ninterleave = bsq\n")
@@ -108,8 +114,9 @@ class TestReadWriteEnvi:
         )
         (tmp_path / "bad.hdr").write_text(header)
         (tmp_path / "bad.raw").write_bytes(b"\x00" * 47)
-        with pytest.raises(EnviFormatError, match="47 bytes"):
-            read_envi(tmp_path / "bad.hdr", tmp_path / "bad.raw")
+        for reader in (read_envi, open_envi):
+            with pytest.raises(EnviFormatError, match="47 bytes"):
+                reader(tmp_path / "bad.hdr", tmp_path / "bad.raw")
 
     def test_nan_payload_rejected(self, tmp_path):
         header = (
@@ -154,6 +161,10 @@ class TestReadWriteEnvi:
         back = read_envi(tmp_path / "c.hdr", tmp_path / "c.raw")
         np.testing.assert_array_equal(back.data, cube.data)
         np.testing.assert_array_equal(back.wavelengths_nm, cube.wavelengths_nm)
+        mapped = open_envi(tmp_path / "c.hdr", tmp_path / "c.raw")  # stored dtype, not float64
+        assert mapped.data.dtype == np.dtype((">" if byte_order else "<") + "f4")
+        np.testing.assert_array_equal(mapped.data, cube.data)
+        np.testing.assert_array_equal(mapped.wavelengths_nm, cube.wavelengths_nm)
 
     def test_interleaves_agree_elementwise(self, tmp_path):
         cube = make_cube(seed=3)
