@@ -17,7 +17,6 @@ latent-count search is a kernel of index slices of that one matrix.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -452,19 +451,10 @@ def kf_optimize(
         loss = kf_loss(D, labels, spec_it, a_inner, batches)
         grad = kf_gradient(D, labels, spec_it, a_inner, batches, cfg.fd_step)
         if not (np.isfinite(loss) and np.isfinite(grad)):
-            # degenerate lengthscale: clamp back into range and retry once
-            warnings.warn(
-                f"non-finite Kernel Flows loss at lengthscale {np.exp(log_ell):.3e}; clamping",
-                RuntimeWarning,
+            # log_ell is already clipped into range, so a retry would repeat this
+            raise KfConvergenceError(
+                f"Kernel Flows loss is non-finite at lengthscale {np.exp(log_ell):.3e}"
             )
-            log_ell = float(np.clip(log_ell, lo, hi))
-            spec_it = spec0.with_lengthscale(float(np.exp(log_ell)))
-            loss = kf_loss(D, labels, spec_it, a_inner, batches)
-            grad = kf_gradient(D, labels, spec_it, a_inner, batches, cfg.fd_step)
-            if not (np.isfinite(loss) and np.isfinite(grad)):
-                raise KfConvergenceError(
-                    f"Kernel Flows loss stays non-finite at lengthscale {np.exp(log_ell):.3e}"
-                )
         trace[it] = (it + 1, loss, np.exp(log_ell))
         log.debug("Kernel Flows iteration %d: mean_rho=%.6g lengthscale=%.6g",
                   it + 1, loss, np.exp(log_ell))

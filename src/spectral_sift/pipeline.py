@@ -29,7 +29,6 @@ from . import cluster as cl
 from . import kernel as kn
 from . import modelio
 from . import pca as pc
-from . import pls
 from . import preprocess as pp
 from . import wavesel as ws
 from .modelio import ConfigError
@@ -170,6 +169,11 @@ class PipelineModel:
                                    or len(subset) != self.wavelengths_nm.size):
             raise ConfigError(f"band_subset {subset} must be sorted unique indices below "
                               f"{self.original_bands}, one per wavelength")
+        if self.selection_report is not None:
+            missing = [key for key in ("method", "selected", "selected_nm")
+                       if key not in self.selection_report]
+            if missing:
+                raise ConfigError(f"selection_report lacks {', '.join(missing)}")
 
     def to_dict(self) -> dict:
         return {"format_version": modelio.FORMAT_VERSION, **modelio.encode(self)}
@@ -288,7 +292,7 @@ def _clustering_stop_test(X: np.ndarray, labels: np.ndarray, config: RunConfig):
             return False
         try:
             _fit_kmeans_path(X.take(sorted(set(bands)), axis=1), labels, config)
-        except (cl.EscalationError, ValueError, pls.DegenerateDataError):
+        except (cl.EscalationError, ValueError):
             return False
         return True
 

@@ -5,8 +5,7 @@ weight vectors apply to the original data and X-scores come out mutually
 orthogonal. Regression coefficients are assembled as b = W (P'W)^-1 Q'.
 
 Inputs are autoscaled internally by default; pass ``scale=False`` when the
-caller has already centered/scaled (the wavelength selectors and the kernel
-variant do their own preprocessing).
+caller has already centered/scaled (covariance-procedure selection does).
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ from .cube import (
     HyperCube,
     LabelMask,
     flatten,
-    nm_to_band,
 )
 from .envi import (
     DATA_TYPES,
@@ -30,7 +29,6 @@ __all__ = [
     "HyperCube",
     "LabelMask",
     "flatten",
-    "nm_to_band",
     "EnviFormatError",
     "EnviHeader",
     "MappedCube",

@@ -128,21 +128,3 @@ def flatten(cube: HyperCube) -> np.ndarray:
     contiguous), so writing to it writes to the cube.
     """
     return cube.data.reshape(cube.rows * cube.cols, cube.bands)
-
-
-def nm_to_band(cube: HyperCube, target_nm: float) -> int:
-    """Index of the band whose center is nearest ``target_nm``.
-
-    Ties break toward the lower index. Targets outside the grid by more
-    than half the edge band spacing are rejected.
-    """
-    w = cube.wavelengths_nm
-    if cube.bands == 1:
-        if target_nm != w[0]:
-            raise ValueError(f"target {target_nm} nm outside single-band grid at {w[0]} nm")
-        return 0
-    lo = w[0] - (w[1] - w[0]) / 2.0
-    hi = w[-1] + (w[-1] - w[-2]) / 2.0
-    if not (lo <= target_nm <= hi):
-        raise ValueError(f"target {target_nm} nm outside wavelength range [{lo}, {hi}] nm")
-    return int(np.argmin(np.abs(w - target_nm)))

@@ -3,21 +3,31 @@
 Two selectors: a greedy forward search that adds whichever band raises the
 training R^2 most, and a covariance-procedure search that works in rounds of
 sorted one-factor PLS weights with an alpha = |y't| / (t't) prefix criterion
-and X deflation between rounds. Both honor an up-front excluded set (the
-unstable detector tail) and break every tie toward the lower band index (the
-smaller prefix), where scores within a relative ``TIE_RTOL`` of the best count
-as tied, so last-bit rounding cannot decide the pick.
+and X deflation between rounds.
+
+The forward search reads the rows only to form its cross-products: SIMPLS
+needs only X'X and X'y, and autoscaling is per column, so every candidate
+band set is fitted from its block of the autoscaled C = X'X and s = X'y. The
+scores are orthonormal, so the training R^2 is sum(q^2) / y'y, with no
+regression coefficients. A factor whose score norm vanishes is dead: the
+set's cross-product is exhausted (collinear or constant bands), and the set
+keeps only the factors before it, as a refit with fewer factors would.
+
+Both selectors honor an up-front excluded set (the unstable detector tail)
+and break every tie toward the lower band index (the smaller prefix), where
+scores within a relative ``TIE_RTOL`` of the best count as tied, so last-bit
+rounding cannot decide the pick.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .pls import DegenerateDataError, fit_simpls, predict
+from .pls import DegenerateDataError, fit_simpls
+from .preprocess import apply_scale, fit_scale
 
 METHOD_R2 = "r2_forward"
 METHOD_COVPROC = "covproc"
@@ -82,7 +92,7 @@ class SelectionReport:
         return doc
 
 
-def exclude_tail(bands: int, n_tail: int = 10) -> set[int]:
+def exclude_tail(bands: int, n_tail: int) -> set[int]:
     """The top ``n_tail`` band indices (the noisy detector tail)."""
     if not 0 <= n_tail < bands:
         raise ValueError(f"n_tail must be in [0, {bands - 1}], got {n_tail}")
@@ -103,20 +113,8 @@ def _first_near_max(values: np.ndarray) -> int:
     return int(np.flatnonzero(best - values <= TIE_RTOL * abs(best))[0])
 
 
-def _fit_feasible(X: np.ndarray, y: np.ndarray, a: int):
-    """Fit PLS, backing off the factor count when exact collinearity
-    exhausts the cross-product early; a=1 failures still propagate."""
-    while True:
-        try:
-            return fit_simpls(X, y, a)
-        except DegenerateDataError:
-            if a == 1:
-                raise
-            a -= 1
-
-
 def init_by_correlation(
-    X: np.ndarray, y: np.ndarray, m: int = 3, exclude: Iterable[int] = ()
+    X: np.ndarray, y: np.ndarray, m: int, exclude: Iterable[int] = ()
 ) -> list[int]:
     """Top-m usable bands by |Pearson correlation| with the response."""
     X = np.asarray(X, dtype=np.float64)
@@ -136,6 +134,34 @@ def init_by_correlation(
     return [usable[i] for i in order[:m]]
 
 
+def _simpls_r2(C: np.ndarray, s: np.ndarray, yy: float, a: int) -> np.ndarray:
+    """Training R^2 of single-response SIMPLS with up to ``a`` factors for k
+    autoscaled column sets, from their cross-products C = X'X (k, c, c) and
+    s = X'y (k, c) and yy = y'y: t't = r'C r, q = s'r, R^2 = sum(q^2) / yy.
+    A score norm within ``fit_simpls``'s 1e-12 bound ends the set's factors.
+    """
+    k = s.shape[0]
+    norm_x = np.sqrt(np.trace(C, axis1=1, axis2=2))
+    bound = 1e-12 * np.maximum(norm_x * max(1.0, np.sqrt(yy)), 1.0)
+    S = s.copy()
+    basis: list[np.ndarray] = []  # orthonormal past x-loadings, for deflating S
+    alive = np.ones(k, dtype=bool)
+    explained = np.zeros(k)
+    with np.errstate(invalid="ignore", divide="ignore"):  # dead sets go NaN, masked off
+        for _ in range(a):
+            norm_t = np.sqrt(np.einsum("ki,kij,kj->k", S, C, S))
+            alive &= norm_t > bound
+            r = S / norm_t[:, None]
+            q = np.einsum("ki,ki->k", s, r)
+            explained += np.where(alive, q * q, 0.0)
+            p = np.einsum("kij,kj->ki", C, r)
+            v = p - sum(u * np.einsum("ki,ki->k", u, p)[:, None] for u in basis)
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            basis.append(v)
+            S -= v * np.einsum("ki,ki->k", v, S)[:, None]
+    return explained / yy
+
+
 def r2_forward_select(
     X: np.ndarray,
     y: np.ndarray,
@@ -148,10 +174,13 @@ def r2_forward_select(
 ) -> SelectionReport:
     """Greedy forward band selection by training R^2.
 
-    Every step refits a PLS model (min(lv, |selection|) latent variables)
-    for each unselected usable band and permanently adds the best one; among
-    bands whose R^2 is within ``TIE_RTOL`` of the best, the lowest wins. A
-    band set whose cross-product with y vanishes scores R^2 = 0.
+    Every step scores a PLS model (min(lv, |selection|) latent variables) on
+    the selection plus each unselected usable band and permanently adds the
+    best one; among bands whose R^2 is within ``TIE_RTOL`` of the best, the
+    lowest wins. X and y are autoscaled once, and all of a step's
+    candidates are fitted in one batched SIMPLS on their blocks of C = X'X
+    and s = X'y. A band set whose cross-product with y vanishes scores
+    R^2 = 0. X and y must be finite.
     ``stop`` is consulted after each addition; returning True ends the
     search early (the pipeline wires the clustering success test here).
     """
@@ -159,6 +188,10 @@ def r2_forward_select(
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] != y.size:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} entries")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must be finite (no NaN or Inf)")
+    if lv < 1:
+        raise ValueError(f"lv must be >= 1, got {lv}")
     excluded = sorted(set(exclude))
     usable = _usable(X.shape[1], excluded)
     selected = [int(i) for i in init]
@@ -168,42 +201,22 @@ def r2_forward_select(
         raise ValueError("init bands fall in the excluded set")
     if not 1 <= target_count <= len(usable):
         raise ValueError(f"target_count must be in [1, {len(usable)}], got {target_count}")
-
-    tss = float(np.sum((y - y.mean()) ** 2))
-    if tss == 0:
+    if float(np.sum((y - y.mean()) ** 2)) == 0:
         raise ValueError("response has zero variance")
 
+    Xs = apply_scale(fit_scale(X), X)
+    ys = apply_scale(fit_scale(y[:, None]), y[:, None])[:, 0]
+    C, s, yy = Xs.T @ Xs, Xs.T @ ys, float(ys @ ys)
+
     trace: list[float] = []
-    report = None
     while len(selected) < target_count:
         remaining = [b for b in usable if b not in selected]
-        bands: list[int] = []
-        r2s: list[float] = []
-        for band in remaining:
-            cols = selected + [band]
-            a = min(lv, len(cols), X.shape[0] - 1)
-            try:
-                model = _fit_feasible(X[:, cols], y, a)
-            except DegenerateDataError:
-                # no covariance with y even at one factor: the fit is the
-                # mean of y, a well-defined model with R^2 = 0
-                r2 = 0.0
-            except ValueError:
-                warnings.warn(f"band {band} gives a degenerate model; skipped", RuntimeWarning)
-                continue
-            else:
-                rss = float(np.sum((y - predict(model, X[:, cols])) ** 2))
-                r2 = 1.0 - rss / tss
-            if not np.isfinite(r2):
-                warnings.warn(f"band {band} gives non-finite R^2; skipped", RuntimeWarning)
-                continue
-            bands.append(band)
-            r2s.append(r2)
-        if not bands:
-            raise DegenerateDataError("no candidate band produced a finite R^2")
-        i = _first_near_max(np.array(r2s))  # bands ascend, so the lowest tied band wins
-        selected.append(bands[i])
-        trace.append(r2s[i])
+        cols = np.array([selected + [b] for b in remaining])  # (candidates, |selection| + 1)
+        a = min(lv, cols.shape[1], X.shape[0] - 1)
+        r2 = _simpls_r2(C[cols[:, :, None], cols[:, None, :]], s[cols], yy, a)
+        i = _first_near_max(r2)  # remaining ascends, so the lowest tied band wins
+        selected.append(remaining[i])
+        trace.append(float(r2[i]))
         if stop is not None and stop(list(selected)):
             break
 

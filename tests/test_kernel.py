@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from spectral_sift.kernel import (
     KernelConfig,
     KernelSpec,
     KfConfig,
+    KfConvergenceError,
     center_kernel,
     classify,
     draw_kf_batches,
@@ -519,6 +521,23 @@ class TestKfOptimize:
         X, labels = three_blobs(np.random.default_rng(17))
         with pytest.raises(ValueError, match="'linear'.*not a function of distance"):
             kf_optimize(X, labels, KernelConfig("linear", 1.0), KfConfig(iterations=1))
+
+    def test_non_finite_loss_raises_at_once(self, monkeypatch):
+        # the lengthscale is always in range, so nothing is retried: one loss
+        # and two finite-difference calls, then the error, and no warning
+        X, labels = three_blobs(np.random.default_rng(22))
+        calls = []
+
+        def infinite_loss(*args):
+            calls.append(args)
+            return np.inf
+
+        monkeypatch.setattr(kernel, "kf_loss", infinite_loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KfConvergenceError, match="non-finite"):
+                kf_optimize(X, labels, KernelConfig("gaussian", 2.0), KfConfig(iterations=3))
+        assert len(calls) == 3
 
     def test_each_iteration_logged_at_debug(self, caplog):
         X, labels = three_blobs(np.random.default_rng(18))

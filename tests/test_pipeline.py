@@ -224,6 +224,21 @@ def test_corrupt_band_subset_exits_1(subset, fitted, tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("report, key", [
+    ({"selected": [1]}, "method"),
+    ({"method": "r2_forward", "selected_nm": None}, "selected"),
+    ({"method": "r2_forward", "selected": [1]}, "selected_nm"),
+])
+def test_malformed_selection_report_exits_1(report, key, fitted, tmp_path, caplog):
+    doc = json.loads((fitted[0] / "model.json").read_text())
+    doc["selection_report"] = report
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["inspect", "--model", str(tmp_path / "model.json")])
+    assert code == EXIT_USAGE
+    assert f"selection_report lacks {key}" in caplog.text
+
+
 @pytest.mark.parametrize("command", ["fit-empty-config", "inspect-dir-model", "apply-dir-cube"])
 def test_missing_input_file_exits_1(command, fitted, tmp_path, caplog):
     root = fitted[0]

@@ -12,7 +12,6 @@ from spectral_sift.specdata import (
     SceneSpec,
     ShadowSpec,
     flatten,
-    nm_to_band,
     open_envi,
     parse_envi_header,
     read_envi,
@@ -224,41 +223,6 @@ class TestFlatten:
         for i, (row, col) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
             np.testing.assert_array_equal(X[i], cube.data[row, col])
         assert np.shares_memory(X, cube.data)
-
-
-class TestNmToBand:
-    def test_exact_and_nearest(self):
-        cube = HyperCube(data=np.zeros((1, 1, 3)), wavelengths_nm=[400.0, 500.0, 600.0])
-        assert nm_to_band(cube, 500.0) == 1
-        assert nm_to_band(cube, 449.0) == 0
-        assert nm_to_band(cube, 450.0) == 0  # tie toward the lower index
-
-    def test_out_of_range(self):
-        cube = HyperCube(data=np.zeros((1, 1, 3)), wavelengths_nm=[400.0, 500.0, 600.0])
-        with pytest.raises(ValueError, match="outside"):
-            nm_to_band(cube, 349.0)
-        with pytest.raises(ValueError, match="outside"):
-            nm_to_band(cube, 651.0)
-
-    def test_specim_grid_against_scan_oracle(self):
-        wl = np.linspace(400.0, 1000.0, 204)
-        cube = HyperCube(data=np.zeros((1, 1, 204)), wavelengths_nm=wl)
-        target = 796.74
-        oracle = min(range(204), key=lambda i: (abs(wl[i] - target), i))
-        assert nm_to_band(cube, target) == oracle
-
-    def test_random_monotone_grids_against_scan_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            bands = rng.integers(2, 40)
-            wl = np.sort(rng.uniform(300, 1100, size=bands))
-            wl += np.arange(bands) * 1e-6  # enforce strict increase
-            cube = HyperCube(data=np.zeros((1, 1, bands)), wavelengths_nm=wl)
-            lo = wl[0] - (wl[1] - wl[0]) / 2
-            hi = wl[-1] + (wl[-1] - wl[-2]) / 2
-            for target in rng.uniform(lo, hi, size=20):
-                oracle = min(range(bands), key=lambda i: (abs(wl[i] - target), i))
-                assert nm_to_band(cube, target) == oracle
 
 
 def simple_scene(noise=0.0, shadow=None, blobs=None, occlusion="error"):

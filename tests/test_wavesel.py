@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from spectral_sift.pls import DegenerateDataError
+from spectral_sift import wavesel
+from spectral_sift.pls import DegenerateDataError, fit_simpls, predict
 from spectral_sift.preprocess import apply_scale, fit_scale
 from spectral_sift.wavesel import (
     TIE_RTOL,
@@ -71,6 +72,43 @@ def oracle_greedy(X, y, target, lv=5, init=(), exclude=()):
         selected.append(best[1])
         picks.append(best)
     return selected, picks
+
+
+# ---------------------------------------------------------------------------
+# the per-candidate refit loop that r2_forward_select's batched cross-product
+# SIMPLS replaced, kept as its oracle: a full fit_simpls model per candidate,
+# stepping the factor count down while the cross-product is exhausted, and
+# R^2 from the model's predictions
+# ---------------------------------------------------------------------------
+
+
+def reference_r2_steps(X, y, target_count, init=(), lv=5, exclude=()):
+    """Selected bands, and per step the R^2 of every candidate in band order."""
+    usable = [b for b in range(X.shape[1]) if b not in set(exclude)]
+    selected = list(init)
+    tss = float(np.sum((y - y.mean()) ** 2))
+    steps = []
+    while len(selected) < target_count:
+        bands = [b for b in usable if b not in selected]
+        r2s = []
+        for band in bands:
+            cols = selected + [band]
+            a = min(lv, len(cols), X.shape[0] - 1)
+            model = None
+            while model is None and a >= 1:
+                try:
+                    model = fit_simpls(X[:, cols], y, a)
+                except DegenerateDataError:
+                    a -= 1
+            if model is None:  # no covariance with y even at one factor
+                r2s.append(0.0)
+            else:
+                r2s.append(1.0 - float(np.sum((y - predict(model, X[:, cols])) ** 2)) / tss)
+        r2s = np.array(r2s)
+        i = int(np.flatnonzero(r2s.max() - r2s <= TIE_RTOL * abs(r2s.max()))[0])
+        selected.append(bands[i])
+        steps.append(r2s)
+    return selected, steps
 
 
 def scaled_orthogonal_design(rng, n=40, p=8):
@@ -213,6 +251,85 @@ class TestR2Forward:
         report = r2_forward_select(X, y, target_count=8, stop=stop)
         assert len(report.selected) == 2
         assert seen == [report.selected[:1], report.selected[:2]]
+
+
+def random_design(rng, n=60, p=12):
+    X = rng.normal(size=(n, p)) @ (np.eye(p) + 0.5 * rng.normal(size=(p, p)))
+    return X, X @ rng.normal(size=p) + rng.normal(size=n)
+
+
+def duplicated_band_design(rng):
+    X, _ = random_design(rng)
+    X[:, 7] = X[:, 2]
+    return X, 3.0 * X[:, 2] + X[:, 5] + 0.2 * rng.normal(size=X.shape[0])
+
+
+def linear_combination_design(rng):
+    X, _ = random_design(rng)
+    X[:, 9] = X[:, 0] - 2.0 * X[:, 4]
+    return X, X[:, 0] - X[:, 4] + 0.5 * X[:, 6] + 0.2 * rng.normal(size=X.shape[0])
+
+
+def constant_band_design(rng):
+    X, y = random_design(rng)
+    X[:, 3] = 0.3
+    return X, y
+
+
+def wide_design(rng):  # fewer rows than bands
+    return random_design(rng, n=9, p=14)
+
+
+def orthogonal_tie_design(seed):
+    X = scaled_orthogonal_design(np.random.default_rng(seed), n=50, p=10)
+    return X, X[:, 2] + X[:, 9]
+
+
+ORACLE_DESIGNS = {
+    "random": lambda: random_design(np.random.default_rng(20)),
+    "duplicated-band": lambda: duplicated_band_design(np.random.default_rng(21)),
+    "linear-combination": lambda: linear_combination_design(np.random.default_rng(22)),
+    "constant-band": lambda: constant_band_design(np.random.default_rng(23)),
+    "n-below-p": lambda: wide_design(np.random.default_rng(24)),
+    "orthogonal-tie-6": lambda: orthogonal_tie_design(6),
+    "orthogonal-tie-4": lambda: orthogonal_tie_design(4),
+}
+
+
+class TestR2AgainstRefitOracle:
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    def test_every_candidate_r2(self, design, monkeypatch):
+        X, y = ORACLE_DESIGNS[design]()
+        seen = []  # the candidate R^2 array of every step, in band order
+        first_near_max = wavesel._first_near_max
+
+        def record(values):
+            seen.append(np.array(values))
+            return first_near_max(values)
+
+        monkeypatch.setattr(wavesel, "_first_near_max", record)
+        report = r2_forward_select(X, y, target_count=8, init=[1])
+        oracle_sel, steps = reference_r2_steps(X, y, target_count=8, init=[1])
+        assert report.selected == oracle_sel
+        assert len(seen) == len(steps) == 7
+        for r2, oracle_r2 in zip(seen, steps):
+            np.testing.assert_allclose(r2, oracle_r2, rtol=1e-9)
+        np.testing.assert_allclose(report.trace, [r2.max() for r2 in seen], rtol=1e-12)
+
+    def test_non_finite_input_rejected(self):
+        X, y = random_design(np.random.default_rng(25))
+        X[3, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            r2_forward_select(X, y, target_count=2)
+        X[3, 4] = 0.0
+        y[0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            r2_forward_select(X, y, target_count=2)
+
+    def test_no_latent_variables_rejected(self):
+        X, y = random_design(np.random.default_rng(26))
+        with pytest.raises(ValueError, match="lv"):
+            r2_forward_select(X, y, target_count=2, lv=0)
 
 
 class TestCovproc:
