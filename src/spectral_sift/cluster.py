@@ -8,6 +8,13 @@ a fraction of the cost. The escalation wrapper raises the cluster count
 until the labeled ground truth shows no parasite pixel mixed with anything
 else: every cluster touching a labeled mite pixel becomes a 'mite' cluster,
 and no other labeled pixel may fall into one.
+
+Lloyd's loop keeps Hamerly's two distance bounds per point and recomputes a
+point's row of squared distances only when the bounds, less a rounding
+margin, cannot prove that its nearest centroid is unchanged. Assignments,
+centroids and inertia are bit for bit those of a loop that recomputes every
+point on every iteration; every point is recomputed when a cluster empties
+(the re-seed needs all distances) and once more at the end.
 """
 
 from __future__ import annotations
@@ -22,6 +29,18 @@ log = logging.getLogger(__name__)
 CLASS_MITE = "mite"
 CLASS_BEE = "bee"
 CLASS_OTHER = "other"
+
+#: Rounding margin of one entry of ``_squared_distances``, relative to
+#: reach² = (largest point norm + largest centroid norm)². With unit roundoff
+#: ε = 2⁻⁵³, the expanded formula ‖x‖² − 2x·c + ‖c‖² over d columns is within
+#: (d + 2)·ε·(‖x‖ + ‖c‖)² of the exact squared distance (Higham, "Accuracy and
+#: Stability of Numerical Algorithms", §3.1: the dot product and the two norms
+#: each err by at most d·ε times their sums of absolute terms, and the two
+#: additions by ε each). 2⁻³⁶ = 2¹⁷·ε covers d + 2 up to 2¹⁶ and leaves as much
+#: again for the few ε per iteration by which the square roots and the bound
+#: updates can shift the bounds of a point that is not recomputed, over
+#: thousands of iterations.
+MARGIN = 2.0**-36
 
 
 class EscalationError(RuntimeError):
@@ -103,38 +122,82 @@ def lloyd_iterations(
     max_iter: int = 300,
     tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd updates from given starting centroids.
+    """Lloyd updates from given starting centroids, skipping settled points.
 
     Each update is a cluster's member mean, its members summed in row order.
     Empty clusters are re-seeded at the point farthest from its assigned
     centroid. Returns (centroids, assignment, inertia).
+
+    Every iteration assigns each point to the argmin of its row of
+    ``_squared_distances``, as a pass over all points would, but recomputes
+    only the rows whose argmin may have changed (Hamerly, "Making k-means even
+    faster", SDM 2010). Each point keeps an upper bound u on its distance to
+    its centroid and one lower bound l on its distance to every other
+    centroid; after an update u grows by its centroid's movement and l shrinks
+    by the largest movement of any other centroid. A point is recomputed
+    unless max(l, 0)² − u² > 2·MARGIN·reach², where reach is the largest
+    point norm plus the largest centroid norm: its computed squared distance
+    to its centroid is then below every other entry of its row, so the argmin
+    cannot move. A recomputed point's bounds restart from its row, widened by
+    the margin so they bound the exact distances. The full distance pass runs
+    when a cluster empties, since the re-seed needs every point's distance,
+    and once at the end for the returned assignment and inertia. Exactness
+    rests on a row of ``_squared_distances`` having the same bits whether it
+    is computed among all rows or among two or more of them.
     """
     X = np.asarray(X, dtype=np.float64)
     centroids = np.array(centroids, dtype=np.float64)
-    k, d = centroids.shape
-    # flat (cluster, column) bin of every entry of X, for one bincount pass
-    column = np.arange(d)
+    k = centroids.shape[0]
+    # one bincount per column sums each cluster's members in row order
+    columns = np.ascontiguousarray(X.T)
+    # after the first update every centroid is a member mean or a row of X,
+    # so no centroid norm exceeds the larger of the two maxima
+    x_norm = float(np.sqrt(np.max(np.sum(X**2, axis=1), initial=0.0)))
+    c_norm = float(np.sqrt(np.max(np.sum(centroids**2, axis=1), initial=0.0)))
+    margin = MARGIN * (x_norm + max(x_norm, c_norm)) ** 2
+    assignment = np.zeros(X.shape[0], dtype=np.intp)
+    upper = np.full(X.shape[0], np.inf)  # no bounds yet: the first pass recomputes every row
+    lower = np.zeros(X.shape[0])
     for _ in range(max_iter):
-        sq = _squared_distances(X, centroids)
-        assignment = np.argmin(sq, axis=1)
+        stale = np.flatnonzero(np.maximum(lower, 0.0) ** 2 - upper**2 <= 2.0 * margin)
+        if stale.size == 1:
+            # numpy computes a single row as a matrix-vector product, whose
+            # last bits can differ from the matrix product's
+            stale = np.repeat(stale, 2)
+        if stale.size:
+            sq = _squared_distances(X.take(stale, axis=0), centroids)
+            row = np.arange(stale.size)
+            closest = np.argmin(sq, axis=1)
+            assignment[stale] = closest
+            upper[stale] = np.sqrt(sq[row, closest] + margin)
+            sq[row, closest] = np.inf
+            second = sq[row, np.argmin(sq, axis=1)]  # argmin and a gather beat min over a short axis
+            lower[stale] = np.sqrt(np.maximum(second - margin, 0.0))
         counts = np.bincount(assignment, minlength=k)
-        sums = np.bincount(
-            (assignment[:, None] * d + column).ravel(), weights=X.ravel(), minlength=k * d
-        ).reshape(k, d)
+        sums = np.stack([np.bincount(assignment, weights=c, minlength=k) for c in columns], axis=1)
         filled = counts > 0
         new_centroids = centroids.copy()
         new_centroids[filled] = sums[filled] / counts[filled, None]
         empty = np.flatnonzero(~filled)
         if empty.size:
+            sq = _squared_distances(X, centroids)
             nearest = sq[np.arange(X.shape[0]), assignment]
             for j in empty:
                 far = int(np.argmax(nearest))
                 new_centroids[j] = X[far]
                 nearest[far] = 0.0  # claimed; don't hand the same point to another empty cluster
-        movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        moved = np.linalg.norm(new_centroids - centroids, axis=1)
+        movement = float(np.max(moved))
         centroids = new_centroids
         if movement < tol:
             break
+        upper += moved[assignment]
+        # a point's other centroids moved at most the largest movement, or at
+        # most the second largest for the members of the centroid that moved most
+        top = int(np.argmax(moved))
+        others = np.full(k, movement)
+        others[top] = np.max(np.delete(moved, top), initial=0.0)
+        lower -= others[assignment]
     sq = _squared_distances(X, centroids)
     assignment = np.argmin(sq, axis=1)
     inertia = float(sq[np.arange(X.shape[0]), assignment].sum())
@@ -217,8 +280,11 @@ def fit_supervised(
         if diagnostics.attempts[-1].passed:
             model = ClusterModel(centroids=centroids, class_of_cluster=mapping)
             return model, diagnostics
+    tried = " ".join(f"{a.k}:{a.false_alarms}/{a.missed_mites}" for a in diagnostics.attempts)
     raise EscalationError(
-        f"no k in [{k0}, {k_max}] separated the mite pixels cleanly", diagnostics
+        f"no k in [{k0}, {k_max}] separated the mite pixels cleanly "
+        f"(k:false_alarms/missed_mites {tried or 'none tried'})",
+        diagnostics,
     )
 
 

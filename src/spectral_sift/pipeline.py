@@ -333,7 +333,8 @@ def run_band_selection(X: np.ndarray, labels: np.ndarray, wavelengths_nm: np.nda
                     break
             else:
                 raise cl.EscalationError(
-                    "no prefix of the reordered band list passes the clustering test",
+                    "no prefix of the reordered band list passes the clustering test "
+                    f"({len(bands)} tried, 1 to {len(bands)} bands)",
                     cl.ClusterDiagnostics(),
                 )
         return report, bands

@@ -58,6 +58,15 @@ def lloyd_reference(X, centroids, max_iter=300, tol=1e-6):
     return centroids, assignment, float(sq[np.arange(len(X)), assignment].sum())
 
 
+def assert_matches_reference(X, start, **kwargs):
+    got = lloyd_iterations(X, start, **kwargs)
+    want = lloyd_reference(X, start, **kwargs)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    return got
+
+
 class TestKmeansppInit:
     def test_k_equals_n_gives_permutation(self):
         rng = np.random.default_rng(0)
@@ -145,12 +154,7 @@ class TestLloyd:
         k = 3 + seed % 4
         X, _ = blobs(rng, rng.uniform(-10, 10, size=(k, d)), n_per=rng.integers(20, 60),
                      sigma=rng.uniform(0.5, 3.0))
-        start = kmeanspp_init(X, k, seed=seed)
-        got = lloyd_iterations(X, start)
-        want = lloyd_reference(X, start)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        assert got[2] == want[2]
+        assert_matches_reference(X, kmeanspp_init(X, k, seed=seed))
 
     @pytest.mark.parametrize("start", [[[0.0, 0.0], [200.0, 0.0]],
                                        [[0.0, 0.0], [300.0, 5.0], [200.0, -5.0]]])
@@ -158,16 +162,80 @@ class TestLloyd:
         # the far starting centroids capture nothing on the first pass
         rng = np.random.default_rng(47)
         X, _ = blobs(rng, [[0.0, 0.0], [1.0, 1.0], [30.0, 0.0]], n_per=15, sigma=0.4)
-        got = lloyd_iterations(X, start, max_iter=1)
-        want = lloyd_reference(X, start, max_iter=1)
         assert set(np.argmin(_squared_distances(X, np.array(start)), axis=1)) == {0}
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        got = lloyd_iterations(X, start)
-        want = lloyd_reference(X, start)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        assert got[2] == want[2]
+        assert_matches_reference(X, start, max_iter=1)
+        assert_matches_reference(X, start)
+
+
+class TestBoundedLloyd:
+    """The bound-skipping loop against the loop that recomputes every point."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 300])
+    def test_one_column_far_centroid_jump(self, max_iter):
+        # the far centroid's first move (35) drives every other point's lower
+        # bound far below zero, while 0.9 leaves cluster 0 for cluster 1
+        X = np.array([[-0.5], [0.5], [0.9], [1.05], [1.2], [60.0], [70.0]])
+        start = np.array([[0.0], [2.0], [100.0]])
+        got = assert_matches_reference(X, start, max_iter=max_iter)
+        if max_iter > 1:
+            assert got[1][2] == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_column_blobs(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        X, _ = blobs(rng, rng.uniform(-10, 10, size=(5, 1)), n_per=40, sigma=1.5)
+        assert_matches_reference(X, kmeanspp_init(X, 5, seed=seed))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 300])
+    def test_exact_bisector_ties_go_to_the_lower_index(self, max_iter):
+        # integer coordinates make both squared distances of the x = 1 points
+        # exact and equal on every pass; with them, cluster 0's mean is (-1, 0)
+        left = [(-2, 0), (-2, 0), (-2, 1), (-2, -1)]
+        bisector = [(1, 1), (1, -1)]
+        right = [(3, 0), (3, 1), (3, -1)]
+        X = np.array(left + bisector + right, dtype=float)
+        start = np.array([[-1.5, 0.0], [3.5, 0.0]])
+        centroids, assignment, _ = assert_matches_reference(X, start, max_iter=max_iter)
+        np.testing.assert_array_equal(assignment, [0] * 6 + [1] * 3)
+        np.testing.assert_array_equal(centroids, [[-1.0, 0.0], [3.0, 0.0]])
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 300])
+    def test_duplicated_rows(self, max_iter):
+        rng = np.random.default_rng(61)
+        distinct = rng.normal(size=(7, 2)) * 4
+        X = rng.permutation(np.repeat(distinct, rng.integers(1, 6, size=7), axis=0))
+        for k in (2, 4, 6):
+            assert_matches_reference(X, kmeanspp_init(X, k, seed=k), max_iter=max_iter)
+
+    @pytest.mark.parametrize("seed", [3, 21, 22, 30, 34])
+    def test_large_offset_cancels_the_expanded_formula(self, seed):
+        # spread 1e-3 around 1e4: squared distances near 1e-6 from terms near
+        # 1e8, so rounding is about 1% of a distance and, on these draws, the
+        # margin is what keeps skipped points on the full pass's argmin
+        rng = np.random.default_rng(seed)
+        d, k = 1 + seed % 2, 2 + seed % 4
+        X, _ = blobs(rng, rng.uniform(-3e-3, 3e-3, size=(k, d)), n_per=50, sigma=1e-3)
+        X = X + 1e4
+        assert_matches_reference(X, kmeanspp_init(X, k, seed=seed))
+
+    @pytest.mark.parametrize("max_iter", [2, 300])
+    def test_cluster_empties_after_the_first_update(self, max_iter):
+        # every cluster has members on the first pass; the update moves 0 to
+        # 2.4 and 2 to 12.6, which take the two members of cluster 1 (at 7.55)
+        X = np.array([[2.4], [2.4], [2.4], [3.0], [12.1], [12.6], [12.6], [12.6]])
+        start = np.array([[0.0], [5.0], [20.0]])
+        first = np.argmin(_squared_distances(X, start), axis=1)
+        assert set(first) == {0, 1, 2}
+        after_one = lloyd_iterations(X, start, max_iter=1)[0]
+        assert 1 not in np.argmin(_squared_distances(X, after_one), axis=1)
+        assert_matches_reference(X, start, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_iterations_on_blobs(self, seed, max_iter):
+        rng = np.random.default_rng(70 + seed)
+        X, _ = blobs(rng, rng.uniform(-10, 10, size=(4, 2)), n_per=30, sigma=2.0)
+        assert_matches_reference(X, kmeanspp_init(X, 4, seed=seed), max_iter=max_iter)
 
 
 class TestFitSupervised:

@@ -19,6 +19,7 @@ from spectral_sift import preprocess as pp
 from spectral_sift.kernel import KfConfig
 from spectral_sift.pipeline import (
     EXIT_OK,
+    EXIT_QUALITY,
     EXIT_USAGE,
     BandSelectionConfig,
     InputsConfig,
@@ -254,6 +255,43 @@ def test_missing_input_file_exits_1(command, fitted, tmp_path, caplog):
         code = cli.main(argv)
     assert code == EXIT_USAGE
     assert message in caplog.text
+
+
+def write_run_config(root, path, **sections):
+    inputs = {"cube_header": str(root / "cube.hdr"), "mask": str(root / "mask.hdr"),
+              "palette": str(root / "palette.json")}
+    path.write_text(json.dumps({"inputs": inputs, **sections}))
+    return str(path)
+
+
+def test_escalation_exhausted_exits_2_listing_every_attempt(fitted, tmp_path, caplog):
+    root, _, _, _, diagnostics = fitted
+    k_max = diagnostics["final_k"] - 1  # one below the k that passes
+    config = write_run_config(root, tmp_path / "run.json", cluster={"k0": 2, "k_max": k_max})
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["fit", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_QUALITY
+    assert "model quality failure" in caplog.text
+    # each k is seeded on its own, so the failed attempts are the passing fit's first ones
+    tried = " ".join(f"{a['k']}:{a['false_alarms']}/{a['missed_mites']}"
+                     for a in diagnostics["escalation"][:-1])
+    assert f"no k in [2, {k_max}] separated" in caplog.text
+    assert f"(k:false_alarms/missed_mites {tried})" in caplog.text
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_covproc_without_a_passing_prefix_exits_2(scene, tmp_path, caplog):
+    config = write_run_config(
+        scene[0], tmp_path / "run.json", cluster={"k0": 2, "k_max": 2},
+        band_selection={"method": "covproc", "n_tail": 4, "rounds": 3,
+                        "stop_by_clustering": True})
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["select-bands", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_QUALITY
+    assert "model quality failure" in caplog.text
+    assert "no prefix of the reordered band list passes the clustering test" in caplog.text
+    assert "(3 tried, 1 to 3 bands)" in caplog.text
+    assert not (tmp_path / "out" / "selection_report.json").exists()
 
 
 def test_format_1_model_rejected_by_apply(fitted, tmp_path, caplog):
