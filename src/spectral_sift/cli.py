@@ -157,7 +157,7 @@ def _cmd_inspect(args) -> int:
         kdoc = doc["kernel"]
         lines.append(
             f"kernel: {kdoc['family']} lengthscale={kdoc['lengthscale']:.6g} "
-            f"variance={kdoc['variance']:.6g} latent_variables={kdoc['latent_variables']}"
+            f"latent_variables={kdoc['latent_variables']}"
         )
         lines.append(f"  support spectra: {kdoc['support_spectra']}, classes: {kdoc['classes']}")
     if "band_selection" in doc:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .specdata import UNLABELED
+
 log = logging.getLogger(__name__)
 
 CLASS_MITE = "mite"
@@ -41,6 +43,9 @@ CLASS_OTHER = "other"
 #: updates can shift the bounds of a point that is not recomputed, over
 #: thousands of iterations.
 MARGIN = 2.0**-36
+
+#: Lloyd stops once no centroid moves by this much in an update
+TOL = 1e-6
 
 
 class EscalationError(RuntimeError):
@@ -92,7 +97,7 @@ def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def kmeanspp_init(X: np.ndarray, k: int, seed: int | np.random.Generator = 0) -> np.ndarray:
+def kmeanspp_init(X: np.ndarray, k: int, seed: int | np.random.Generator) -> np.ndarray:
     """D^2-weighted seeding: each next centroid favors far-away points.
 
     Raises ValueError when X has fewer than k distinct rows.
@@ -120,13 +125,13 @@ def lloyd_iterations(
     X: np.ndarray,
     centroids: np.ndarray,
     max_iter: int = 300,
-    tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd updates from given starting centroids, skipping settled points.
 
     Each update is a cluster's member mean, its members summed in row order.
     Empty clusters are re-seeded at the point farthest from its assigned
-    centroid. Returns (centroids, assignment, inertia).
+    centroid. The loop ends when no centroid moves by ``TOL`` or after
+    ``max_iter`` updates. Returns (centroids, assignment, inertia).
 
     Every iteration assigns each point to the argmin of its row of
     ``_squared_distances``, as a pass over all points would, but recomputes
@@ -189,7 +194,7 @@ def lloyd_iterations(
         moved = np.linalg.norm(new_centroids - centroids, axis=1)
         movement = float(np.max(moved))
         centroids = new_centroids
-        if movement < tol:
+        if movement < TOL:
             break
         upper += moved[assignment]
         # a point's other centroids moved at most the largest movement, or at
@@ -205,15 +210,11 @@ def lloyd_iterations(
 
 
 def kmeans_fit(
-    X: np.ndarray,
-    k: int,
-    seed: int | np.random.Generator = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
+    X: np.ndarray, k: int, seed: int | np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """K-means++ seeding followed by Lloyd iterations."""
     X = np.asarray(X, dtype=np.float64)
-    return lloyd_iterations(X, kmeanspp_init(X, k, seed), max_iter=max_iter, tol=tol)
+    return lloyd_iterations(X, kmeanspp_init(X, k, seed))
 
 
 def _map_clusters(
@@ -222,12 +223,11 @@ def _map_clusters(
     labels: np.ndarray,
     mite_label: int,
     bee_label: int,
-    unlabeled: int,
 ) -> dict[int, str]:
     mapping = {}
     for j in range(k):
         member_labels = labels[assignment == j]
-        member_labels = member_labels[member_labels != unlabeled]
+        member_labels = member_labels[member_labels != UNLABELED]
         if np.any(member_labels == mite_label):
             mapping[j] = CLASS_MITE
         elif np.any(member_labels == bee_label):
@@ -242,10 +242,9 @@ def fit_supervised(
     labels: np.ndarray,
     mite_label: int,
     bee_label: int,
-    k0: int = 2,
-    k_max: int = 12,
-    seed: int = 0,
-    unlabeled: int = 255,
+    k0: int,
+    k_max: int,
+    seed: int,
 ) -> tuple[ClusterModel, ClusterDiagnostics]:
     """Escalate k until no labeled pixel contradicts the mite clusters.
 
@@ -268,10 +267,10 @@ def fit_supervised(
     diagnostics = ClusterDiagnostics()
     for k in range(k0, k_max + 1):
         centroids, assignment, inertia = kmeans_fit(X, k, seed=seed + k)
-        mapping = _map_clusters(assignment, k, labels, mite_label, bee_label, unlabeled)
+        mapping = _map_clusters(assignment, k, labels, mite_label, bee_label)
         mite_clusters = {j for j, c in mapping.items() if c == CLASS_MITE}
         in_mite = np.isin(assignment, sorted(mite_clusters))
-        labeled = labels != unlabeled
+        labeled = labels != UNLABELED
         false_alarms = int(np.sum(in_mite & labeled & (labels != mite_label)))
         missed = int(np.sum(~in_mite & (labels == mite_label)))
         diagnostics.attempts.append(KAttempt(k, false_alarms, missed, inertia))

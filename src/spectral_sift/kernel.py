@@ -1,9 +1,9 @@
 """Kernel functions, kernel PLS-DA in an RKHS, and Kernel Flows tuning.
 
 The kernel PLS fit runs the SIMPLS recursion in dual form on the centered
-Gram matrix, so a linear kernel reproduces the primal SIMPLS of
-:mod:`spectral_sift.pls` exactly and prediction on new data needs only
-cross-kernels against the stored support spectra.
+Gram matrix, so prediction on new data needs only cross-kernels against the
+stored support spectra. A kernel has no variance factor: kernel PLS
+predictions do not change when the kernel is multiplied by a constant.
 
 Kernel Flows tunes the lengthscale by stochastic descent on a
 cross-validation discrepancy: models fitted on a random batch and on half of
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pls import DegenerateDataError, encode_da, decode_da
+from .pls import DegenerateDataError, decode_da, dominant_eigenvector, encode_da
 
 log = logging.getLogger(__name__)
 
@@ -32,6 +32,9 @@ KERNEL_FAMILIES = ("gaussian", "laplacian", "matern52", "cauchy")
 #: lengthscale clamp, as multiples of the median pairwise training distance
 LENGTHSCALE_BOUNDS = (1e-4, 1e4)
 
+#: tries per Kernel Flows batch at drawing one that contains every class
+BATCH_DRAWS = 200
+
 
 class KfConvergenceError(RuntimeError):
     """Kernel Flows could not produce a finite loss/update."""
@@ -39,20 +42,16 @@ class KfConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus its positive parameters."""
+    """Kernel family plus its lengthscale."""
 
     family: str
     lengthscale: float
-    variance: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.family not in KERNEL_FAMILIES and self.family != "linear":
+        if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.lengthscale <= 0 or self.variance <= 0:
-            raise ValueError("kernel parameters must be strictly positive")
-
-    def with_lengthscale(self, lengthscale: float) -> "KernelSpec":
-        return KernelSpec(self.family, lengthscale, self.variance)
+        if self.lengthscale <= 0:
+            raise ValueError("kernel lengthscale must be strictly positive")
 
 
 def cdist(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
@@ -73,9 +72,6 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"point sets differ in dimension: {A.shape[1]} vs {B.shape[1]}")
-    if spec.family == "linear":
-        # internal testing family: ties the dual fit back to primal SIMPLS
-        return spec.variance * (A @ B.T)
     return distance_kernel(spec, cdist(A, B))
 
 
@@ -83,17 +79,13 @@ def distance_kernel(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """Kernel values of a stationary family from Euclidean distances ``r``."""
     ell = spec.lengthscale
     if spec.family == "gaussian":
-        K = np.exp(-(r**2) / (2.0 * ell**2))
-    elif spec.family == "laplacian":
-        K = np.exp(-r / ell)
-    elif spec.family == "matern52":
+        return np.exp(-(r**2) / (2.0 * ell**2))
+    if spec.family == "laplacian":
+        return np.exp(-r / ell)
+    if spec.family == "matern52":
         u = np.sqrt(5.0) * r / ell
-        K = (1.0 + u + u**2 / 3.0) * np.exp(-u)
-    elif spec.family == "cauchy":
-        K = 1.0 / (1.0 + (r / ell) ** 2)
-    else:
-        raise ValueError(f"kernel family {spec.family!r} is not a function of distance")
-    return spec.variance * K
+        return (1.0 + u + u**2 / 3.0) * np.exp(-u)
+    return 1.0 / (1.0 + (r / ell) ** 2)  # cauchy
 
 
 @dataclass(frozen=True)
@@ -149,20 +141,13 @@ def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np
     n = Kc.shape[0]
     G = Yc.copy()
     A = np.empty((n, a))
-    T = np.empty((n, a))
     Q = np.empty((Yc.shape[1], a))
     C = np.zeros((n, a))  # dual representation of the orthonormal loading basis
     scale_ref = max(float(np.linalg.norm(Kc)), 1e-300)
 
     for i in range(a):
         KG = Kc @ G
-        M = G.T @ KG  # = S'S in feature space
-        _, vecs = np.linalg.eigh(M)
-        q_dom = vecs[:, -1]
-        pivot = np.argmax(np.abs(q_dom))
-        if q_dom[pivot] < 0:
-            q_dom = -q_dom
-        alpha = G @ q_dom
+        alpha = G @ dominant_eigenvector(G.T @ KG)  # G'KG = S'S in feature space
         t = Kc @ alpha
         normt = float(np.linalg.norm(t))
         if normt <= 1e-10 * scale_ref:
@@ -172,7 +157,6 @@ def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np
         t /= normt
         alpha /= normt
         A[:, i] = alpha
-        T[:, i] = t
         Q[:, i] = Yc.T @ t
         c = t.copy()
         if i > 0:
@@ -245,7 +229,6 @@ def classify(model: KernelPlsModel, X_new: np.ndarray) -> tuple[np.ndarray, np.n
 class KernelConfig:
     family: str = "matern52"
     lengthscale: float | None = None  # None: median non-zero distance between the training rows
-    variance: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -294,7 +277,6 @@ def draw_kf_batches(
     labels: np.ndarray,
     count: int,
     batch_ratio: float,
-    max_retries: int = 200,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Random (batch, half-batch) index pairs, each containing every class."""
     labels = np.asarray(labels)
@@ -308,7 +290,7 @@ def draw_kf_batches(
         )
     batches = []
     for _ in range(count):
-        for attempt in range(max_retries):
+        for _ in range(BATCH_DRAWS):
             perm = rng.permutation(n)
             full = perm[:n_batch]
             half = full[:n_half]
@@ -318,7 +300,7 @@ def draw_kf_batches(
                 break
         else:
             raise KfConvergenceError(
-                f"could not draw a batch containing all classes in {max_retries} tries"
+                f"could not draw a batch containing all classes in {BATCH_DRAWS} tries"
             )
     return batches
 
@@ -384,12 +366,12 @@ def kf_gradient(
     spec: KernelSpec,
     a: int,
     batches: list[tuple[np.ndarray, np.ndarray]],
-    step: float = 1e-4,
+    step: float,
 ) -> float:
     """d(loss)/d(log lengthscale) by central finite differences on fixed batches."""
     log_ell = np.log(spec.lengthscale)
-    up = kf_loss(D, labels, spec.with_lengthscale(np.exp(log_ell + step)), a, batches)
-    down = kf_loss(D, labels, spec.with_lengthscale(np.exp(log_ell - step)), a, batches)
+    up = kf_loss(D, labels, KernelSpec(spec.family, np.exp(log_ell + step)), a, batches)
+    down = kf_loss(D, labels, KernelSpec(spec.family, np.exp(log_ell - step)), a, batches)
     return (up - down) / (2.0 * step)
 
 
@@ -397,8 +379,8 @@ def kf_optimize(
     X: np.ndarray,
     labels: np.ndarray,
     kernel: KernelConfig,
-    cfg: KfConfig = KfConfig(),
-    seed: int = 0,
+    cfg: KfConfig,
+    seed: int,
 ) -> KfResult:
     """Learn the kernel lengthscale by stochastic Kernel Flows descent.
 
@@ -416,11 +398,6 @@ def kf_optimize(
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
-    if kernel.family not in KERNEL_FAMILIES:
-        raise ValueError(
-            f"Kernel Flows cannot tune the {kernel.family!r} kernel: it has no lengthscale "
-            "and is not a function of distance"
-        )
     rng = np.random.default_rng(seed)
 
     D = cdist(X, X)
@@ -431,7 +408,7 @@ def kf_optimize(
         if nonzero.size == 0:
             raise ValueError("cannot derive a lengthscale: sampled spectra are identical")
         ell0 = float(np.median(nonzero))
-    spec0 = KernelSpec(kernel.family, ell0, kernel.variance)
+    spec0 = KernelSpec(kernel.family, ell0)
     med = float(np.median(upper))
     if med <= 0:
         raise ValueError("degenerate training set: median pairwise distance is zero")
@@ -447,7 +424,7 @@ def kf_optimize(
     trace = np.empty((cfg.iterations, 3))
     for it in range(cfg.iterations):
         batches = draw_kf_batches(rng, labels, cfg.subsamplings_per_iter, cfg.batch_ratio)
-        spec_it = spec0.with_lengthscale(float(np.exp(log_ell)))
+        spec_it = KernelSpec(kernel.family, float(np.exp(log_ell)))
         loss = kf_loss(D, labels, spec_it, a_inner, batches)
         grad = kf_gradient(D, labels, spec_it, a_inner, batches, cfg.fd_step)
         if not (np.isfinite(loss) and np.isfinite(grad)):
@@ -462,7 +439,7 @@ def kf_optimize(
         velocity = cfg.momentum * velocity - cfg.learning_rate * grad
         log_ell = float(np.clip(log_ell + velocity, lo, hi))
 
-    spec_opt = spec0.with_lengthscale(float(np.exp(log_ell)))
+    spec_opt = KernelSpec(kernel.family, float(np.exp(log_ell)))
 
     # external loop: confirm the latent count on the full data
     encoding = encode_da(labels)

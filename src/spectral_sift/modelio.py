@@ -4,7 +4,7 @@ Run configs, scene files and model files are dataclasses laid out field by
 field: :func:`encode` writes each field under its name, :func:`decode`
 rebuilds the dataclass from its annotations (so field defaults are the only
 defaults) and rejects an unknown, missing or mistyped key with a
-:class:`ConfigError` naming its dotted path. A model file (format 3) is the
+:class:`ConfigError` naming its dotted path. A model file (format 4) is the
 encoded ``PipelineModel`` plus ``format_version``. Float arrays travel as
 base64 little-endian float64 with an explicit shape, byte-for-byte
 reproducible; integer and boolean arrays stay plain JSON lists, and a plain
@@ -22,9 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-#: 3: every model dataclass is written field by field by :func:`encode`
-#: (2 kept per-class layouts; 1 stored kmeans centroids in spectrum space)
-FORMAT_VERSION = 3
+#: 4: no kernel variance, scaling epsilon or component-selection rule is stored
+#: (3 wrote every model dataclass field by field by :func:`encode`; 2 kept
+#: per-class layouts; 1 stored kmeans centroids in spectrum space)
+FORMAT_VERSION = 4
 
 
 class ConfigError(ValueError):

@@ -35,7 +35,6 @@ class PcaModel:
 class ComponentSelection:
     selected: np.ndarray  # 0-based component indices, strongest correlation first
     correlations: np.ndarray  # |rho| per component of the model
-    rule: str
 
     def __post_init__(self) -> None:
         if self.selected.size == 0:
@@ -126,15 +125,13 @@ def select_components(
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
         picked = order[: min(top_n, correlations.size)]
-        rule = f"top_n={top_n}"
     else:
         if not 0.0 < threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
         picked = order[correlations[order] >= threshold]
         if picked.size == 0:
             raise ValueError(f"no component reaches |rho| >= {threshold}")
-        rule = f"threshold={threshold}"
-    return ComponentSelection(selected=picked.astype(int), correlations=correlations, rule=rule)
+    return ComponentSelection(selected=picked.astype(int), correlations=correlations)
 
 
 def reconstruct(model: PcaModel, T: np.ndarray, selection: ComponentSelection) -> np.ndarray:

@@ -19,7 +19,7 @@ each converted to a row-major float64 matrix of the model's columns only.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,6 +88,10 @@ class ClusterConfig:
     k0: int = 2
     k_max: int = 12
 
+    def __post_init__(self) -> None:
+        if not 2 <= self.k0 <= self.k_max:
+            raise ConfigError(f"need 2 <= k0 <= k_max, got k0={self.k0} and k_max={self.k_max}")
+
 
 @dataclass
 class BandSelectionConfig:
@@ -107,11 +111,13 @@ class RunConfig:
 
     Sections: ``inputs`` (cube, mask and palette files), ``labels`` (mite
     and bee mask ids), ``pca`` (components kept, then top_n or threshold
-    gating), ``cluster`` (escalation k0..k_max), ``kernel`` (family,
-    lengthscale, variance), ``kf`` (:class:`kernel.KfConfig`: Kernel Flows
+    gating), ``cluster`` (escalation k0..k_max), ``kernel`` (family and
+    starting lengthscale), ``kf`` (:class:`kernel.KfConfig`: Kernel Flows
     descent and the latent-count grid ``a_grid``) and ``band_selection``;
     top-level keys are ``workflow``, ``samples_per_class``, ``seed`` and
-    ``out_dir``. Field defaults are the defaults of omitted keys.
+    ``out_dir``. Field defaults are the defaults of omitted keys, and the
+    only place a default of these settings is written: the functions they
+    feed take them as required arguments.
     """
 
     workflow: str = "kmeans"
@@ -238,7 +244,6 @@ def _fit_kmeans_path(X: np.ndarray, labels: np.ndarray, config: RunConfig):
     cluster_model, diag = cl.fit_supervised(
         scores[:, selection.selected], labels, config.labels.mite, config.labels.bee,
         k0=config.cluster.k0, k_max=config.cluster.k_max, seed=config.seed,
-        unlabeled=UNLABELED,
     )
     diagnostics = {
         "selected_components": [int(i) for i in selection.selected],
@@ -318,11 +323,8 @@ def run_band_selection(X: np.ndarray, labels: np.ndarray, wavelengths_nm: np.nda
         return report, list(report.selected)
 
     if bands_cfg.method == "covproc":
-        scale = pp.fit_scale(Xbm)
-        Xs = pp.apply_scale(scale, Xbm)
-        yc = y - y.mean()
         report = ws.covproc_select(
-            Xs, yc, rounds=bands_cfg.rounds, exclude=excluded, wavelengths_nm=wavelengths_nm,
+            Xbm, y, rounds=bands_cfg.rounds, exclude=excluded, wavelengths_nm=wavelengths_nm,
         )
         order = bands_cfg.round_order or tuple(r.index for r in report.rounds)
         bands = ws.reorder_rounds(report, order)
@@ -475,7 +477,6 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | MappedCube) -> ApplyR
     rows, cols = cube.rows, cube.cols
     cpus = len(os.sched_getaffinity(0))
     step = max(1, TILE_CELLS // (cpus * cols * width))
-    tiles = iter(range(0, rows, step))  # shared by the workers; a range iterator is thread-safe
     class_labels = np.empty((rows, cols), dtype=np.uint8)
     cluster_ids = np.empty((rows, cols), dtype=np.uint8) if model.workflow == "kmeans" else None
     source = f"payload of {cube.path}" if isinstance(cube, MappedCube) else "cube data"
@@ -487,25 +488,20 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | MappedCube) -> ApplyR
         X = np.ascontiguousarray(tile, dtype=np.float64).reshape(-1, tile.shape[2])
         if not np.all(np.isfinite(X)):
             raise EnviFormatError(f"{source} contains NaN/Inf in rows {r0}-{r0 + len(tile) - 1}")
-        ids, clusters = classify(X)
-        class_labels[r0:r0 + step] = ids.reshape(-1, cols)
+        n = X.shape[0]
+        # numpy computes a one-row product as a matrix-vector product, whose last
+        # bits can differ from the matrix product's: classify a lone pixel twice
+        ids, clusters = classify(np.repeat(X, 2, axis=0) if n == 1 else X)
+        class_labels[r0:r0 + step] = ids[:n].reshape(-1, cols)
         if cluster_ids is not None:
-            cluster_ids[r0:r0 + step] = clusters.reshape(-1, cols)
+            cluster_ids[r0:r0 + step] = clusters[:n].reshape(-1, cols)
 
-    def worker() -> None:
-        for r0 in tiles:
-            classify_tile(r0)
-
-    n_workers = min(cpus, -(-rows // step))
-    with ThreadPoolExecutor(n_workers) as pool:
-        futures = [pool.submit(worker) for _ in range(n_workers)]
-        try:
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:  # on a failure or an interrupt the workers stop after their current tile
-            for _ in tiles:
-                pass
-        for future in futures:
-            future.result()
+    pool = ThreadPoolExecutor(min(cpus, -(-rows // step)))
+    try:
+        for _ in pool.map(classify_tile, range(0, rows, step)):
+            pass
+    finally:  # on a failure or an interrupt, tiles not yet started are dropped
+        pool.shutdown(cancel_futures=True)
 
     counts = {name: int(np.count_nonzero(class_labels == label))
               for label, name in sorted(palette.items())}

@@ -69,9 +69,9 @@ def decode_da(classes: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     return classes[np.argmax(y_hat, axis=1)]
 
 
-def _dominant_right_vector(S: np.ndarray) -> np.ndarray:
-    """Dominant eigenvector of S'S with a deterministic sign."""
-    M = S.T @ S
+def dominant_eigenvector(M: np.ndarray) -> np.ndarray:
+    """Dominant eigenvector of the symmetric matrix M, its largest-magnitude
+    entry made positive."""
     _, vecs = np.linalg.eigh(M)
     q = vecs[:, -1]
     pivot = np.argmax(np.abs(q))
@@ -121,7 +121,7 @@ def fit_simpls(X: np.ndarray, Y: np.ndarray, a: int, scale: bool = True) -> PlsM
     scale_ref = float(np.linalg.norm(Xw)) * max(1.0, float(np.linalg.norm(Yw)))
 
     for i in range(a):
-        r = S @ _dominant_right_vector(S)
+        r = S @ dominant_eigenvector(S.T @ S)
         t = Xw @ r
         normt = float(np.linalg.norm(t))
         if normt <= 1e-12 * max(scale_ref, 1.0):

@@ -1,7 +1,7 @@
 """Column-wise autoscaling: center by band mean, divide by band std.
 
 Standard deviations use the n-1 (sample) denominator. Bands whose std falls
-below ``epsilon`` are flagged and pass through centered but unscaled, so a
+below ``EPSILON`` are flagged and pass through centered but unscaled, so a
 constant band cannot blow up the transform.
 """
 
@@ -11,15 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_EPSILON = 1e-12
+#: standard deviation below which a band counts as constant
+EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
 class ScaleModel:
     means: np.ndarray
     stds: np.ndarray
-    flagged: np.ndarray  # bands whose raw std was < epsilon (std replaced by 1)
-    epsilon: float = DEFAULT_EPSILON
+    flagged: np.ndarray  # bands whose raw std was < EPSILON (std replaced by 1)
 
     @property
     def n_bands(self) -> int:
@@ -32,7 +32,7 @@ class ScaleModel:
         return X
 
 
-def fit_scale(X: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> ScaleModel:
+def fit_scale(X: np.ndarray) -> ScaleModel:
     """Fit per-column mean/std statistics on a calibration matrix."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -41,9 +41,9 @@ def fit_scale(X: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> ScaleModel:
         raise ValueError("autoscaling needs at least 2 rows")
     means = X.mean(axis=0)
     stds = X.std(axis=0, ddof=1)
-    flagged = stds < epsilon
+    flagged = stds < EPSILON
     stds = np.where(flagged, 1.0, stds)
-    return ScaleModel(means=means, stds=stds, flagged=flagged, epsilon=epsilon)
+    return ScaleModel(means=means, stds=stds, flagged=flagged)
 
 
 def apply_scale(model: ScaleModel, X: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .pca import correlate_scores
 from .pls import DegenerateDataError, fit_simpls
 from .preprocess import apply_scale, fit_scale
 
@@ -116,21 +117,15 @@ def _first_near_max(values: np.ndarray) -> int:
 def init_by_correlation(
     X: np.ndarray, y: np.ndarray, m: int, exclude: Iterable[int] = ()
 ) -> list[int]:
-    """Top-m usable bands by |Pearson correlation| with the response."""
+    """Top-m usable bands by |Pearson correlation| with the response
+    (:func:`pca.correlate_scores` on the band columns), ties toward the
+    lower band."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
     usable = _usable(X.shape[1], exclude)
     if m >= len(usable):
         raise ValueError(f"m={m} must be below the {len(usable)} usable bands")
-    yc = y - y.mean()
-    sy = np.sqrt(yc @ yc)
-    if sy == 0:
-        raise ValueError("response has zero variance")
-    Xc = X[:, usable] - X[:, usable].mean(axis=0)
-    sx = np.sqrt(np.sum(Xc**2, axis=0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where(sx > 0, (Xc.T @ yc) / (sx * sy), 0.0)
-    order = np.argsort(-np.abs(rho), kind="stable")
+    rho = correlate_scores(X[:, usable], y)
+    order = np.argsort(-rho, kind="stable")
     return [usable[i] for i in order[:m]]
 
 
@@ -235,24 +230,21 @@ def covproc_select(
 ) -> SelectionReport:
     """Covariance-procedure selection in rounds, deflating X between rounds.
 
-    Expects X autoscaled and y centered (the caller preprocesses once; the
-    deflation must not be rescaled). Each round sorts bands by one-factor
+    X is autoscaled and y centered once, here, as :func:`r2_forward_select`
+    does; the deflated X is not rescaled. Each round sorts bands by one-factor
     PLS weight magnitude, grows a sparse weight vector whose entries are the
     band/response covariances y'x, and keeps the shortest prefix whose
     alpha = |y't| / (t't), with t = X w, is within ``TIE_RTOL`` of the
     round's largest alpha.
     """
-    X = np.array(X, dtype=np.float64)  # deflated in place, so copy
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] != y.size:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} entries")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if abs(float(y.mean())) > 1e-8 * max(1.0, float(np.abs(y).max())):
-        raise ValueError("y must be centered before covariance-procedure selection")
-    col_means = np.abs(X.mean(axis=0))
-    if float(col_means.max()) > 1e-6 * max(1.0, float(np.abs(X).max())):
-        raise ValueError("X must be autoscaled before covariance-procedure selection")
+    X = apply_scale(fit_scale(X), X)  # a new array, deflated in place below
+    y = y - y.mean()
 
     excluded = sorted(set(exclude))
     usable = _usable(X.shape[1], excluded)

@@ -243,7 +243,7 @@ class TestFitSupervised:
         rng = np.random.default_rng(6)
         X, group = blobs(rng, [[0, 0], [8, 8]], n_per=30, sigma=0.4)
         labels = np.where(group == 0, 1, 3)  # bee=1, mite=3
-        model, diag = fit_supervised(X, labels, mite_label=3, bee_label=1, seed=0)
+        model, diag = fit_supervised(X, labels, mite_label=3, bee_label=1, k0=2, k_max=12, seed=0)
         assert model.k == 2
         assert diag.final.k == 2
         assert diag.final.false_alarms == 0 and diag.final.missed_mites == 0
@@ -259,7 +259,7 @@ class TestFitSupervised:
         labels = np.select(
             [group == 0, group == 1, group == 2, group == 3], [0, 2, 1, 3]
         )  # backgrounds 0 and 2, bee 1, mite 3
-        model, diag = fit_supervised(X, labels, mite_label=3, bee_label=1, k0=2, seed=0)
+        model, diag = fit_supervised(X, labels, mite_label=3, bee_label=1, k0=2, k_max=12, seed=0)
         ks = [a.k for a in diag.attempts]
         assert ks == [2, 3, 4]
         assert diag.attempts[-2].false_alarms > 0  # k=3 merged bee into the mite cluster
@@ -273,7 +273,7 @@ class TestFitSupervised:
         )
         labels = np.select([group == 0, group == 1, group == 2, group == 3], [0, 2, 1, 3])
         with caplog.at_level(logging.DEBUG, logger="spectral_sift.cluster"):
-            _, diag = fit_supervised(X, labels, mite_label=3, bee_label=1, k0=2, seed=0)
+            _, diag = fit_supervised(X, labels, mite_label=3, bee_label=1, k0=2, k_max=12, seed=0)
         records = [r for r in caplog.records if r.name == "spectral_sift.cluster"]
         assert len(records) == len(diag.attempts) == 3
         for record, attempt in zip(records, diag.attempts):
@@ -286,7 +286,7 @@ class TestFitSupervised:
     def test_single_class_labels_rejected(self):
         X = np.random.default_rng(8).normal(size=(20, 2))
         with pytest.raises(ValueError, match="both mite and bee"):
-            fit_supervised(X, np.full(20, 3), mite_label=3, bee_label=1)
+            fit_supervised(X, np.full(20, 3), mite_label=3, bee_label=1, k0=2, k_max=12, seed=0)
 
     def test_escalation_exhaustion_raises_with_diagnostics(self):
         # interleaved classes cannot be separated by few centroids
@@ -301,7 +301,7 @@ class TestFitSupervised:
         rng = np.random.default_rng(10)
         X, group = blobs(rng, [[0, 0], [9, 0], [0, 9]], n_per=25, sigma=0.3)
         labels = np.select([group == 0, group == 1, group == 2], [0, 1, 3])
-        model, _ = fit_supervised(X, labels, mite_label=3, bee_label=1, seed=1)
+        model, _ = fit_supervised(X, labels, mite_label=3, bee_label=1, k0=2, k_max=12, seed=1)
         clusters, classes = assign(model, X)
         # post-hoc confusion check: the mite row and mite column are clean
         predicted_mite = classes == CLASS_MITE
@@ -312,7 +312,7 @@ class TestFitSupervised:
         rng = np.random.default_rng(11)
         X, group = blobs(rng, [[0, 0], [9, 0], [5, 40]], n_per=20, sigma=0.3)
         labels = np.select([group == 0, group == 1, group == 2], [1, 3, 255])
-        model, diag = fit_supervised(X, labels, mite_label=3, bee_label=1, seed=0)
+        model, diag = fit_supervised(X, labels, mite_label=3, bee_label=1, k0=2, k_max=12, seed=0)
         assert diag.final.false_alarms == 0
 
 

@@ -119,12 +119,12 @@ def reference_dual_simpls(Kc, Yc, a):
 
 class TestKernelMatrix:
     def test_self_similarity_is_variance(self):
+        # every family has unit variance: kernel PLS ignores a constant factor
         rng = np.random.default_rng(0)
         X = rng.normal(size=(10, 4))
         for family in KERNEL_FAMILIES:
-            for variance in (1.0, 2.5):
-                K = kernel_matrix(KernelSpec(family, 0.7, variance), X, X)
-                np.testing.assert_array_equal(np.diag(K), np.full(10, variance))
+            K = kernel_matrix(KernelSpec(family, 0.7), X, X)
+            np.testing.assert_array_equal(np.diag(K), np.ones(10))
 
     def test_known_values(self):
         a = np.array([[0.0]])
@@ -156,17 +156,15 @@ class TestKernelMatrix:
         with pytest.raises(ValueError, match="strictly positive"):
             KernelSpec("gaussian", 0.0)
         with pytest.raises(ValueError, match="strictly positive"):
-            KernelSpec("gaussian", 1.0, -1.0)
+            KernelSpec("gaussian", -1.0)
         with pytest.raises(ValueError, match="unknown kernel family"):
             KernelSpec("sigmoid", 1.0)
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            KernelSpec("linear", 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             kernel_matrix(KernelSpec("gaussian", 1.0), np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_linear_is_not_a_distance_kernel(self):
-        with pytest.raises(ValueError, match="not a function of distance"):
-            kernel.distance_kernel(KernelSpec("linear", 1.0), np.zeros((2, 2)))
 
 
 class TestCenterKernel:
@@ -225,19 +223,32 @@ class TestKernelPls:
         assert np.mean(predicted == labels) == 1.0
 
     def test_linear_kernel_reproduces_primal_simpls(self):
+        # the dual fit on the linear Gram matrix Xc Xc' is primal SIMPLS on Xc
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 6))
         labels = rng.integers(0, 3, size=30)
         enc = pls.encode_da(labels)
         Xc = X - X.mean(axis=0)
         Yc = enc.indicators - enc.indicators.mean(axis=0)
+        K = Xc @ Xc.T
         for a in (1, 2, 4):
             primal = pls.fit_simpls(Xc, Yc, a=a, scale=False)
             yhat_primal = pls.predict(primal, Xc) + enc.indicators.mean(axis=0)
-            dual = fit_kernel_pls(X, labels, KernelSpec("linear", 1.0), a=a)
-            np.testing.assert_allclose(
-                predict_indicators(dual, X), yhat_primal, atol=1e-6
-            )
+            dual = kernel._fit_gram(K, labels, a)
+            np.testing.assert_allclose(kernel._predict_gram(K, dual), yhat_primal, atol=1e-6)
+
+    @pytest.mark.parametrize("factor", [0.02, 3.7])
+    def test_scaled_kernel_predicts_the_same(self, factor):
+        # why a kernel needs no variance: a constant factor cancels in the fit
+        rng = np.random.default_rng(23)
+        X, labels = three_blobs(rng)
+        X_new = rng.normal(scale=3.0, size=(50, 4))
+        K = kernel_matrix(KernelSpec("matern52", 2.0), X, X)
+        K_new = kernel_matrix(KernelSpec("matern52", 2.0), X_new, X)
+        for a in (1, 3, 6):
+            plain = kernel._predict_gram(K_new, kernel._fit_gram(K, labels, a))
+            scaled = kernel._predict_gram(factor * K_new, kernel._fit_gram(factor * K, labels, a))
+            np.testing.assert_allclose(scaled, plain, rtol=1e-9, atol=1e-12)
 
     def test_one_support_point_per_class(self):
         X = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -359,7 +370,7 @@ class TestKfLossOnDistances:
         D = cdist(X, X)
         events = set()
         for scale in (LENGTHSCALE_BOUNDS[0], 1.0, LENGTHSCALE_BOUNDS[1]):
-            spec = KernelSpec(family, scale * med, 1.7)
+            spec = KernelSpec(family, scale * med)
             assert kf_loss(D, labels, spec, 5, batches) == reference_kf_loss(
                 X, labels, spec, 5, batches, events)
         assert "step-down" in events  # the factor step-down ran at a bound
@@ -515,12 +526,7 @@ class TestKfOptimize:
     def test_null_lengthscale_on_identical_spectra_rejected(self):
         X, labels = np.ones((8, 3)), np.repeat([0, 1], 4)
         with pytest.raises(ValueError, match="sampled spectra are identical"):
-            kf_optimize(X, labels, KernelConfig("gaussian"), KfConfig(iterations=1))
-
-    def test_linear_kernel_rejected(self):
-        X, labels = three_blobs(np.random.default_rng(17))
-        with pytest.raises(ValueError, match="'linear'.*not a function of distance"):
-            kf_optimize(X, labels, KernelConfig("linear", 1.0), KfConfig(iterations=1))
+            kf_optimize(X, labels, KernelConfig("gaussian"), KfConfig(iterations=1), seed=0)
 
     def test_non_finite_loss_raises_at_once(self, monkeypatch):
         # the lengthscale is always in range, so nothing is retried: one loss
@@ -536,7 +542,8 @@ class TestKfOptimize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(KfConvergenceError, match="non-finite"):
-                kf_optimize(X, labels, KernelConfig("gaussian", 2.0), KfConfig(iterations=3))
+                kf_optimize(X, labels, KernelConfig("gaussian", 2.0), KfConfig(iterations=3),
+                            seed=0)
         assert len(calls) == 3
 
     def test_each_iteration_logged_at_debug(self, caplog):

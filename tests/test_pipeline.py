@@ -29,7 +29,6 @@ from spectral_sift.pipeline import (
     fit_pipeline,
 )
 from spectral_sift.specdata import (
-    UNLABELED,
     BlobSpec,
     ClassSpec,
     SceneSpec,
@@ -127,7 +126,6 @@ def test_escalation_matches_clustering_reconstructed_spectra(fitted):
     _, oracle = cl.fit_supervised(
         X_recon, mask.labels.ravel(), config.labels.mite, config.labels.bee,
         k0=config.cluster.k0, k_max=config.cluster.k_max, seed=config.seed,
-        unlabeled=UNLABELED,
     )
     got = diagnostics["escalation"]
     assert [(a["k"], a["false_alarms"], a["missed_mites"]) for a in got] == [
@@ -324,16 +322,17 @@ def test_model_file_resaves_byte_identically(fixture, request, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-def test_format_2_model_rejected_by_apply(fitted, tmp_path, caplog):
+@pytest.mark.parametrize("version", [2, 3])
+def test_old_format_model_rejected_by_apply(version, fitted, tmp_path, caplog):
     root = fitted[0]
     doc = json.loads((root / "model.json").read_text())
-    doc["format_version"] = 2
+    doc["format_version"] = version
     (tmp_path / "model.json").write_text(json.dumps(doc))
     with caplog.at_level(logging.ERROR, logger="spectral_sift"):
         code = cli.main(["apply", "--model", str(tmp_path / "model.json"),
                          "--cube", str(root / "cube.hdr"), "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
-    assert "model format 2" in caplog.text and "refit the model" in caplog.text
+    assert f"model format {version}" in caplog.text and "refit the model" in caplog.text
     assert not (tmp_path / "out").exists()
 
 
@@ -343,6 +342,8 @@ def test_format_2_model_rejected_by_apply(fitted, tmp_path, caplog):
     ({"pca": {"top_n": 3, "threshold": 0.5}}, "top_n"),
     ({"inputs": []}, "inputs"),
     ({"labels": {"mite": None}}, "labels.mite"),
+    ({"cluster": {"k0": 5, "k_max": 3}}, "cluster: need 2 <= k0 <= k_max, got k0=5 and k_max=3"),
+    ({"kernel": {"variance": 2.0}}, "unknown key kernel.variance"),
 ])
 def test_malformed_config_exits_1_naming_the_key(doc, key, tmp_path, caplog):
     (tmp_path / "run.json").write_text(json.dumps(doc))
@@ -465,6 +466,24 @@ def test_row_tiles_give_identical_masks(fixture, workers, request, bil_copy, mon
 @pytest.mark.parametrize("workers", [1, 2])
 def test_band_subset_row_tiles_give_identical_masks(fitted_bands, workers, bil_copy, monkeypatch):
     assert_tiles_match_whole_cube(monkeypatch, fitted_bands[1], bil_copy, workers)
+
+
+@pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
+def test_one_pixel_tile_is_classified_among_two(fixture, request, scene, monkeypatch):
+    # one column and an odd row count: 2-row tiles leave a last tile of one pixel
+    value = request.getfixturevalue(fixture)
+    model = value[3] if fixture == "fitted" else value[1]
+    full = read_envi(scene[0] / "cube.hdr")
+    cube = HyperCube(data=full.data[:39, 7:8], wavelengths_nm=full.wavelengths_nm)
+    tile_settings(monkeypatch, model, cube, cube.rows, 1)
+    whole = apply_pipeline(model, cube)
+    seen = spy_tile_pixels(monkeypatch, model)
+    tile_settings(monkeypatch, model, cube, 2, 2)
+    result = apply_pipeline(model, cube)
+    assert len(seen) == 20 and 1 not in seen
+    assert result.class_labels.tobytes() == whole.class_labels.tobytes()
+    if whole.cluster_ids is not None:
+        assert result.cluster_ids.tobytes() == whole.cluster_ids.tobytes()
 
 
 @pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
