@@ -41,7 +41,9 @@ CLASS_OTHER = "other"
 #: additions by ε each). 2⁻³⁶ = 2¹⁷·ε covers d + 2 up to 2¹⁶ and leaves as much
 #: again for the few ε per iteration by which the square roots and the bound
 #: updates can shift the bounds of a point that is not recomputed, over
-#: thousands of iterations.
+#: thousands of iterations. ``kernel.cdist`` is the second caller: it takes the
+#: square root of ``_squared_distances`` and sets entries within this margin of
+#: zero to exactly 0, so that equal rows are at distance 0.
 MARGIN = 2.0**-36
 
 #: Lloyd stops once no centroid moves by this much in an update

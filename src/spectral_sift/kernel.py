@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cluster import MARGIN, _squared_distances
 from .pls import DegenerateDataError, decode_da, dominant_eigenvector, encode_da
 
 log = logging.getLogger(__name__)
@@ -55,15 +56,21 @@ class KernelSpec:
 
 
 def cdist(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``XA`` and ``XB``, by scipy.
+    """Euclidean distances between the rows of ``XA`` and ``XB``.
 
-    scipy is imported on the first call, so commands that never compute a
-    kernel do not load it. The kernel code calls this through the module
-    global ``cdist``, which tracing can replace.
+    The square root of ``cluster._squared_distances``: ‖a‖² − 2a·b + ‖b‖², one
+    matrix product. A squared entry at or below ``cluster.MARGIN``·reach²,
+    with reach the largest row norm of ``XA`` plus the largest of ``XB``, is
+    within rounding of zero and set to exactly 0. Equal rows are then at
+    distance 0 whichever arrays hold them, so every kernel is exactly 1 there.
+    The kernel code calls this through the module global ``cdist``, which
+    tracing can replace.
     """
-    from scipy.spatial.distance import cdist as scipy_cdist
-
-    return scipy_cdist(XA, XB)
+    sq = _squared_distances(XA, XB)
+    reach = (np.linalg.norm(XA, axis=1).max(initial=0.0)
+             + np.linalg.norm(XB, axis=1).max(initial=0.0))
+    sq[sq <= MARGIN * reach**2] = 0.0
+    return np.sqrt(sq, out=sq)
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

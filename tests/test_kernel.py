@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
-from spectral_sift import kernel, pls
+from spectral_sift import cluster, kernel, pls
 from spectral_sift.kernel import (
     KERNEL_FAMILIES,
     LENGTHSCALE_BOUNDS,
@@ -115,6 +115,62 @@ def reference_dual_simpls(Kc, Yc, a):
         C[:, i] = c
         G = G - c[:, None] @ (c[None, :] @ (Kc @ G))
     return A, Q
+
+
+class TestCdist:
+    """kernel.cdist against scipy's cdist, which sums squared differences.
+
+    Tolerance: a squared distance of the expanded formula is within
+    cluster.MARGIN·reach² of the exact one, reach being the largest row norm
+    of A plus that of B (the bound MARGIN's comment derives), so the squared
+    distances of the two may differ by that much and no more.
+    """
+
+    @staticmethod
+    def assert_matches_scipy(A, B):
+        got = kernel.cdist(A, B)
+        want = cdist(A, B)
+        assert got.shape == want.shape
+        reach = np.linalg.norm(A, axis=1).max() + np.linalg.norm(B, axis=1).max()
+        assert np.all(np.abs(got**2 - want**2) <= cluster.MARGIN * reach**2)
+        return got, want
+
+    def test_random_data(self):
+        rng = np.random.default_rng(30)
+        got, want = self.assert_matches_scipy(rng.normal(size=(40, 9)), rng.normal(size=(25, 9)))
+        # well-separated rows keep nearly every bit of their distance
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_large_common_offset(self):
+        # ‖a‖² and ‖b‖² dwarf the distance: the expanded formula cancels
+        rng = np.random.default_rng(31)
+        offset = 1e3 * rng.uniform(size=8)
+        A, B = offset + rng.normal(size=(30, 8)), offset + rng.normal(size=(20, 8))
+        got, _ = self.assert_matches_scipy(A, B)
+        assert np.all(got > 0)
+
+    def test_copy_sits_at_exact_zero(self):
+        rng = np.random.default_rng(32)
+        A = 50.0 + rng.normal(size=(12, 6))
+        np.testing.assert_array_equal(np.diag(kernel.cdist(A, A.copy())), np.zeros(12))
+        np.testing.assert_array_equal(np.diag(kernel.cdist(A, A)), np.zeros(12))
+        for family in KERNEL_FAMILIES:
+            K = kernel_matrix(KernelSpec(family, 0.7), A, A.copy())
+            np.testing.assert_array_equal(np.diag(K), np.ones(12))
+
+    def test_duplicate_rows_give_exact_zeros(self):
+        rng = np.random.default_rng(35)
+        rows = 3.0 + rng.normal(size=(8, 24))
+        ia, ib = rng.integers(0, 8, size=16), rng.integers(0, 8, size=12)
+        got, want = self.assert_matches_scipy(rows[ia], rows[ib])
+        np.testing.assert_array_equal(got == 0, ia[:, None] == ib[None, :])
+        np.testing.assert_array_equal(got == 0, want == 0)
+
+    @pytest.mark.parametrize("shapes", [((1, 6), (9, 6)), ((9, 6), (1, 6)),
+                                        ((1, 6), (1, 6)), ((9, 1), (4, 1))])
+    def test_single_row_and_single_column_shapes(self, shapes):
+        rng = np.random.default_rng(34)
+        self.assert_matches_scipy(rng.normal(size=shapes[0]), rng.normal(size=shapes[1]))
 
 
 class TestKernelMatrix:
@@ -367,7 +423,7 @@ class TestKfLossOnDistances:
         X, labels = three_blobs(rng)
         batches = draw_kf_batches(rng, labels, 6, 0.5)
         med = float(np.median(pdist(X)))
-        D = cdist(X, X)
+        D = kernel.cdist(X, X)  # the fits from spectra take their distances from it too
         events = set()
         for scale in (LENGTHSCALE_BOUNDS[0], 1.0, LENGTHSCALE_BOUNDS[1]):
             spec = KernelSpec(family, scale * med)
@@ -520,7 +576,7 @@ class TestKfOptimize:
         cfg = KfConfig(iterations=1, subsamplings_per_iter=2, a_grid=(1, 2))
         result = kf_optimize(X, labels, KernelConfig("gaussian"), cfg, seed=0)
         d = pdist(X)
-        assert result.initial_lengthscale == float(np.median(d[d > 0]))
+        assert result.initial_lengthscale == pytest.approx(float(np.median(d[d > 0])), rel=1e-12)
         assert result.trace[0, 2] == pytest.approx(result.initial_lengthscale, rel=1e-12)
 
     def test_null_lengthscale_on_identical_spectra_rejected(self):

@@ -5,7 +5,11 @@ import base64
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,22 @@ def test_format_1_model_rejected_by_apply(fitted, tmp_path, caplog):
     assert code == EXIT_USAGE
     assert "format 1 stores spectrum-space centroids" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+def test_kfpls_fit_and_apply_run_without_scipy(scene, tmp_path):
+    # each command in a fresh process where importing scipy fails
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from spectral_sift import cli; sys.exit(cli.main(sys.argv[1:]))")
+    config = write_run_config(scene[0], tmp_path / "run.json", workflow="kfpls",
+                              samples_per_class=20, kf={"iterations": 1, "subsamplings_per_iter": 4})
+    for argv in (["fit", "--config", config, "--out", str(tmp_path / "fit")],
+                 ["apply", "--model", str(tmp_path / "fit" / "model.json"),
+                  "--cube", str(scene[0] / "cube.hdr"), "--out", str(tmp_path / "applied")]):
+        run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert run.returncode == EXIT_OK, run.stderr
 
 
 def test_seed_override_keeps_every_kf_setting(monkeypatch):
