@@ -4,7 +4,7 @@ Run configs, scene files and model files are dataclasses laid out field by
 field: :func:`encode` writes each field under its name, :func:`decode`
 rebuilds the dataclass from its annotations (so field defaults are the only
 defaults) and rejects an unknown, missing or mistyped key with a
-:class:`ConfigError` naming its dotted path. A model file (format 4) is the
+:class:`ConfigError` naming its dotted path. A model file (format 5) is the
 encoded ``PipelineModel`` plus ``format_version``. Float arrays travel as
 base64 little-endian float64 with an explicit shape, byte-for-byte
 reproducible; integer and boolean arrays stay plain JSON lists, and a plain
@@ -22,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-#: 4: no kernel variance, scaling epsilon or component-selection rule is stored
-#: (3 wrote every model dataclass field by field by :func:`encode`; 2 kept
-#: per-class layouts; 1 stored kmeans centroids in spectrum space)
-FORMAT_VERSION = 4
+#: 5: no PCA singular values are stored (4 stored no kernel variance, scaling
+#: epsilon or component-selection rule; 3 wrote every model dataclass field by
+#: field by :func:`encode`; 2 kept per-class layouts; 1 stored kmeans
+#: centroids in spectrum space)
+FORMAT_VERSION = 5
 
 
 class ConfigError(ValueError):

@@ -139,6 +139,8 @@ class RunConfig:
             raise ConfigError(f"band_selection.method must be one of {BAND_METHODS}")
         if self.labels.mite == self.labels.bee:
             raise ConfigError("labels.mite and labels.bee must differ")
+        if self.samples_per_class < 1:
+            raise ConfigError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if self.kernel.family not in kn.KERNEL_FAMILIES:
             raise ConfigError(f"kernel.family must be one of {kn.KERNEL_FAMILIES}")
 

@@ -39,7 +39,8 @@ class TestFitPca:
         X = centered(rng, 50, 10, scale=3.0)
         model, T = fit_pca(X, k=10)
         eigvals = np.sort(np.linalg.eigvalsh(np.cov(X, rowvar=False)))[::-1]
-        per_component = model.singular_values**2 / (X.shape[0] - 1)
+        total_variance = np.trace(np.cov(X, rowvar=False))
+        per_component = model.explained_variance_ratio * total_variance
         np.testing.assert_allclose(per_component, eigvals, atol=1e-8)
 
     def test_orthonormal_loadings_and_orthogonal_scores(self):
@@ -82,6 +83,55 @@ class TestFitPca:
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="k must be"):
             fit_pca(centered(rng, 5, 3), k=5)
+
+
+def svd_oracle(X, k):
+    """Sign-fixed loadings and variance ratios from numpy's thin SVD."""
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    loadings = vt[:k].T
+    loadings = loadings * np.sign(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(k)])
+    return loadings, s[:k] ** 2 / np.sum(s**2)
+
+
+def rank_deficient(rng, n, p, rank):
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, p))
+    return X - X.mean(axis=0)
+
+
+def with_constant_column(rng, n, p):
+    X = rng.normal(size=(n, p))
+    X[:, 2] = 3.0  # exact in binary, so its mean is exact and centering leaves 0
+    return X - X.mean(axis=0)
+
+
+class TestFitPcaMatchesSvd:
+    """The cross-product eigendecomposition against a thin SVD of the matrix itself.
+
+    Tolerance: loadings within 1e-12 and variance ratios within 1e-14, absolute.
+    """
+
+    @pytest.mark.parametrize("X, k", [
+        (centered(np.random.default_rng(20), 300, 15, scale=2.0), 15),  # tall
+        (rank_deficient(np.random.default_rng(21), 60, 12, 4), 4),  # k equal to the rank
+        (centered(np.random.default_rng(22), 10, 30), 9),  # wide: n < p, k = n - 1
+        (with_constant_column(np.random.default_rng(23), 40, 8), 7),  # one all-zero column
+    ], ids=["tall", "rank-deficient", "wide", "constant-column"])
+    def test_loadings_and_ratios_match(self, X, k):
+        model, T = fit_pca(X, k=k)
+        loadings, ratio = svd_oracle(X, k)
+        np.testing.assert_allclose(model.loadings, loadings, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.explained_variance_ratio, ratio, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(T, X @ model.loadings)
+
+    def test_ratio_stays_nonnegative_past_the_rank(self):
+        X = rank_deficient(np.random.default_rng(21), 60, 12, 4)
+        # rounding leaves some eigenvalues of the cross-product below 0
+        assert np.linalg.eigvalsh(X.T @ X).min() < 0
+        model, _ = fit_pca(X, k=12)
+        ratio = model.explained_variance_ratio
+        assert np.all(ratio >= 0)
+        np.testing.assert_allclose(ratio[4:], 0.0, atol=1e-12)
+        np.testing.assert_allclose(ratio.sum(), 1.0, rtol=1e-12)
 
 
 class TestCorrelateScores:

@@ -342,7 +342,7 @@ def test_model_file_resaves_byte_identically(fixture, request, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_old_format_model_rejected_by_apply(version, fitted, tmp_path, caplog):
     root = fitted[0]
     doc = json.loads((root / "model.json").read_text())
@@ -364,6 +364,8 @@ def test_old_format_model_rejected_by_apply(version, fitted, tmp_path, caplog):
     ({"labels": {"mite": None}}, "labels.mite"),
     ({"cluster": {"k0": 5, "k_max": 3}}, "cluster: need 2 <= k0 <= k_max, got k0=5 and k_max=3"),
     ({"kernel": {"variance": 2.0}}, "unknown key kernel.variance"),
+    ({"workflow": "kfpls", "samples_per_class": 0}, "samples_per_class must be >= 1, got 0"),
+    ({"workflow": "kfpls", "samples_per_class": -1}, "samples_per_class must be >= 1, got -1"),
 ])
 def test_malformed_config_exits_1_naming_the_key(doc, key, tmp_path, caplog):
     (tmp_path / "run.json").write_text(json.dumps(doc))
