@@ -5,10 +5,18 @@ Gram matrix, so prediction on new data needs only cross-kernels against the
 stored support spectra. A kernel has no variance factor: kernel PLS
 predictions do not change when the kernel is multiplied by a constant.
 
+SIMPLS factors do not depend on the requested count, so one fit at the
+largest count holds every smaller model: its first a factors are the fit at
+a. The Kernel Flows loss and the latent-count search each fit once and take
+prefixes.
+
 Kernel Flows tunes the lengthscale by stochastic descent on a
 cross-validation discrepancy: models fitted on a random batch and on half of
 it should agree on the batch. Gradients are central finite differences in
-log-lengthscale, so any stationary kernel family plugs in unchanged.
+log-lengthscale, so any stationary kernel family plugs in unchanged. The loss
+recorded for an iteration is the midpoint (up + down)/2 of those two
+finite-difference losses, within O(step²) of the loss at the lengthscale
+itself, so an iteration evaluates two losses, not three.
 Distances do not depend on the lengthscale, so the training distances are
 computed once: every Gram matrix of the Kernel Flows loop and of the
 latent-count search is a kernel of index slices of that one matrix.
@@ -83,16 +91,36 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def distance_kernel(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """Kernel values of a stationary family from Euclidean distances ``r``."""
+    """Kernel values of a stationary family from Euclidean distances ``r``.
+
+    Each formula is evaluated in one new array, updated in place (matern52
+    also holds u and, briefly, 1 + u), and ``r`` is left as it is. The
+    operations and their order are those of the plain expressions in the
+    comments, so the values keep every bit.
+    """
     ell = spec.lengthscale
-    if spec.family == "gaussian":
-        return np.exp(-(r**2) / (2.0 * ell**2))
-    if spec.family == "laplacian":
-        return np.exp(-r / ell)
-    if spec.family == "matern52":
-        u = np.sqrt(5.0) * r / ell
-        return (1.0 + u + u**2 / 3.0) * np.exp(-u)
-    return 1.0 / (1.0 + (r / ell) ** 2)  # cauchy
+    if spec.family == "gaussian":  # exp(-(r**2) / (2 ell**2))
+        out = np.square(r)
+        np.negative(out, out=out)
+        out /= 2.0 * ell**2
+    elif spec.family == "laplacian":  # exp(-r / ell)
+        out = np.negative(r)
+        out /= ell
+    elif spec.family == "matern52":  # (1 + u + u**2 / 3) exp(-u), u = sqrt(5) r / ell
+        u = np.multiply(r, np.sqrt(5.0))
+        u /= ell
+        out = np.square(u)
+        out /= 3.0
+        out += 1.0 + u
+        np.negative(u, out=u)
+        out *= np.exp(u, out=u)
+        return out
+    else:  # cauchy: 1 / (1 + (r / ell)**2)
+        out = np.divide(r, ell)
+        np.square(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -119,8 +147,10 @@ def center_kernel(K: np.ndarray, stats: KernelCenterStats) -> np.ndarray:
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[1] != stats.col_means.size:
         raise ValueError(f"kernel matrix has {K.shape[1]} columns, stats expect {stats.col_means.size}")
-    row_means = K.mean(axis=1, keepdims=True)
-    return K - row_means - stats.col_means[None, :] + stats.mean_all
+    out = K - K.mean(axis=1, keepdims=True)  # the one new array; K is left as it is
+    out -= stats.col_means[None, :]
+    out += stats.mean_all
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,39 +171,49 @@ class KernelPlsModel:
 def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     """SIMPLS recursion expressed against a centered Gram matrix.
 
-    Returns dual weights A (n, a) with scores T = Kc A, and Y-loadings Q.
+    Returns dual weights A with scores T = Kc A, and Y-loadings Q, for the
+    factors up to the first of ``a`` that is dead: its score or its loading
+    basis vector vanishes. Factors do not depend on ``a``, so the columns
+    returned are, bit for bit, those of a fit asked for fewer.
+
     The implicit cross-product matrix S = Phi' G is deflated through its
-    dual representation G, never materializing feature space.
+    dual representation G, never materializing feature space. KG = Kc G is
+    deflated along with it, and Kc c is built from Kc t and the stored Kc C,
+    so each factor takes one Gram product, Kc t.
     """
     n = Kc.shape[0]
     G = Yc.copy()
+    KG = Kc @ G
     A = np.empty((n, a))
     Q = np.empty((Yc.shape[1], a))
-    C = np.zeros((n, a))  # dual representation of the orthonormal loading basis
+    C = np.empty((n, a))  # dual representation of the orthonormal loading basis
+    KC = np.empty((n, a))  # Kc @ C
     scale_ref = max(float(np.linalg.norm(Kc)), 1e-300)
 
     for i in range(a):
-        KG = Kc @ G
-        alpha = G @ dominant_eigenvector(G.T @ KG)  # G'KG = S'S in feature space
-        t = Kc @ alpha
+        v = dominant_eigenvector(G.T @ KG)  # G'KG = S'S in feature space
+        t = KG @ v  # Kc alpha, alpha = G v
         normt = float(np.linalg.norm(t))
         if normt <= 1e-10 * scale_ref:
-            raise DegenerateDataError(
-                f"kernel cross-product exhausted at factor {i + 1} of {a}"
-            )
+            return A[:, :i], Q[:, :i]
         t /= normt
-        alpha /= normt
-        A[:, i] = alpha
-        Q[:, i] = Yc.T @ t
-        c = t.copy()
+        Kt = Kc @ t
+        c, Kcc = t.copy(), Kt.copy()
         if i > 0:
-            c -= C[:, :i] @ (C[:, :i].T @ (Kc @ t))
-        vnorm2 = float(c @ (Kc @ c))
+            proj = C[:, :i].T @ Kt
+            c -= C[:, :i] @ proj
+            Kcc -= KC[:, :i] @ proj
+        vnorm2 = float(c @ Kcc)
         if vnorm2 <= 0:
-            raise DegenerateDataError(f"kernel loading basis degenerate at factor {i + 1}")
-        c /= np.sqrt(vnorm2)
-        C[:, i] = c
-        G = G - c[:, None] @ (c[None, :] @ KG)
+            return A[:, :i], Q[:, :i]
+        A[:, i] = (G @ v) / normt
+        Q[:, i] = Yc.T @ t
+        vnorm = np.sqrt(vnorm2)
+        C[:, i] = c / vnorm
+        KC[:, i] = Kcc / vnorm
+        cKG = C[:, i] @ KG
+        G -= np.outer(C[:, i], cKG)
+        KG -= np.outer(KC[:, i], cKG)
 
     return A, Q
 
@@ -185,9 +225,33 @@ class _GramFit(NamedTuple):
     classes: np.ndarray
 
 
-def _fit_gram(K: np.ndarray, labels: np.ndarray, a: int) -> _GramFit:
-    """Kernel PLS-DA on a training Gram matrix against class indicators;
-    every kernel PLS fit of the package goes through here."""
+class _NestedFit(NamedTuple):
+    """The live factors of one kernel PLS-DA fit and the centered Gram
+    matrix they were fitted on; ``at(a)`` is the fit at any live count."""
+
+    Kc: np.ndarray
+    center_stats: KernelCenterStats
+    A: np.ndarray
+    Q: np.ndarray
+    y_means: np.ndarray
+    classes: np.ndarray
+
+    @property
+    def live(self) -> int:
+        return self.A.shape[1]
+
+    def at(self, a: int) -> _GramFit:
+        return _GramFit(self.center_stats, self.A[:, :a] @ self.Q[:, :a].T,
+                        self.y_means, self.classes)
+
+    def predict_training(self, fit: _GramFit) -> np.ndarray:
+        """Indicator scores of the training rows, from the stored centered Gram."""
+        return self.Kc @ fit.dual_coef + fit.y_means
+
+
+def _fit_nested(K: np.ndarray, labels: np.ndarray, a: int) -> _NestedFit:
+    """Kernel PLS-DA on a training Gram matrix against class indicators, up to
+    ``a`` factors; every kernel PLS fit of the package goes through here."""
     n = K.shape[0]
     if not 1 <= a <= n - 1:
         raise ValueError(f"a must be in [1, {n - 1}] for {n} training rows, got {a}")
@@ -197,9 +261,18 @@ def _fit_gram(K: np.ndarray, labels: np.ndarray, a: int) -> _GramFit:
     if float(np.abs(Kc).max()) <= 1e-12 * max(1.0, abs(stats.mean_all)):
         raise ValueError("degenerate kernel: all training rows are indistinguishable")
     y_means = encoding.indicators.mean(axis=0)
-    Yc = encoding.indicators - y_means
-    A, Q = _dual_simpls(Kc, Yc, a)
-    return _GramFit(stats, A @ Q.T, y_means, encoding.classes)
+    A, Q = _dual_simpls(Kc, encoding.indicators - y_means, a)
+    return _NestedFit(Kc, stats, A, Q, y_means, encoding.classes)
+
+
+def _fit_gram(K: np.ndarray, labels: np.ndarray, a: int) -> _GramFit:
+    """Kernel PLS-DA with exactly ``a`` factors; DegenerateDataError if fewer live."""
+    nested = _fit_nested(K, labels, a)
+    if nested.live < a:
+        raise DegenerateDataError(
+            f"kernel cross-product exhausted at factor {nested.live + 1} of {a}"
+        )
+    return nested.at(a)
 
 
 def _predict_gram(K: np.ndarray, fit: _GramFit | KernelPlsModel) -> np.ndarray:
@@ -260,14 +333,20 @@ class KfConfig:
             raise ValueError("max_gradient must be > 0")
         if not self.a_grid:
             raise ValueError("a_grid must not be empty")
+        if min(self.a_grid) < 1:
+            raise ValueError(f"a_grid entries must be >= 1, got {list(self.a_grid)}")
+        if self.fd_step <= 0:
+            raise ValueError(f"fd_step must be > 0, got {self.fd_step}")
 
 
 @dataclass(frozen=True)
 class KfResult:
     model: KernelPlsModel  # fitted on all rows at the learned kernel and a*
     predicted: np.ndarray  # the model's class for each training row
-    trace: np.ndarray  # (iterations, 3): iteration, mean rho, lengthscale evaluated
-    r2_by_a: dict[int, float]
+    # (iterations, 3): iteration, mean rho, lengthscale evaluated; mean rho is the
+    # midpoint of the losses at log lengthscale ± fd_step
+    trace: np.ndarray
+    r2_by_a: dict[int, float | None]  # training R^2 by latent count; None: infeasible
     initial_lengthscale: float  # the descent's starting point, before clamping
 
     @property
@@ -312,17 +391,6 @@ def draw_kf_batches(
     return batches
 
 
-def _fit_with_feasible_a(K: np.ndarray, labels: np.ndarray, a: int) -> _GramFit | None:
-    """Fit kernel PLS on a Gram matrix, stepping the factor count down if it
-    cannot support it (extreme lengthscales collapse its effective rank)."""
-    for a_try in range(a, 0, -1):
-        try:
-            return _fit_gram(K, labels, a_try)
-        except DegenerateDataError:
-            continue
-    return None
-
-
 def kf_loss(
     D: np.ndarray,
     labels: np.ndarray,
@@ -337,7 +405,9 @@ def kf_loss(
     batch, as :func:`draw_kf_batches` draws them. Per batch:
     rho = ||yhat_full - yhat_half||^2 / ||yhat_full||^2 on the full batch,
     where yhat_half comes from the model fitted on the half. Returns inf when
-    a fit degenerates outright (all-equal kernel rows).
+    a fit degenerates outright (all-equal kernel rows). Each model is fitted
+    once, at min(a, half size - 1) factors, and keeps its live ones: at
+    extreme lengthscales the Gram matrix cannot carry them all.
     """
     D = np.asarray(D, dtype=np.float64)
     labels = np.asarray(labels)
@@ -352,14 +422,14 @@ def kf_loss(
         # spectra, so row means and products round the same way
         K_fh = K_ff.take(pos, axis=1)
         try:
-            fit_full = _fit_with_feasible_a(K_ff, labels[full], a_fit)
-            fit_half = _fit_with_feasible_a(K_fh[pos], labels[half], a_fit)
+            nested_full = _fit_nested(K_ff, labels[full], a_fit)
+            nested_half = _fit_nested(K_fh[pos], labels[half], a_fit)
         except ValueError:
             return float("inf")
-        if fit_full is None or fit_half is None:
+        if nested_full.live == 0 or nested_half.live == 0:
             return float("inf")
-        yhat_full = _predict_gram(K_ff, fit_full)
-        yhat_half = _predict_gram(K_fh, fit_half)
+        yhat_full = nested_full.predict_training(nested_full.at(nested_full.live))
+        yhat_half = _predict_gram(K_fh, nested_half.at(nested_half.live))
         denom = float(np.sum(yhat_full**2))
         if denom <= 0:
             return float("inf")
@@ -374,12 +444,14 @@ def kf_gradient(
     a: int,
     batches: list[tuple[np.ndarray, np.ndarray]],
     step: float,
-) -> float:
-    """d(loss)/d(log lengthscale) by central finite differences on fixed batches."""
+) -> tuple[float, float]:
+    """Loss and d(loss)/d(log lengthscale) on fixed batches, from the two
+    losses at log lengthscale ± ``step``: the loss is their midpoint
+    (up + down)/2, the derivative their central difference."""
     log_ell = np.log(spec.lengthscale)
     up = kf_loss(D, labels, KernelSpec(spec.family, np.exp(log_ell + step)), a, batches)
     down = kf_loss(D, labels, KernelSpec(spec.family, np.exp(log_ell - step)), a, batches)
-    return (up - down) / (2.0 * step)
+    return (up + down) / 2.0, (up - down) / (2.0 * step)
 
 
 def kf_optimize(
@@ -395,13 +467,16 @@ def kf_optimize(
     the median of the non-zero distances between the training rows. Each
     iteration draws fresh batches, averages the finite-difference
     gradient over them in a fixed order, and applies a Polyak-momentum
-    update in log-lengthscale, logging each iteration at DEBUG level.
-    Afterward the latent-variable count a* is the smallest one on
-    ``cfg.a_grid`` whose full-data training R^2 comes within 0.01 of the
-    best over the grid, evaluated with the learned kernel; the fit at a* is
-    returned with its training predictions. The distances between the
-    training rows are computed once; every Gram matrix of both loops is a
-    kernel of index slices of them. ``seed`` draws the batches.
+    update in log-lengthscale, logging each iteration at DEBUG level. The
+    loss it records is the midpoint of the two finite-difference losses
+    (:func:`kf_gradient`). Afterward the latent-variable count a* is the
+    smallest one on ``cfg.a_grid`` whose full-data training R^2 comes within
+    0.01 of the best over the grid, evaluated with the learned kernel from
+    one fit at the grid's largest count; a count the fit cannot carry gets
+    R^2 None. The fit at a* is returned with its training predictions. The
+    distances between the training rows are computed once; every Gram matrix
+    of both loops is a kernel of index slices of them. ``seed`` draws the
+    batches.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
@@ -432,8 +507,7 @@ def kf_optimize(
     for it in range(cfg.iterations):
         batches = draw_kf_batches(rng, labels, cfg.subsamplings_per_iter, cfg.batch_ratio)
         spec_it = KernelSpec(kernel.family, float(np.exp(log_ell)))
-        loss = kf_loss(D, labels, spec_it, a_inner, batches)
-        grad = kf_gradient(D, labels, spec_it, a_inner, batches, cfg.fd_step)
+        loss, grad = kf_gradient(D, labels, spec_it, a_inner, batches, cfg.fd_step)
         if not (np.isfinite(loss) and np.isfinite(grad)):
             # log_ell is already clipped into range, so a retry would repeat this
             raise KfConvergenceError(
@@ -453,23 +527,25 @@ def kf_optimize(
     Y = encoding.indicators
     tss = float(np.sum((Y - Y.mean(axis=0)) ** 2))
     K = distance_kernel(spec_opt, D)
-    r2_by_a: dict[int, float] = {}
+    grid = sorted(set(int(a) for a in cfg.a_grid if a <= X.shape[0] - 1))
+    try:
+        nested = _fit_nested(K, labels, grid[-1]) if grid else None
+    except ValueError:
+        nested = None
+    r2_by_a: dict[int, float | None] = {}
     fits = {}
-    for a in sorted(set(int(a) for a in cfg.a_grid)):
-        if a > X.shape[0] - 1:
+    for a in grid:
+        if nested is None or a > nested.live:
+            r2_by_a[a] = None
             continue
-        try:
-            fit = _fit_gram(K, labels, a)
-        except (DegenerateDataError, ValueError):
-            r2_by_a[a] = float("-inf")
-            continue
-        scores = _predict_gram(K, fit)
+        fit = nested.at(a)
+        scores = nested.predict_training(fit)
         fits[a] = fit, scores
         r2_by_a[a] = 1.0 - float(np.sum((Y - scores) ** 2)) / tss
     if not fits:
         raise KfConvergenceError("no feasible latent-variable count on the grid")
-    best = max(r2_by_a.values())
-    a_star = min(a for a, r2 in r2_by_a.items() if r2 >= best - 0.01)
+    best = max(r2 for r2 in r2_by_a.values() if r2 is not None)
+    a_star = min(a for a, r2 in r2_by_a.items() if r2 is not None and r2 >= best - 0.01)
 
     fit, scores = fits[a_star]
     model = KernelPlsModel(kernel=spec_opt, support=X.copy(), a=a_star, **fit._asdict())
@@ -478,7 +554,10 @@ def kf_optimize(
 
 
 def save_loss_trace(trace: np.ndarray, path: str | Path) -> None:
-    """Write the optimizer trace as CSV: iteration, mean rho, lengthscale."""
+    """Write the optimizer trace as CSV: iteration, mean rho, lengthscale.
+
+    Mean rho is the midpoint of the two finite-difference losses of the
+    iteration (see :func:`kf_gradient`)."""
     lines = ["iteration,mean_rho,lengthscale"]
     for row in np.asarray(trace):
         lines.append(f"{int(row[0])},{float(row[1])!r},{float(row[2])!r}")

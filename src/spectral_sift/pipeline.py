@@ -284,7 +284,7 @@ def _fit_kfpls_path(X: np.ndarray, labels: np.ndarray, config: RunConfig):
         "kernel": modelio.encode(result.spec),
         "initial_lengthscale": result.initial_lengthscale,
         "latent_variables": result.a_star,
-        "r2_by_a": {str(a): float(v) for a, v in sorted(result.r2_by_a.items())},
+        "r2_by_a": {str(a): v for a, v in sorted(result.r2_by_a.items())},  # None: infeasible
         "training_accuracy": float(np.mean(result.predicted == y_train)),
         "training_pixels": int(y_train.size),
     }

@@ -325,6 +325,24 @@ def test_kfpls_fit_and_apply_run_without_scipy(scene, tmp_path):
         assert run.returncode == EXIT_OK, run.stderr
 
 
+def test_infeasible_latent_count_is_null_in_diagnostics(scene, tmp_path):
+    # at the lower lengthscale clamp the Gram matrix is the identity, which carries
+    # one factor fewer than the 3 classes: a = 3 has no fit
+    config = write_run_config(scene[0], tmp_path / "run.json", workflow="kfpls",
+                              samples_per_class=20, kernel={"lengthscale": 1e-12},
+                              kf={"iterations": 1, "subsamplings_per_iter": 4, "a_grid": [1, 2, 3]})
+    assert cli.main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def refuse(name):
+        raise ValueError(f"diagnostics.json holds the non-standard JSON constant {name}")
+
+    diagnostics = json.loads((tmp_path / "out" / "diagnostics.json").read_text(),
+                             parse_constant=refuse)
+    assert diagnostics["r2_by_a"]["3"] is None
+    assert diagnostics["latent_variables"] in (1, 2)
+    assert all(isinstance(diagnostics["r2_by_a"][a], float) for a in ("1", "2"))
+
+
 def test_seed_override_keeps_every_kf_setting(monkeypatch):
     kf = KfConfig(iterations=7, fd_step=3e-3, max_gradient=0.25, a_grid=(1, 3))
     monkeypatch.setattr(RunConfig, "from_file",
@@ -366,6 +384,10 @@ def test_old_format_model_rejected_by_apply(version, fitted, tmp_path, caplog):
     ({"kernel": {"variance": 2.0}}, "unknown key kernel.variance"),
     ({"workflow": "kfpls", "samples_per_class": 0}, "samples_per_class must be >= 1, got 0"),
     ({"workflow": "kfpls", "samples_per_class": -1}, "samples_per_class must be >= 1, got -1"),
+    ({"workflow": "kfpls", "kf": {"fd_step": 0.0}}, "kf: fd_step must be > 0, got 0.0"),
+    ({"workflow": "kfpls", "kf": {"fd_step": -1e-4}}, "kf: fd_step must be > 0, got -0.0001"),
+    ({"workflow": "kfpls", "kf": {"a_grid": [0, 3]}}, "kf: a_grid entries must be >= 1, got [0, 3]"),
+    ({"workflow": "kfpls", "kf": {"a_grid": [0]}}, "kf: a_grid entries must be >= 1, got [0]"),
 ])
 def test_malformed_config_exits_1_naming_the_key(doc, key, tmp_path, caplog):
     (tmp_path / "run.json").write_text(json.dumps(doc))
