@@ -90,13 +90,19 @@ class ClusterDiagnostics:
 
 
 def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) matrix of squared Euclidean distances, without sqrt round-trips
-    sq = (
-        np.sum(X**2, axis=1)[:, None]
-        - 2.0 * X @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.maximum(sq, 0.0)
+    """(n, k) matrix of squared Euclidean distances, without sqrt round-trips.
+
+    ``max(‖x‖² − (2X)·Cᵀ + ‖c‖², 0)``, evaluated in the product's own array:
+    scaling by −2 is exact, so (−2X)·Cᵀ holds the bits of (2X)·Cᵀ negated,
+    and the two sums are added in the plain expression's order. The values
+    keep every bit, without three n×k temporaries. The factor stays inside
+    the product: numpy computes ``X @ X.T`` as a symmetric rank-k update,
+    whose last bits differ from the general product's.
+    """
+    sq = (-2.0 * X) @ centroids.T
+    sq += np.sum(X**2, axis=1)[:, None]
+    sq += np.sum(centroids**2, axis=1)[None, :]
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def kmeanspp_init(X: np.ndarray, k: int, seed: int | np.random.Generator) -> np.ndarray:

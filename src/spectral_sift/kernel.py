@@ -19,7 +19,8 @@ finite-difference losses, within O(step²) of the loss at the lengthscale
 itself, so an iteration evaluates two losses, not three.
 Distances do not depend on the lengthscale, so the training distances are
 computed once: every Gram matrix of the Kernel Flows loop and of the
-latent-count search is a kernel of index slices of that one matrix.
+latent-count search is a kernel of index slices of that one matrix. An
+iteration slices each batch's block once, for both of its losses.
 """
 
 from __future__ import annotations
@@ -392,7 +393,7 @@ def draw_kf_batches(
 
 
 def kf_loss(
-    D: np.ndarray,
+    D: np.ndarray | list[np.ndarray],
     labels: np.ndarray,
     spec: KernelSpec,
     a: int,
@@ -400,24 +401,30 @@ def kf_loss(
 ) -> float:
     """Mean Kernel Flows discrepancy over the given batches.
 
-    ``D`` holds the Euclidean distances between all training rows; each
-    batch is a pair of sorted row-index arrays, the half within the full
-    batch, as :func:`draw_kf_batches` draws them. Per batch:
+    ``D`` holds the Euclidean distances between all training rows, or the
+    list of each batch's block ``D[np.ix_(full, full)]`` of them, as
+    :func:`kf_gradient` passes them; each batch is a pair of sorted row-index
+    arrays, the half within the full batch, as :func:`draw_kf_batches` draws
+    them. Per batch:
     rho = ||yhat_full - yhat_half||^2 / ||yhat_full||^2 on the full batch,
     where yhat_half comes from the model fitted on the half. Returns inf when
     a fit degenerates outright (all-equal kernel rows). Each model is fitted
     once, at min(a, half size - 1) factors, and keeps its live ones: at
     extreme lengthscales the Gram matrix cannot carry them all.
     """
-    D = np.asarray(D, dtype=np.float64)
+    if isinstance(D, list):
+        blocks = D
+    else:
+        D = np.asarray(D, dtype=np.float64)
+        blocks = (D[np.ix_(full, full)] for full, _ in batches)  # one block at a time
     labels = np.asarray(labels)
     rhos = []
-    for full, half in batches:
+    for (full, half), D_ff in zip(batches, blocks, strict=True):
         a_fit = min(a, half.size - 1)
         pos = np.searchsorted(full, half)  # where the half-batch rows sit in the batch
         if not np.array_equal(full[np.minimum(pos, full.size - 1)], half):
             raise ValueError("each half-batch must lie within its sorted batch")
-        K_ff = distance_kernel(spec, D[np.ix_(full, full)])
+        K_ff = distance_kernel(spec, D_ff)
         # take, not K_ff[:, pos]: a C-ordered copy, like a kernel computed from the
         # spectra, so row means and products round the same way
         K_fh = K_ff.take(pos, axis=1)
@@ -447,10 +454,25 @@ def kf_gradient(
 ) -> tuple[float, float]:
     """Loss and d(loss)/d(log lengthscale) on fixed batches, from the two
     losses at log lengthscale ± ``step``: the loss is their midpoint
-    (up + down)/2, the derivative their central difference."""
+    (up + down)/2, the derivative their central difference.
+
+    Both losses are taken batch by batch, so each batch's block of ``D`` is
+    sliced once and only one block is held at a time. Each loss is the mean
+    of its batch values, as :func:`kf_loss` over all the batches gives it.
+    A batch with an infinite loss ends the evaluation: (inf, nan).
+    """
+    D = np.asarray(D, dtype=np.float64)
     log_ell = np.log(spec.lengthscale)
-    up = kf_loss(D, labels, KernelSpec(spec.family, np.exp(log_ell + step)), a, batches)
-    down = kf_loss(D, labels, KernelSpec(spec.family, np.exp(log_ell - step)), a, batches)
+    specs = [KernelSpec(spec.family, np.exp(log_ell + s)) for s in (step, -step)]
+    ups, downs = [], []
+    for full, half in batches:
+        block = [D[np.ix_(full, full)]]
+        up, down = (kf_loss(block, labels, s, a, [(full, half)]) for s in specs)
+        if not (np.isfinite(up) and np.isfinite(down)):
+            return float("inf"), float("nan")
+        ups.append(up)
+        downs.append(down)
+    up, down = float(np.mean(ups)), float(np.mean(downs))
     return (up + down) / 2.0, (up - down) / (2.0 * step)
 
 

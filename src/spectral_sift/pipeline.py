@@ -18,8 +18,12 @@ each converted to a row-major float64 matrix of the model's columns only.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -398,8 +402,55 @@ class ApplyResult:
 
 
 #: float64 cells that all of apply's tiles in flight may hold: pixels × the
-#: widest per-pixel row of one tile, summed over the worker threads
+#: widest per-pixel row of one tile, summed over the worker threads. Tile size
+#: cannot keep a tile's products on one BLAS thread: OpenBLAS threads a product
+#: from about 2.6e5 multiply-adds, so even 4 pixels against 654 support spectra
+#: of 204 bands are threaded. ``apply_pipeline`` holds the BLAS thread count
+#: instead (:func:`_blas_threads_held`).
 TILE_CELLS = 1 << 20
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)``: the thread-count functions of the OpenBLAS library that
+    numpy's wheel ships in ``numpy.libs``, or None when there is none: numpy
+    built on MKL, Accelerate or a system BLAS."""
+    symbols = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+               ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+               ("openblas_get_num_threads", "openblas_set_num_threads"))
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                       .glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it: dlopen returns that handle
+        for get_name, set_name in symbols:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _blas_threads_held(count: int) -> Iterator[None]:
+    """Hold numpy's OpenBLAS to at most ``count`` threads while the block runs,
+    and put the previous count back after it, also when it raises.
+
+    The count is process-wide: OpenBLAS's per-thread setting is not honoured
+    by every build (in scipy-openblas 0.3.31 it changed the main thread's
+    count too), so two applies running at once in one process would share
+    it. Does nothing without OpenBLAS or when the count is at most ``count``.
+    """
+    blas = _openblas_threads()
+    before = blas[0]() if blas is not None else 0
+    if before <= count:
+        yield
+        return
+    set_ = blas[1]
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _model_columns(model: PipelineModel, n_bands: int,
@@ -473,6 +524,12 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | MappedCube) -> ApplyR
     converts only the model's columns to float64, checks them for NaN/Inf
     and writes its rows of the preallocated masks; the counts are taken from
     the finished masks.
+
+    While the pool runs, OpenBLAS is held to CPUs // workers threads (1 when
+    every CPU has a worker): each worker's products would otherwise start
+    OpenBLAS's own threads, and the workers and those threads would contend
+    for the same cores. The previous count is put back when the pool is
+    done, also after a failed or interrupted tile.
     """
     columns = _model_columns(model, cube.bands, cube.wavelengths_nm)
     classify, width, palette = _pixel_classifier(model)
@@ -498,12 +555,14 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | MappedCube) -> ApplyR
         if cluster_ids is not None:
             cluster_ids[r0:r0 + step] = clusters[:n].reshape(-1, cols)
 
-    pool = ThreadPoolExecutor(min(cpus, -(-rows // step)))
-    try:
-        for _ in pool.map(classify_tile, range(0, rows, step)):
-            pass
-    finally:  # on a failure or an interrupt, tiles not yet started are dropped
-        pool.shutdown(cancel_futures=True)
+    workers = min(cpus, -(-rows // step))
+    with _blas_threads_held(cpus // workers):
+        pool = ThreadPoolExecutor(workers)
+        try:
+            for _ in pool.map(classify_tile, range(0, rows, step)):
+                pass
+        finally:  # on a failure or an interrupt, tiles not yet started are dropped
+            pool.shutdown(cancel_futures=True)
 
     counts = {name: int(np.count_nonzero(class_labels == label))
               for label, name in sorted(palette.items())}

@@ -67,6 +67,30 @@ def assert_matches_reference(X, start, **kwargs):
     return got
 
 
+def plain_squared_distances(X, centroids):
+    """The expression ``_squared_distances`` evaluates in place, written out
+    with its n×k temporaries."""
+    sq = (np.sum(X**2, axis=1)[:, None] - 2.0 * X @ centroids.T
+          + np.sum(centroids**2, axis=1)[None, :])
+    return np.maximum(sq, 0.0)
+
+
+class TestSquaredDistances:
+    # (3, 654, 204) and (768, 654, 204): 3 pixels and a 3-row tile of a 256-column cube
+    # against the 654 support spectra of a kfpls model
+    @pytest.mark.parametrize("n, k, d", [(1, 5, 3), (2, 7, 4), (3, 654, 204), (257, 12, 2),
+                                         (768, 654, 204)])
+    def test_in_place_keeps_every_bit_of_the_plain_expression(self, n, k, d):
+        rng = np.random.default_rng(n + k + d)
+        X = rng.uniform(0.05, 0.8, size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        centroids = rng.uniform(0.05, 0.8, size=(k, d))
+        centroids[: min(n, k)] = X[: min(n, k)]  # equal rows: differences within rounding of 0
+        for C in (centroids, X):  # X against itself: the training distances of kernel.cdist
+            got = _squared_distances(X, C)
+            assert got.tobytes() == plain_squared_distances(X, C).tobytes()
+            assert got.min() >= 0.0
+
+
 class TestKmeansppInit:
     def test_k_equals_n_gives_permutation(self):
         rng = np.random.default_rng(0)

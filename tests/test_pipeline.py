@@ -35,6 +35,7 @@ from spectral_sift.pipeline import (
 from spectral_sift.specdata import (
     BlobSpec,
     ClassSpec,
+    EnviFormatError,
     SceneSpec,
     HyperCube,
     ShadowSpec,
@@ -452,14 +453,15 @@ def tile_settings(monkeypatch, model, cube, rows_per_tile, workers):
     monkeypatch.setattr(pipeline, "TILE_CELLS", rows_per_tile * workers * cube.cols * width)
 
 
-def spy_tile_pixels(monkeypatch, model):
-    """Record the pixel count of every tile the model's arithmetic receives."""
+def spy_tiles(monkeypatch, model, record=lambda X: X.shape[0]):
+    """Record ``record(X)`` for every tile the model's arithmetic receives: by
+    default its pixel count."""
     seen = []
     module, name = (pc, "project") if model.workflow == "kmeans" else (kn, "classify")
     original = getattr(module, name)
 
     def spy(m, X):
-        seen.append(X.shape[0])
+        seen.append(record(X))
         return original(m, X)
 
     monkeypatch.setattr(module, name, spy)
@@ -470,7 +472,7 @@ def assert_tiles_match_whole_cube(monkeypatch, model, root, workers):
     """Tiles of 1 row, 7 rows and the whole cube give the same bytes, from the
     mapped file and from the cube read into memory."""
     cube = open_envi(root / "bil.hdr")
-    seen = spy_tile_pixels(monkeypatch, model)
+    seen = spy_tiles(monkeypatch, model)
     results = []
     for rows_per_tile, source in [(cube.rows, read_envi(root / "bil.hdr")), (cube.rows, cube),
                                   (7, cube), (1, cube)]:
@@ -521,7 +523,7 @@ def test_one_pixel_tile_is_classified_among_two(fixture, request, scene, monkeyp
     cube = HyperCube(data=full.data[:39, 7:8], wavelengths_nm=full.wavelengths_nm)
     tile_settings(monkeypatch, model, cube, cube.rows, 1)
     whole = apply_pipeline(model, cube)
-    seen = spy_tile_pixels(monkeypatch, model)
+    seen = spy_tiles(monkeypatch, model)
     tile_settings(monkeypatch, model, cube, 2, 2)
     result = apply_pipeline(model, cube)
     assert len(seen) == 20 and 1 not in seen
@@ -556,8 +558,8 @@ def test_apply_memory_does_not_grow_with_rows(fixture, request, tmp_path, monkey
     assert peaks[heights[1]] <= 1.25 * peaks[heights[0]] + mask_bytes, peaks
 
 
-def test_nan_in_last_row_exits_1_without_masks(fitted, bil_copy, tmp_path, monkeypatch, caplog):
-    root, model = fitted[0], fitted[3]
+def copy_with_nan_in_last_row(bil_copy, tmp_path):
+    """A copy of the BIL cube with one NaN in its last row; returns its header."""
     for suffix in ("hdr", "raw"):
         (tmp_path / f"cube.{suffix}").write_bytes((bil_copy / f"bil.{suffix}").read_bytes())
     cube = open_envi(tmp_path / "cube.hdr")
@@ -566,7 +568,13 @@ def test_nan_in_last_row_exits_1_without_masks(fitted, bil_copy, tmp_path, monke
     payload[-1, 3, 5] = np.nan
     payload.flush()
     del payload, cube
-    tile_settings(monkeypatch, model, open_envi(tmp_path / "cube.hdr"), 1, 2)
+    return tmp_path / "cube.hdr"
+
+
+def test_nan_in_last_row_exits_1_without_masks(fitted, bil_copy, tmp_path, monkeypatch, caplog):
+    root, model = fitted[0], fitted[3]
+    tile_settings(monkeypatch, model, open_envi(copy_with_nan_in_last_row(bil_copy, tmp_path)),
+                  1, 2)
     with caplog.at_level(logging.ERROR, logger="spectral_sift"):
         code = cli.main(["apply", "--model", str(root / "model.json"),
                          "--cube", str(tmp_path / "cube.hdr"), "--out", str(tmp_path / "out")])
@@ -575,10 +583,63 @@ def test_nan_in_last_row_exits_1_without_masks(fitted, bil_copy, tmp_path, monke
     assert not (tmp_path / "out" / "class_mask.raw").exists()
 
 
+@pytest.fixture
+def openblas_at_two():
+    """numpy's OpenBLAS set to 2 threads, so that 2 workers hold it to 1
+    whatever the machine; yields its get function and restores the count."""
+    blas = pipeline._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy is not linked to OpenBLAS")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+@pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
+def test_blas_threads_held_per_worker_keep_the_masks(fixture, request, bil_copy, monkeypatch,
+                                                     openblas_at_two):
+    value = request.getfixturevalue(fixture)
+    model = value[3] if fixture == "fitted" else value[1]
+    cube = open_envi(bil_copy / "bil.hdr")
+    seen = spy_tiles(monkeypatch, model, lambda X: openblas_at_two())
+    results = []
+    # (CPUs, rows per tile, the count a tile should see): 2 CPUs and one tile leave
+    # BLAS its 2 threads, 2 workers get 1 each, and so does a lone CPU's worker
+    for cpus, rows_per_tile, held in [(2, cube.rows, 2), (2, 20, 1), (1, 7, 1)]:
+        seen.clear()
+        tile_settings(monkeypatch, model, cube, rows_per_tile, cpus)
+        results.append(apply_pipeline(model, cube))
+        assert seen and set(seen) == {held}
+        assert openblas_at_two() == 2
+    with monkeypatch.context() as patch:  # without OpenBLAS (MKL, Accelerate) nothing is held
+        patch.setattr(pipeline, "_openblas_threads", lambda: None)
+        seen.clear()
+        results.append(apply_pipeline(model, cube))
+        assert set(seen) == {2}
+    for result in results[1:]:
+        assert result.class_labels.tobytes() == results[0].class_labels.tobytes()
+        if result.cluster_ids is not None:
+            assert result.cluster_ids.tobytes() == results[0].cluster_ids.tobytes()
+
+
+def test_blas_threads_restored_after_a_failed_tile(fitted, bil_copy, tmp_path, monkeypatch,
+                                                   openblas_at_two):
+    model = fitted[3]
+    cube = open_envi(copy_with_nan_in_last_row(bil_copy, tmp_path))
+    tile_settings(monkeypatch, model, cube, 1, 2)
+    seen = spy_tiles(monkeypatch, model, lambda X: openblas_at_two())
+    with pytest.raises(EnviFormatError, match="NaN"):
+        apply_pipeline(model, cube)
+    assert set(seen) == {1}  # the tiles before the failing one ran held
+    assert openblas_at_two() == 2
+
+
 def test_truncated_payload_exits_1_before_any_tile(fitted, bil_copy, tmp_path, monkeypatch, caplog):
     (tmp_path / "cube.hdr").write_bytes((bil_copy / "bil.hdr").read_bytes())
     (tmp_path / "cube.raw").write_bytes((bil_copy / "bil.raw").read_bytes()[:-4])
-    seen = spy_tile_pixels(monkeypatch, fitted[3])
+    seen = spy_tiles(monkeypatch, fitted[3])
     with caplog.at_level(logging.ERROR, logger="spectral_sift"):
         code = cli.main(["apply", "--model", str(fitted[0] / "model.json"),
                          "--cube", str(tmp_path / "cube.hdr"), "--out", str(tmp_path / "out")])
@@ -600,7 +661,7 @@ def test_band_or_wavelength_mismatch_exits_1(change, message, fitted, tmp_path, 
     else:
         cube = HyperCube(data=cube.data, wavelengths_nm=cube.wavelengths_nm + 5.0)
     write_envi(cube, tmp_path / "cube.hdr", tmp_path / "cube.raw", interleave="bil")
-    seen = spy_tile_pixels(monkeypatch, model)
+    seen = spy_tiles(monkeypatch, model)
     with caplog.at_level(logging.ERROR, logger="spectral_sift"):
         code = cli.main(["apply", "--model", str(root / "model.json"),
                          "--cube", str(tmp_path / "cube.hdr"), "--out", str(tmp_path / "out")])
