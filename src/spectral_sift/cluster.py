@@ -92,16 +92,34 @@ class ClusterDiagnostics:
 def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n, k) matrix of squared Euclidean distances, without sqrt round-trips.
 
-    ``max(‖x‖² − (2X)·Cᵀ + ‖c‖², 0)``, evaluated in the product's own array:
-    scaling by −2 is exact, so (−2X)·Cᵀ holds the bits of (2X)·Cᵀ negated,
-    and the two sums are added in the plain expression's order. The values
-    keep every bit, without three n×k temporaries. The factor stays inside
-    the product: numpy computes ``X @ X.T`` as a symmetric rank-k update,
-    whose last bits differ from the general product's.
+    ``max(‖x‖² − (2X)·Cᵀ + ‖c‖², 0)``: :func:`_cross_product`, finished in
+    its own array by :func:`_finish_squared_distances`. The values keep every
+    bit of the plain expression, without three n×k temporaries.
     """
-    sq = (-2.0 * X) @ centroids.T
-    sq += np.sum(X**2, axis=1)[:, None]
-    sq += np.sum(centroids**2, axis=1)[None, :]
+    return _finish_squared_distances(_cross_product(X, centroids),
+                                     np.sum(X**2, axis=1), np.sum(centroids**2, axis=1))
+
+
+def _cross_product(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(−2X)·Cᵀ, the one matrix product of :func:`_squared_distances`.
+
+    Scaling by −2 is exact, so it holds the bits of (2X)·Cᵀ negated. The
+    factor stays inside the product: numpy computes ``X @ X.T`` as a
+    symmetric rank-k update, whose last bits differ from the general
+    product's.
+    """
+    return (-2.0 * X) @ centroids.T
+
+
+def _finish_squared_distances(sq: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
+    """Turn rows of :func:`_cross_product` into squared distances, in place.
+
+    Adds the squared row norms ``x_sq`` of those rows and ``c_sq`` of the
+    centroids, in the plain expression's order, and clamps at 0. Every step
+    works entry by entry, so a block of rows gets the bits of the whole.
+    """
+    sq += x_sq[:, None]
+    sq += c_sq[None, :]
     return np.maximum(sq, 0.0, out=sq)
 
 

@@ -218,15 +218,30 @@ def load_inputs(config: RunConfig) -> tuple[HyperCube, LabelMask]:
         if not getattr(inputs, key):
             raise ConfigError(f"inputs.{key} must name a file")
     cube = read_envi(inputs.cube_header, inputs.cube_data)
-    palette = None
-    if inputs.palette:
-        palette = {int(k): str(v) for k, v in modelio.load_json(inputs.palette).items()}
+    palette = _read_palette(inputs.palette) if inputs.palette else None
     mask = read_label_mask(inputs.mask, palette=palette)
     if not mask.matches(cube):
         raise ValueError(
             f"mask {(mask.rows, mask.cols)} does not match cube {(cube.rows, cube.cols)}"
         )
     return cube, mask
+
+
+def _read_palette(path: str) -> dict[int, str]:
+    """The palette file's JSON object, mask id (a key, 0-255) to class name."""
+    doc = modelio.load_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"palette file {path} must hold a JSON object of mask ids "
+                          f"to class names, got {type(doc).__name__}")
+    palette = {}
+    for key, name in doc.items():
+        if not (key.isascii() and key.isdigit() and int(key) <= 255):
+            raise ConfigError(f"palette file {path}: key {key!r} is not a mask id 0-255")
+        if not isinstance(name, str):
+            raise ConfigError(f"palette file {path}: the name of mask id {key} must be a "
+                              f"string, got {name!r}")
+        palette[int(key)] = name
+    return palette
 
 
 def _discriminant_rows(labels: np.ndarray, mite_label: int, bee_label: int) -> tuple[np.ndarray, np.ndarray]:
@@ -402,12 +417,26 @@ class ApplyResult:
 
 
 #: float64 cells that all of apply's tiles in flight may hold: pixels × the
-#: widest per-pixel row of one tile, summed over the worker threads. Tile size
-#: cannot keep a tile's products on one BLAS thread: OpenBLAS threads a product
-#: from about 2.6e5 multiply-adds, so even 4 pixels against 654 support spectra
-#: of 204 bands are threaded. ``apply_pipeline`` holds the BLAS thread count
-#: instead (:func:`_blas_threads_held`).
+#: widest per-pixel row of one tile, summed over the worker threads. A kfpls
+#: tile holds one such array, its (pixels × support) cross-kernel, plus
+#: temporaries of ``kernel.BLOCK_CELLS``; a kmeans tile holds its scaled
+#: spectra and scores. Tile size cannot keep a tile's products on one BLAS
+#: thread: OpenBLAS threads a product from about 2.6e5 multiply-adds, so even
+#: 4 pixels against 654 support spectra of 204 bands are threaded.
+#: ``apply_pipeline`` holds the BLAS thread count instead
+#: (:func:`_blas_threads_held`). Tile rows and BLAS threads follow from the
+#: CPU count and set the last bits of a pixel's scores, so masks are
+#: byte-identical for a given CPU count and BLAS only (see
+#: :func:`apply_pipeline`).
 TILE_CELLS = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports
+    one (Linux), else every CPU of the machine (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @functools.cache
@@ -530,11 +559,17 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | MappedCube) -> ApplyR
     OpenBLAS's own threads, and the workers and those threads would contend
     for the same cores. The previous count is put back when the pool is
     done, also after a failed or interrupted tile.
+
+    Masks are byte-identical from run to run for a given CPU count and BLAS.
+    The CPU count sets the tile rows and the BLAS threads, and those set the
+    shape of each tile's products and how OpenBLAS splits them, hence the
+    last bits of the scores: on another machine, a pixel within rounding of
+    a class boundary may get another id.
     """
     columns = _model_columns(model, cube.bands, cube.wavelengths_nm)
     classify, width, palette = _pixel_classifier(model)
     rows, cols = cube.rows, cube.cols
-    cpus = len(os.sched_getaffinity(0))
+    cpus = _usable_cpus()
     step = max(1, TILE_CELLS // (cpus * cols * width))
     class_labels = np.empty((rows, cols), dtype=np.uint8)
     cluster_ids = np.empty((rows, cols), dtype=np.uint8) if model.workflow == "kmeans" else None

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -234,6 +235,9 @@ class TestKernelMatrix:
             want = 1.0 / (1.0 + (r / ell) ** 2)
         np.testing.assert_array_equal(kernel.distance_kernel(KernelSpec(family, ell), r), want)
         np.testing.assert_array_equal(r, r_before)
+        out = kernel.distance_kernel(KernelSpec(family, ell), r, out=r)
+        assert out is r
+        np.testing.assert_array_equal(r, want)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -257,6 +261,8 @@ class TestCenterKernel:
         want = K - K.mean(axis=1, keepdims=True) - stats.col_means[None, :] + stats.mean_all
         np.testing.assert_array_equal(center_kernel(K, stats), want)
         np.testing.assert_array_equal(K, K_before)
+        assert center_kernel(K, stats, out=K) is K
+        np.testing.assert_array_equal(K, want)
 
     def test_single_training_point_gives_zero(self):
         K = np.array([[2.5]])
@@ -280,6 +286,71 @@ class TestCenterKernel:
         Zc_new = Z_new - Z.mean(axis=0)
         np.testing.assert_allclose(center_kernel(K, stats), Zc @ Zc.T, atol=1e-10)
         np.testing.assert_allclose(center_kernel(K_new, stats), Zc_new @ Zc.T, atol=1e-10)
+
+
+def random_coefficient_model(rng, family, n_support, bands, n_classes=3):
+    """A kernel PLS model with random support, centering statistics and
+    coefficients: prediction reads nothing else, and a fit on a support this
+    large would need its whole Gram matrix."""
+    return kernel.KernelPlsModel(
+        kernel=KernelSpec(family, 0.7),
+        support=rng.uniform(0.05, 0.8, size=(n_support, bands)),
+        center_stats=kernel.KernelCenterStats(col_means=rng.uniform(0.2, 0.6, n_support),
+                                              mean_all=0.4),
+        dual_coef=rng.normal(size=(n_support, n_classes)),
+        y_means=np.full(n_classes, 1.0 / n_classes),
+        classes=np.arange(n_classes),
+        a=2,
+    )
+
+
+def plain_indicators(model, X):
+    """The cross-kernel chain of ``predict_indicators``, each step on all rows."""
+    K = kernel_matrix(model.kernel, X, model.support)
+    return center_kernel(K, model.center_stats) @ model.dual_coef + model.y_means
+
+
+class TestBlockedPrediction:
+    N_SUPPORT = 300
+    BLOCK = kernel.BLOCK_CELLS // N_SUPPORT  # rows per block
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("rows", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_equals_the_whole_tile_chain_bit_for_bit(self, family, rows):
+        rng = np.random.default_rng(rows)
+        model = random_coefficient_model(rng, family, self.N_SUPPORT, 6)
+        X = rng.uniform(0.05, 0.8, size=(rows, 6))
+        X[-1] = model.support[7]  # at distance exactly 0: the margin's zeroing
+        got = predict_indicators(model, X)
+        assert got.tobytes() == plain_indicators(model, X).tobytes()
+
+    @pytest.mark.parametrize("n_support", [kernel.BLOCK_CELLS // 2 + 1, kernel.BLOCK_CELLS + 1])
+    def test_one_row_blocks(self, n_support):
+        assert kernel.BLOCK_CELLS // n_support <= 1
+        rng = np.random.default_rng(n_support)
+        model = random_coefficient_model(rng, "matern52", n_support, 2)
+        X = rng.uniform(0.05, 0.8, size=(3, 2))
+        got = predict_indicators(model, X)
+        assert got.tobytes() == plain_indicators(model, X).tobytes()
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_peak_memory_is_one_cross_kernel_and_a_few_blocks(self, family):
+        rng = np.random.default_rng(41)
+        n_support, bands = 654, 24
+        rows = 16 * (kernel.BLOCK_CELLS // n_support) + 5  # 17 blocks
+        model = random_coefficient_model(rng, family, n_support, bands)
+        X = rng.uniform(0.05, 0.8, size=(rows, bands))
+        classify(model, X)  # first call: the support's norms are computed once, and kept
+        tracemalloc.start()
+        try:
+            classify(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cross_kernel = rows * n_support * 8
+        # the product's scaled operand, 4 blocks, and per-row scores, norms and ids
+        allowed = cross_kernel + X.nbytes + 4 * 8 * kernel.BLOCK_CELLS + 64 * rows + (1 << 16)
+        assert peak <= allowed, (peak, cross_kernel)
 
 
 class TestKernelPls:

@@ -260,6 +260,28 @@ def test_missing_input_file_exits_1(command, fitted, tmp_path, caplog):
     assert message in caplog.text
 
 
+@pytest.mark.parametrize("palette, message", [
+    ([[0, "background"], [1, "bee"]], "must hold a JSON object of mask ids to class names, got list"),
+    ({"0": "background", "bee": "bee"}, "key 'bee' is not a mask id 0-255"),
+    ({"0": "background", "256": "bee"}, "key '256' is not a mask id 0-255"),
+    ({"0": "background", "-1": "bee"}, "key '-1' is not a mask id 0-255"),
+    ({"0": "background", "1": 7}, "the name of mask id 1 must be a string, got 7"),
+    ({"0": "background", "1": None}, "the name of mask id 1 must be a string, got None"),
+])
+def test_malformed_palette_exits_1_naming_the_entry(palette, message, scene, tmp_path, caplog):
+    root = scene[0]
+    (tmp_path / "palette.json").write_text(json.dumps(palette))
+    inputs = {"cube_header": str(root / "cube.hdr"), "mask": str(root / "mask.hdr"),
+              "palette": str(tmp_path / "palette.json")}
+    (tmp_path / "run.json").write_text(json.dumps({"inputs": inputs}))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["fit", "--config", str(tmp_path / "run.json"),
+                         "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert f"palette file {tmp_path / 'palette.json'}" in caplog.text and message in caplog.text
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 def write_run_config(root, path, **sections):
     inputs = {"cube_header": str(root / "cube.hdr"), "mask": str(root / "mask.hdr"),
               "palette": str(root / "palette.json")}
@@ -448,7 +470,7 @@ def test_synth_scene_file_with_unknown_key_exits_1(tmp_path, caplog):
 
 def tile_settings(monkeypatch, model, cube, rows_per_tile, workers):
     """Make apply run ``workers`` threads on tiles of ``rows_per_tile`` rows."""
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
     width = pipeline._pixel_classifier(model)[1]
     monkeypatch.setattr(pipeline, "TILE_CELLS", rows_per_tile * workers * cube.cols * width)
 
@@ -512,6 +534,26 @@ def test_row_tiles_give_identical_masks(fixture, workers, request, bil_copy, mon
 @pytest.mark.parametrize("workers", [1, 2])
 def test_band_subset_row_tiles_give_identical_masks(fitted_bands, workers, bil_copy, monkeypatch):
     assert_tiles_match_whole_cube(monkeypatch, fitted_bands[1], bil_copy, workers)
+
+
+@pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
+def test_apply_without_cpu_affinity_gives_the_same_masks(fixture, request, bil_copy,
+                                                         monkeypatch):
+    # os.sched_getaffinity exists on Linux only; elsewhere apply counts the CPUs
+    value = request.getfixturevalue(fixture)
+    model = value[3] if fixture == "fitted" else value[1]
+    cube = open_envi(bil_copy / "bil.hdr")
+    results = [apply_pipeline(model, cube)]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert pipeline._usable_cpus() == (os.cpu_count() or 1)
+    results.append(apply_pipeline(model, cube))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # it may not know either: one CPU
+    assert pipeline._usable_cpus() == 1
+    results.append(apply_pipeline(model, cube))
+    for result in results[1:]:
+        assert result.class_labels.tobytes() == results[0].class_labels.tobytes()
+        if result.cluster_ids is not None:
+            assert result.cluster_ids.tobytes() == results[0].cluster_ids.tobytes()
 
 
 @pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
