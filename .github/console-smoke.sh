@@ -40,6 +40,15 @@ for workflow in kmeans kfpls; do
   spectral-sift inspect --model $workflow/model.json --json > $workflow/inspect.json
   python -c "import json, sys; assert json.load(open(sys.argv[1]))['format_version'] == 5" $workflow/inspect.json
 done
+# fit and apply both workflows again from a float32 BIL copy, the layout of a
+# camera frame, which fit reads mapped in row tiles
+mkdir bil
+python -c "from spectral_sift.specdata import read_envi, write_envi; write_envi(read_envi('scene/cube.hdr'), 'bil/cube.hdr', 'bil/cube.raw', interleave='bil', dtype='f4')"
+for workflow in kmeans kfpls; do
+  sed 's#scene/cube.hdr#bil/cube.hdr#' $workflow.json > bil/$workflow.json
+  spectral-sift fit --config bil/$workflow.json --out bil/$workflow
+  spectral-sift apply --model bil/$workflow/model.json --cube bil/cube.hdr --out bil/$workflow/applied
+done
 # diagnostics.json is standard JSON (no Infinity or NaN), and the KF trace has
 # one row per configured iteration
 python - <<'PY'

@@ -30,7 +30,7 @@ from .pipeline import (
     run_synth,
     write_apply_outputs,
 )
-from .specdata import EnviFormatError, flatten, open_envi
+from .specdata import EnviFormatError, open_envi
 from .specdata import read_envi  # noqa: F401  bench/spans.py traces cli.read_envi by name
 
 log = logging.getLogger("spectral_sift")
@@ -120,8 +120,7 @@ def _cmd_select_bands(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cube, mask = load_inputs(config)
-    report, bands = run_band_selection(flatten(cube), mask.labels.ravel(), cube.wavelengths_nm,
-                                       config)
+    report, bands = run_band_selection(cube, mask.labels.ravel(), config)
     doc = report.to_dict()
     doc["bands_for_model"] = [int(b) for b in bands]
     doc["bands_for_model_nm"] = [float(cube.wavelengths_nm[b]) for b in bands]

@@ -229,7 +229,9 @@ def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np
     Q = np.empty((Yc.shape[1], a))
     C = np.empty((n, a))  # dual representation of the orthonormal loading basis
     KC = np.empty((n, a))  # Kc @ C
-    scale_ref = max(float(np.linalg.norm(Kc)), 1e-300)
+    # Frobenius norm by einsum's own loop: np.linalg.norm takes a BLAS dot, which
+    # OpenBLAS may thread and which then can stall for milliseconds on n² entries
+    scale_ref = max(float(np.sqrt(np.einsum("ij,ij->", Kc, Kc))), 1e-300)
 
     for i in range(a):
         v = dominant_eigenvector(G.T @ KG)  # G'KG = S'S in feature space

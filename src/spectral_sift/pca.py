@@ -53,18 +53,30 @@ def fit_pca(X: np.ndarray, k: int | None = None) -> tuple[PcaModel, np.ndarray]:
     """Decompose a centered matrix; returns the model and the scores T = X P.
 
     The input must already be centered (the autoscaled calibration matrix
-    is). Each loading column is sign-fixed so its largest-magnitude entry is
-    positive, which keeps model files reproducible.
+    is). The decomposition is :func:`pca_from_cross_product` of X^T X.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={X.ndim}")
-    n, p = X.shape
-    if n < 2:
+    if X.shape[0] < 2:
         raise ValueError("PCA needs at least 2 rows")
     col_mean_norm = float(np.linalg.norm(X.mean(axis=0)))
     if col_mean_norm >= 1e-6:
         raise ValueError(f"input is not centered (column-mean norm {col_mean_norm:.3e} >= 1e-6)")
+    model = pca_from_cross_product(X.T @ X, X.shape[0], k)
+    return model, X @ model.loadings
+
+
+def pca_from_cross_product(cross: np.ndarray, n: int, k: int | None = None) -> PcaModel:
+    """The first ``k`` components of a centered n-row matrix from its bands x
+    bands cross-product X^T X, however that was summed.
+
+    Each loading column is sign-fixed so its largest-magnitude entry is
+    positive, which keeps model files reproducible.
+    """
+    p = cross.shape[0]
+    if n < 2:
+        raise ValueError("PCA needs at least 2 rows")
     k_max = min(n - 1, p)
     if k is None:
         k = min(k_max, DEFAULT_MAX_COMPONENTS)
@@ -72,7 +84,7 @@ def fit_pca(X: np.ndarray, k: int | None = None) -> tuple[PcaModel, np.ndarray]:
         raise ValueError(f"k must be in [1, {k_max}] for a {n}x{p} matrix, got {k}")
 
     # eigh returns ascending eigenvalues; rounding can leave the smallest below 0
-    lam, vecs = np.linalg.eigh(X.T @ X)
+    lam, vecs = np.linalg.eigh(cross)
     lam = np.maximum(lam[::-1], 0.0)
     total = float(lam.sum())
     loadings = vecs[:, ::-1][:, :k].copy()
@@ -81,8 +93,7 @@ def fit_pca(X: np.ndarray, k: int | None = None) -> tuple[PcaModel, np.ndarray]:
     flip[flip == 0] = 1.0
     loadings *= flip
     ratio = lam[:k] / total if total > 0 else np.zeros(k)
-    model = PcaModel(loadings=loadings, explained_variance_ratio=ratio)
-    return model, X @ loadings
+    return PcaModel(loadings=loadings, explained_variance_ratio=ratio)
 
 
 def project(model: PcaModel, X_new: np.ndarray) -> np.ndarray:

@@ -7,13 +7,15 @@ path samples labeled pixels, tunes the kernel by Kernel Flows, and fits
 kernel PLS-DA on the raw spectra. Applying a model never refits statistics:
 new images are always pushed through the stored calibration parameters.
 
-A fit reads its cube whole, as a float64 :class:`HyperCube`; the stages take
-the pixels-by-bands matrix ``X = flatten(cube)`` and the flat mask labels. A
-band subset is ``X.take(sorted_bands, axis=1)``, row-major like ``X``
-(``X[:, bands]`` is column-major, which changes the column sums' rounding),
-and a per-pixel result reshapes to the image grid. Apply never holds a cube
-as float64: it maps the file (:class:`MappedCube`) and classifies row tiles,
-each converted to a row-major float64 matrix of the model's columns only.
+No command holds a cube as float64. Fit, band selection and apply map the
+file (:class:`MappedCube`, from :func:`load_inputs` or ``open_envi``) and
+read it in row tiles, each converted to a row-major float64 pixels-by-bands
+matrix of the columns in use (a band subset is a sorted column list) and
+checked for NaN/Inf. A fit walks the tiles once per statistic in one reused
+buffer and keeps only per-pixel results: the PCA scores, or the few pixels
+it gathers (Kernel Flows samples, band selection's bee and mite rows).
+Apply classifies tiles on a thread pool. Rows and mask labels are in
+row-major scan order, so a per-pixel result reshapes to the image grid.
 """
 
 from __future__ import annotations
@@ -43,14 +45,14 @@ from .specdata import (
     LabelMask,
     MappedCube,
     SceneSpec,
-    flatten,
-    read_envi,
+    open_envi,
     read_label_mask,
     synth_scene,
     write_envi,
     write_label_mask_envi,
     write_label_mask_pgm,
 )
+from .specdata import flatten, read_envi  # noqa: F401  bench/spans.py traces both by name
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,12 +214,14 @@ class PipelineModel:
         return cls.from_dict(doc)
 
 
-def load_inputs(config: RunConfig) -> tuple[HyperCube, LabelMask]:
+def load_inputs(config: RunConfig) -> tuple[MappedCube, LabelMask]:
+    """The configured cube, mapped (:func:`open_envi`; only its size and
+    header are checked here), and its label mask, which must match its grid."""
     inputs = config.inputs
     for key in ("cube_header", "mask"):
         if not getattr(inputs, key):
             raise ConfigError(f"inputs.{key} must name a file")
-    cube = read_envi(inputs.cube_header, inputs.cube_data)
+    cube = open_envi(inputs.cube_header, inputs.cube_data)
     palette = _read_palette(inputs.palette) if inputs.palette else None
     mask = read_label_mask(inputs.mask, palette=palette)
     if not mask.matches(cube):
@@ -255,11 +259,98 @@ def _discriminant_rows(labels: np.ndarray, mite_label: int, bee_label: int) -> t
     return selector, y
 
 
-def _fit_kmeans_path(X: np.ndarray, labels: np.ndarray, config: RunConfig):
-    scale = pp.fit_scale(X)
-    Xs = pp.apply_scale(scale, X)
-    pca_model, scores = pc.fit_pca(Xs, k=config.pca.components)
+#: float64 cells of the row tiles in memory at once. A fit reads one tile at
+#: a time: its pixels × the columns in use. Apply counts the widest per-pixel
+#: row of one tile, summed over the worker threads: a kfpls tile holds one
+#: such array, its (pixels × support) cross-kernel, plus temporaries of
+#: ``kernel.BLOCK_CELLS``; a kmeans tile holds its scaled spectra and scores.
+#: Tile size cannot keep a tile's products on one BLAS thread: OpenBLAS
+#: threads a product from about 2.6e5 multiply-adds, so even 4 pixels against
+#: 654 support spectra of 204 bands are threaded. ``apply_pipeline`` holds
+#: the BLAS thread count instead (:func:`_blas_threads_held`). Apply's tile
+#: rows and BLAS threads follow from the CPU count and set the last bits of a
+#: pixel's scores, so masks are byte-identical for a given CPU count and BLAS
+#: only (see :func:`apply_pipeline`); a fit's tile rows do not depend on it.
+TILE_CELLS = 1 << 20
+
+
+def _read_tile(cube: HyperCube | MappedCube, r0: int, rows: int, columns: list[int] | None,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``r0`` to ``r0 + rows`` of the cube as a row-major float64 pixels ×
+    columns matrix (every band when ``columns`` is None), converted from the
+    stored dtype into the flat buffer ``out`` when one is given. Raises
+    EnviFormatError, naming the rows, if a value is NaN or infinite."""
+    tile = cube.data[r0:r0 + rows]
+    if columns is not None:
+        tile = tile[:, :, columns]  # take() would first copy every band of a strided view
+    if out is None:
+        X = np.ascontiguousarray(tile, dtype=np.float64)
+    else:
+        X = out[:tile.size].reshape(tile.shape)
+        np.copyto(X, tile)
+    X = X.reshape(-1, tile.shape[2])
+    if not np.all(np.isfinite(X)):
+        source = f"payload of {cube.path}" if isinstance(cube, MappedCube) else "cube data"
+        raise EnviFormatError(f"{source} contains NaN/Inf in rows {r0}-{r0 + len(tile) - 1}")
+    return X
+
+
+class _RowTiles:
+    """The row tiles of a fit, top to bottom, each read again on every pass.
+
+    Iterating yields each tile as :func:`_read_tile` gives it, in one buffer
+    that every tile of every pass reuses: a tile holds until the next one is
+    read, and the caller may write to it. A tile holds at most ``TILE_CELLS``
+    cells (at least one row); its rows follow from the cube's columns and
+    the columns read alone, so a fit's bits do not depend on the machine.
+    """
+
+    def __init__(self, cube: HyperCube | MappedCube, columns: list[int] | None) -> None:
+        self.cube, self.columns = cube, columns
+        self.width = cube.bands if columns is None else len(columns)
+        self.step = max(1, TILE_CELLS // (cube.cols * self.width))
+        self.buffer = np.empty(min(self.step, cube.rows) * cube.cols * self.width)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for r0 in range(0, self.cube.rows, self.step):
+            yield _read_tile(self.cube, r0, self.step, self.columns, self.buffer)
+
+
+def _gather_pixels(cube: HyperCube | MappedCube, columns: list[int] | None,
+                   pixels: np.ndarray) -> np.ndarray:
+    """Rows ``pixels`` (flat pixel indices, in any order) of the cube's pixels ×
+    columns matrix, as float64. Every tile is read, so a NaN/Inf anywhere in
+    those columns fails the gather, as it fails a whole-cube pass."""
+    tiles = _RowTiles(cube, columns)
+    out = np.empty((pixels.size, tiles.width))
+    start = 0
+    for X in tiles:
+        inside = (pixels >= start) & (pixels < start + X.shape[0])
+        out[inside] = X[pixels[inside] - start]
+        start += X.shape[0]
+    return out
+
+
+def _fit_kmeans_path(cube: HyperCube | MappedCube, columns: list[int] | None,
+                     labels: np.ndarray, config: RunConfig):
+    """Autoscale, PCA, component gate and escalation on the cube's columns
+    (every band when None), in four passes over the row tiles: column means,
+    standard deviations, the autoscaled cross-product XᵀX, and the scores of
+    every component. Only the scores are kept whole."""
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
+    tiles = _RowTiles(cube, columns)
+    scale = pp.fit_scale_tiles(lambda: tiles)
+    cross = np.zeros((tiles.width, tiles.width))
+    for X in tiles:
+        cross += X.T @ pp.apply_scale(scale, X, out=X)
+    pca_model = pc.pca_from_cross_product(cross, labels.size, config.pca.components)
+    scores = np.empty((labels.size, pca_model.k))
+    start = 0
+    for X in tiles:
+        np.matmul(pp.apply_scale(scale, X, out=X), pca_model.loadings,
+                  out=scores[start:start + X.shape[0]])
+        start += X.shape[0]
+
     rho = pc.correlate_scores(scores[selector], y)
     selection = pc.select_components(rho, top_n=config.pca.top_n, threshold=config.pca.threshold)
     cluster_model, diag = cl.fit_supervised(
@@ -276,9 +367,10 @@ def _fit_kmeans_path(X: np.ndarray, labels: np.ndarray, config: RunConfig):
     return scale, pca_model, selection, cluster_model, diagnostics
 
 
-def _sample_labeled_pixels(
-    X: np.ndarray, labels: np.ndarray, per_class: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _sample_labeled_pixels(labels: np.ndarray, per_class: int,
+                           seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``per_class`` random pixels of each labeled class: their flat
+    indices, ascending within each class, and their labels."""
     rng = np.random.default_rng(seed)
     classes = [int(c) for c in np.unique(labels) if c != UNLABELED]
     rows = []
@@ -289,15 +381,16 @@ def _sample_labeled_pixels(
         picked = np.sort(rng.choice(members, size=take, replace=False))
         rows.append(picked)
         out_labels.append(np.full(take, c))
-    sel = np.concatenate(rows)
-    return X[sel], np.concatenate(out_labels)
+    return np.concatenate(rows), np.concatenate(out_labels)
 
 
-def _fit_kfpls_path(X: np.ndarray, labels: np.ndarray, config: RunConfig):
+def _fit_kfpls_path(cube: HyperCube | MappedCube, columns: list[int] | None,
+                    labels: np.ndarray, config: RunConfig):
     if np.unique(labels[labels != UNLABELED]).size < 2:
         raise ValueError("kernel workflow needs at least 2 labeled classes")
     _discriminant_rows(labels, config.labels.mite, config.labels.bee)  # both insects must exist
-    X_train, y_train = _sample_labeled_pixels(X, labels, config.samples_per_class, config.seed)
+    pixels, y_train = _sample_labeled_pixels(labels, config.samples_per_class, config.seed)
+    X_train = _gather_pixels(cube, columns, pixels)
     result = kn.kf_optimize(X_train, y_train, config.kernel, config.kf, config.seed)
     diagnostics = {
         "kernel": modelio.encode(result.spec),
@@ -310,14 +403,15 @@ def _fit_kfpls_path(X: np.ndarray, labels: np.ndarray, config: RunConfig):
     return result, diagnostics
 
 
-def _clustering_stop_test(X: np.ndarray, labels: np.ndarray, config: RunConfig):
-    """Success test for band subsets: does the full supervised pipeline pass?"""
+def _clustering_stop_test(cube: HyperCube | MappedCube, labels: np.ndarray, config: RunConfig):
+    """Success test for band subsets: does the full supervised pipeline pass
+    on those columns of the cube?"""
 
     def passes(bands: list[int]) -> bool:
         if not bands:
             return False
         try:
-            _fit_kmeans_path(X.take(sorted(set(bands)), axis=1), labels, config)
+            _fit_kmeans_path(cube, sorted(set(bands)), labels, config)
         except (cl.EscalationError, ValueError):
             return False
         return True
@@ -325,27 +419,29 @@ def _clustering_stop_test(X: np.ndarray, labels: np.ndarray, config: RunConfig):
     return passes
 
 
-def run_band_selection(X: np.ndarray, labels: np.ndarray, wavelengths_nm: np.ndarray, config: RunConfig):
-    """Run the configured selector on the pixel matrix; returns (report, bands_for_model)."""
+def run_band_selection(cube: HyperCube | MappedCube, labels: np.ndarray, config: RunConfig):
+    """Run the configured selector on the cube's bee and mite pixels; returns
+    (report, bands_for_model). Reading those pixels checks the whole payload
+    for NaN/Inf; the clustering stop test reads only each prefix's bands."""
     bands_cfg = config.band_selection
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
-    Xbm = X[selector]
-    excluded = ws.exclude_tail(X.shape[1], bands_cfg.n_tail)
+    Xbm = _gather_pixels(cube, None, np.flatnonzero(selector))
+    excluded = ws.exclude_tail(cube.bands, bands_cfg.n_tail)
     stop = None
     if bands_cfg.stop_by_clustering:
-        stop = _clustering_stop_test(X, labels, config)
+        stop = _clustering_stop_test(cube, labels, config)
 
     if bands_cfg.method == "r2":
         init = ws.init_by_correlation(Xbm, y, m=bands_cfg.init_m, exclude=excluded)
         report = ws.r2_forward_select(
             Xbm, y, target_count=bands_cfg.target_count, init=init, lv=bands_cfg.lv,
-            exclude=excluded, stop=stop, wavelengths_nm=wavelengths_nm,
+            exclude=excluded, stop=stop, wavelengths_nm=cube.wavelengths_nm,
         )
         return report, list(report.selected)
 
     if bands_cfg.method == "covproc":
         report = ws.covproc_select(
-            Xbm, y, rounds=bands_cfg.rounds, exclude=excluded, wavelengths_nm=wavelengths_nm,
+            Xbm, y, rounds=bands_cfg.rounds, exclude=excluded, wavelengths_nm=cube.wavelengths_nm,
         )
         order = bands_cfg.round_order or tuple(r.index for r in report.rounds)
         bands = ws.reorder_rounds(report, order)
@@ -368,17 +464,17 @@ def run_band_selection(X: np.ndarray, labels: np.ndarray, wavelengths_nm: np.nda
 def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
     """Calibrate a full pipeline per the run configuration."""
     cube, mask = load_inputs(config)
-    X, labels, wavelengths_nm = flatten(cube), mask.labels.ravel(), cube.wavelengths_nm
+    labels, wavelengths_nm = mask.labels.ravel(), cube.wavelengths_nm
     diagnostics: dict = {"workflow": config.workflow, "seed": config.seed}
 
     report_doc = None
     band_subset = None
     if config.band_selection.method != "none":
-        report, bands = run_band_selection(X, labels, wavelengths_nm, config)
+        report, bands = run_band_selection(cube, labels, config)
         report_doc = report.to_dict()
         report_doc["bands_for_model"] = [int(b) for b in bands]
         band_subset = sorted(set(bands))
-        X, wavelengths_nm = X.take(band_subset, axis=1), wavelengths_nm[band_subset]
+        wavelengths_nm = wavelengths_nm[band_subset]
         diagnostics["band_selection"] = report_doc
 
     model = PipelineModel(
@@ -393,14 +489,15 @@ def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
     )
 
     if config.workflow == "kmeans":
-        scale, pca_model, selection, cluster_model, diag = _fit_kmeans_path(X, labels, config)
+        scale, pca_model, selection, cluster_model, diag = _fit_kmeans_path(
+            cube, band_subset, labels, config)
         model.scale = scale
         model.pca = pca_model
         model.selection = selection
         model.cluster = cluster_model
         diagnostics.update(diag)
     else:
-        result, diag = _fit_kfpls_path(X, labels, config)
+        result, diag = _fit_kfpls_path(cube, band_subset, labels, config)
         model.kernel = result.model
         diagnostics.update(diag)
         diagnostics["_kf_trace"] = result.trace  # stripped before JSON emission
@@ -414,21 +511,6 @@ class ApplyResult:
     palette: dict[int, str]
     counts: dict[str, int]
     cluster_ids: np.ndarray | None = None  # (rows, cols), kmeans path only
-
-
-#: float64 cells that all of apply's tiles in flight may hold: pixels × the
-#: widest per-pixel row of one tile, summed over the worker threads. A kfpls
-#: tile holds one such array, its (pixels × support) cross-kernel, plus
-#: temporaries of ``kernel.BLOCK_CELLS``; a kmeans tile holds its scaled
-#: spectra and scores. Tile size cannot keep a tile's products on one BLAS
-#: thread: OpenBLAS threads a product from about 2.6e5 multiply-adds, so even
-#: 4 pixels against 654 support spectra of 204 bands are threaded.
-#: ``apply_pipeline`` holds the BLAS thread count instead
-#: (:func:`_blas_threads_held`). Tile rows and BLAS threads follow from the
-#: CPU count and set the last bits of a pixel's scores, so masks are
-#: byte-identical for a given CPU count and BLAS only (see
-#: :func:`apply_pipeline`).
-TILE_CELLS = 1 << 20
 
 
 def _usable_cpus() -> int:
@@ -573,15 +655,9 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | MappedCube) -> ApplyR
     step = max(1, TILE_CELLS // (cpus * cols * width))
     class_labels = np.empty((rows, cols), dtype=np.uint8)
     cluster_ids = np.empty((rows, cols), dtype=np.uint8) if model.workflow == "kmeans" else None
-    source = f"payload of {cube.path}" if isinstance(cube, MappedCube) else "cube data"
 
     def classify_tile(r0: int) -> None:
-        tile = cube.data[r0:r0 + step]
-        if columns is not None:
-            tile = tile[:, :, columns]  # take() would first copy every band of a strided view
-        X = np.ascontiguousarray(tile, dtype=np.float64).reshape(-1, tile.shape[2])
-        if not np.all(np.isfinite(X)):
-            raise EnviFormatError(f"{source} contains NaN/Inf in rows {r0}-{r0 + len(tile) - 1}")
+        X = _read_tile(cube, r0, step, columns)
         n = X.shape[0]
         # numpy computes a one-row product as a matrix-vector product, whose last
         # bits can differ from the matrix product's: classify a lone pixel twice

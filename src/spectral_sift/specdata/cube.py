@@ -1,12 +1,12 @@
 """Hyperspectral cube and label-mask data model.
 
 A :class:`HyperCube` holds a whole cube in memory, in (row, col, band) order
-as float64, regardless of how it was laid out on disk. Wavelengths are band
-centers in nanometres and must be strictly increasing. The cube is the type
-of file I/O and scene synthesis; the pipeline stages take its :func:`flatten`
-pixels-by-bands matrix instead. ``apply`` does not load a cube: it reads row
-tiles of an :class:`~spectral_sift.specdata.envi.MappedCube`, a view of the
-file in its stored dtype, and converts each tile to float64 on its own.
+as float64. Scene synthesis makes one, the ENVI writer writes one, and
+``read_envi`` loads one for tests and scripts. No fit or apply command holds
+a cube: both read row tiles of an
+:class:`~spectral_sift.specdata.envi.MappedCube`, a view of the file in its
+stored dtype, and convert each tile to float64 on their own. Wavelengths are
+band centers in nanometres and must be strictly increasing.
 """
 
 from __future__ import annotations
@@ -21,29 +21,38 @@ INTERLEAVES = ("bsq", "bil", "bip")
 UNLABELED = 255
 
 
+def check_wavelengths(wavelengths_nm: np.ndarray, bands: int) -> None:
+    """Raise ValueError unless the wavelengths are a finite, strictly
+    increasing vector of one entry per band."""
+    if wavelengths_nm.ndim != 1 or wavelengths_nm.size != bands:
+        raise ValueError(
+            f"wavelengths_nm must be a vector of length bands={bands}, "
+            f"got shape {wavelengths_nm.shape}"
+        )
+    if not np.all(np.isfinite(wavelengths_nm)):
+        raise ValueError("wavelengths_nm contains NaN/Inf")
+    if bands > 1 and not np.all(np.diff(wavelengths_nm) > 0):
+        raise ValueError("wavelengths_nm must be strictly increasing")
+
+
 @dataclass
 class HyperCube:
-    """3-D reflectance array plus its spectral axis.
+    """3-D reflectance array plus its spectral axis, wholly in memory.
 
     Parameters
     ----------
     data : ndarray, shape (rows, cols, bands)
-        Reflectance values (unitless). Stored as float64.
+        Reflectance values (unitless). Stored as float64, finite.
     wavelengths_nm : ndarray, shape (bands,)
         Band-center wavelengths in nm, strictly increasing.
-    interleave : str
-        Layout used (or to be used) on disk: "bsq", "bil" or "bip".
-        Purely file metadata; in-memory access is always (row, col, band).
     """
 
     data: np.ndarray
     wavelengths_nm: np.ndarray
-    interleave: str = "bsq"
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float64)
         self.wavelengths_nm = np.asarray(self.wavelengths_nm, dtype=np.float64)
-        self.interleave = str(self.interleave).lower()
         self.validate()
 
     @property
@@ -63,19 +72,9 @@ class HyperCube:
             raise ValueError(f"cube data must be 3-D (rows, cols, bands), got ndim={self.data.ndim}")
         if min(self.data.shape) < 1:
             raise ValueError(f"cube dimensions must all be >= 1, got shape {self.data.shape}")
-        if self.wavelengths_nm.ndim != 1 or self.wavelengths_nm.size != self.bands:
-            raise ValueError(
-                f"wavelengths_nm must be a vector of length bands={self.bands}, "
-                f"got shape {self.wavelengths_nm.shape}"
-            )
-        if self.bands > 1 and not np.all(np.diff(self.wavelengths_nm) > 0):
-            raise ValueError("wavelengths_nm must be strictly increasing")
-        if not np.all(np.isfinite(self.wavelengths_nm)):
-            raise ValueError("wavelengths_nm contains NaN/Inf")
+        check_wavelengths(self.wavelengths_nm, self.bands)
         if not np.all(np.isfinite(self.data)):
             raise ValueError("cube data contains NaN/Inf")
-        if self.interleave not in INTERLEAVES:
-            raise ValueError(f"unknown interleave {self.interleave!r}, expected one of {INTERLEAVES}")
 
 
 @dataclass
@@ -115,15 +114,16 @@ class LabelMask:
         if UNLABELED in self.palette:
             raise ValueError(f"palette must not define the reserved unlabeled value {UNLABELED}")
 
-    def matches(self, cube: HyperCube) -> bool:
+    def matches(self, cube) -> bool:
+        """Whether a cube (in memory or mapped) has the mask's rows and columns."""
         return (self.rows, self.cols) == (cube.rows, cube.cols)
 
 
 def flatten(cube: HyperCube) -> np.ndarray:
     """The cube as a pixels-by-bands matrix, rows in row-major scan order.
 
-    This is the matrix every pipeline stage works on: a band subset is a
-    column selection and a per-pixel result reshapes to ``(rows, cols)``.
+    A band subset is then a column selection and a per-pixel result reshapes
+    to ``(rows, cols)``, the layout of each row tile that fit and apply read.
     It is a reshape view of ``cube.data`` (no copy when the data are
     contiguous), so writing to it writes to the cube.
     """

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import INTERLEAVES, HyperCube, LabelMask
+from .cube import INTERLEAVES, HyperCube, LabelMask, check_wavelengths
 
 
 class EnviFormatError(ValueError):
@@ -201,13 +201,15 @@ def _infer_data_path(header_path: Path) -> Path:
 
 @dataclass(frozen=True)
 class MappedCube:
-    """An ENVI cube mapped from its file, not read.
+    """An ENVI cube mapped from its file, not read: what ``fit``,
+    ``select-bands`` and ``apply`` read.
 
     ``data`` is a read-only (row, col, band) view of the payload in its stored
     dtype, so only the pages a caller touches are read, and they stay file
-    cache that the operating system can reclaim. Nothing is checked beyond
-    the file size: a reader converts the part it uses and checks it for
-    NaN/Inf itself. The file must not shrink while the view is in use.
+    cache that the operating system can reclaim. The file size and the
+    wavelength list are checked when the file is opened; a reader converts
+    the row tiles it uses to float64 and checks each for NaN/Inf itself. The
+    file must not shrink while the view is in use.
     """
 
     data: np.ndarray
@@ -234,6 +236,10 @@ def _open_cube(header_path: str | Path, data_path: str | Path | None, mapped: bo
     data = _open_payload(header, data_path, mapped)
     if header.wavelengths_nm is None:
         raise EnviFormatError(f"header {header_path} has no wavelength list")
+    try:
+        check_wavelengths(header.wavelengths_nm, header.bands)
+    except ValueError as exc:
+        raise EnviFormatError(f"header {header_path}: {exc}") from None
     return header, data, data_path
 
 
@@ -248,21 +254,22 @@ def read_envi(header_path: str | Path, data_path: str | Path | None = None) -> H
 
     Values are converted to float64 and the array is put in (row, col, band)
     order whatever the on-disk interleave was; a native float64 BIP payload
-    needs neither, so the array read from the file is the cube. Every value
-    is checked for NaN/Inf.
+    needs neither, so the array read from the file is the cube. The cube
+    checks every value for NaN/Inf once, as it is built.
     """
     header, data, data_path = _open_cube(header_path, data_path, mapped=False)
     data = np.ascontiguousarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(data)):
-        raise EnviFormatError(f"payload of {data_path} contains NaN/Inf")
-    return HyperCube(data=data, wavelengths_nm=header.wavelengths_nm, interleave=header.interleave)
+    try:
+        return HyperCube(data=data, wavelengths_nm=header.wavelengths_nm)
+    except ValueError as exc:  # the header is checked: only the values can fail
+        raise EnviFormatError(f"payload of {data_path}: {exc}") from None
 
 
 def write_envi(
     cube: HyperCube,
     header_path: str | Path,
     data_path: str | Path,
-    interleave: str | None = None,
+    interleave: str = "bsq",
     dtype: str = "f4",
     byte_order: int = 0,
 ) -> None:
@@ -272,7 +279,7 @@ def write_envi(
     bit-exact at that float width.
     """
     cube.validate()
-    interleave = (interleave or cube.interleave).lower()
+    interleave = interleave.lower()
     if interleave not in INTERLEAVES:
         raise ValueError(f"unknown interleave {interleave!r}")
     if dtype not in ("f4", "f8"):

@@ -6,6 +6,7 @@ import pytest
 from spectral_sift.pca import (
     correlate_scores,
     fit_pca,
+    pca_from_cross_product,
     project,
     reconstruct,
     select_components,
@@ -132,6 +133,37 @@ class TestFitPcaMatchesSvd:
         assert np.all(ratio >= 0)
         np.testing.assert_allclose(ratio[4:], 0.0, atol=1e-12)
         np.testing.assert_allclose(ratio.sum(), 1.0, rtol=1e-12)
+
+
+def test_cross_product_summed_in_tiles_matches_the_whole_matrix():
+    """A cross-product summed over row tiles changes PCA's last bits only.
+
+    Tolerance: loadings within 1e-10 and variance ratios within 1e-14,
+    absolute, on an autoscaled 2000 x 60 matrix in 7-row tiles; on the
+    benchmark's autoscaled 128 x 128 x 204 scenes, in 40-row tiles, the
+    loadings moved by at most 2.7e-11.
+    """
+    rng = np.random.default_rng(30)
+    X = rng.normal(size=(2000, 8)) @ rng.normal(size=(8, 60)) + 0.1 * rng.normal(size=(2000, 60))
+    X = apply_scale(fit_scale(X), X)
+    cross = np.zeros((60, 60))
+    for r0 in range(0, X.shape[0], 7):
+        cross += X[r0:r0 + 7].T @ X[r0:r0 + 7]
+    tiled = pca_from_cross_product(cross, X.shape[0])
+    whole, _ = fit_pca(X)
+    assert tiled.k == whole.k == 20
+    np.testing.assert_allclose(tiled.loadings, whole.loadings, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(tiled.explained_variance_ratio, whole.explained_variance_ratio,
+                               rtol=0, atol=1e-14)
+    exact = pca_from_cross_product(X.T @ X, X.shape[0])
+    np.testing.assert_array_equal(exact.loadings, whole.loadings)  # one eigh path
+
+
+def test_cross_product_checks_rows_and_k():
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        pca_from_cross_product(np.eye(3), 1)
+    with pytest.raises(ValueError, match="k must be"):
+        pca_from_cross_product(np.eye(3), 10, k=4)
 
 
 class TestCorrelateScores:

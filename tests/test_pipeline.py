@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -710,3 +711,166 @@ def test_band_or_wavelength_mismatch_exits_1(change, message, fitted, tmp_path, 
     assert code == EXIT_USAGE
     assert message in caplog.text
     assert seen == [] and not (tmp_path / "out").exists()
+
+
+# fit and select-bands read the mapped cube in row tiles
+
+FIT_COMMANDS = {
+    "kmeans-fit": ("fit", {}),
+    "kfpls-fit": ("fit", {"workflow": "kfpls", "samples_per_class": 20,
+                          "kf": {"iterations": 1, "subsamplings_per_iter": 4}}),
+    "covproc-select": ("select-bands", {"band_selection": {
+        "method": "covproc", "n_tail": 4, "rounds": 3, "stop_by_clustering": True}}),
+    "r2-select": ("select-bands", {"band_selection": {"method": "r2", "n_tail": 4,
+                                                      "target_count": 4}}),
+}
+
+
+def run_on_cube(command, header, mask_root, out, caplog=None):
+    """Run a FIT_COMMANDS entry through the CLI on the cube ``header`` and the
+    tiny scene's mask; returns the exit code."""
+    name, settings = FIT_COMMANDS[command]
+    inputs = {"cube_header": str(header), "mask": str(mask_root / "mask.hdr"),
+              "palette": str(mask_root / "palette.json")}
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "run.json").write_text(json.dumps({"inputs": inputs, **settings}))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift") if caplog else nullcontext():
+        return cli.main([name, "--config", str(out / "run.json"), "--out", str(out)])
+
+
+def fit_outputs(out):
+    return [path.name for path in (out / "model.json", out / "selection_report.json")
+            if path.exists()]
+
+
+@pytest.mark.parametrize("command", list(FIT_COMMANDS))
+def test_nan_in_last_row_fails_the_fit_with_exit_1(command, scene, bil_copy, tmp_path,
+                                                   monkeypatch, caplog):
+    header = copy_with_nan_in_last_row(bil_copy, tmp_path)
+    monkeypatch.setattr(pipeline, "TILE_CELLS", 1)  # one-row tiles: the NaN is in the last
+    code = run_on_cube(command, header, scene[0], tmp_path / "out", caplog)
+    assert code == EXIT_USAGE
+    assert f"payload of {tmp_path / 'cube.raw'} contains NaN/Inf in rows 39-39" in caplog.text
+    assert fit_outputs(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("command", list(FIT_COMMANDS))
+def test_truncated_payload_fails_the_fit_before_any_pass(command, scene, bil_copy, tmp_path,
+                                                         monkeypatch, caplog):
+    (tmp_path / "cube.hdr").write_bytes((bil_copy / "bil.hdr").read_bytes())
+    (tmp_path / "cube.raw").write_bytes((bil_copy / "bil.raw").read_bytes()[:-4])
+    read = []
+    monkeypatch.setattr(pipeline, "_read_tile", lambda *args, **kwargs: read.append(args))
+    code = run_on_cube(command, tmp_path / "cube.hdr", scene[0], tmp_path / "out", caplog)
+    assert code == EXIT_USAGE
+    assert "bytes, header implies" in caplog.text
+    assert read == [] and fit_outputs(tmp_path / "out") == []
+
+
+@pytest.fixture(scope="module")
+def layouts(scene):
+    """The tiny scene rounded to float32 and written as f8 BIP, f4 BIL and
+    big-endian f4 BSQ: three files of one cube."""
+    root = scene[0]
+    full = read_envi(root / "cube.hdr")
+    cube = HyperCube(data=full.data.astype(np.float32), wavelengths_nm=full.wavelengths_nm)
+    for interleave, dtype, byte_order in [("bip", "f8", 0), ("bil", "f4", 0), ("bsq", "f4", 1)]:
+        write_envi(cube, root / f"r{interleave}.hdr", root / f"r{interleave}.raw",
+                   interleave=interleave, dtype=dtype, byte_order=byte_order)
+    return root
+
+
+@pytest.mark.parametrize("command", list(FIT_COMMANDS))
+def test_fit_does_not_depend_on_the_payload_layout(command, layouts, tmp_path):
+    # each tile converts to the same float64 matrix, so every output has the same bytes
+    written = {}
+    for interleave in ("bip", "bil", "bsq"):
+        out = tmp_path / interleave
+        assert run_on_cube(command, layouts / f"r{interleave}.hdr", layouts, out) == EXIT_OK
+        written[interleave] = [(out / name).read_bytes() for name in fit_outputs(out)]
+    assert len(written["bip"]) == 1
+    assert written["bil"] == written["bip"] and written["bsq"] == written["bip"]
+
+
+def test_one_row_tiles_match_the_whole_matrix(fitted, monkeypatch):
+    """Row tiles keep the autoscaling bits of the whole matrix and the
+    escalation; PCA loadings move within 1e-10 (a tiled cross-product)."""
+    root, config, _, whole_model, whole = fitted
+    X = flatten(read_envi(root / "cube.hdr"))
+    monkeypatch.setattr(pipeline, "TILE_CELLS", 1)
+    model, diagnostics = fit_pipeline(config)
+    oracle = pp.fit_scale(X)
+    for got in (model.scale, whole_model.scale):
+        np.testing.assert_array_equal(got.means, X.mean(axis=0))
+        np.testing.assert_array_equal(got.stds, X.std(axis=0, ddof=1))
+        np.testing.assert_array_equal(got.stds, oracle.stds)
+    pca_model, _ = pc.fit_pca(pp.apply_scale(oracle, X))
+    np.testing.assert_allclose(model.pca.loadings, pca_model.loadings, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(model.pca.explained_variance_ratio,
+                               pca_model.explained_variance_ratio, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(model.selection.selected, whole_model.selection.selected)
+    assert [(a["k"], a["false_alarms"], a["missed_mites"]) for a in diagnostics["escalation"]] \
+        == [(a["k"], a["false_alarms"], a["missed_mites"]) for a in whole["escalation"]]
+    np.testing.assert_allclose(model.cluster.centroids, whole_model.cluster.centroids,
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("command", ["covproc-select", "r2-select"])
+def test_one_row_tiles_keep_the_band_lists(command, scene, tmp_path, monkeypatch):
+    reports = []
+    for cells in (pipeline.TILE_CELLS, 1):
+        monkeypatch.setattr(pipeline, "TILE_CELLS", cells)
+        out = tmp_path / str(cells)
+        assert run_on_cube(command, scene[0] / "cube.hdr", scene[0], out) == EXIT_OK
+        reports.append(json.loads((out / "selection_report.json").read_text()))
+    assert reports[1]["bands_for_model"] == reports[0]["bands_for_model"]
+    assert reports[1]["selected"] == reports[0]["selected"]
+
+
+def stacked_scene(root, blocks, bands):
+    """``blocks`` 32 x 32 blocks down the rows, one bee with its mite in each,
+    written as f4 BIL with its mask; returns the directory."""
+    blobs = []
+    for b in range(blocks):
+        blobs.append(BlobSpec(1, 32 * b + 9, 11, 14, 10, shape="ellipse"))
+        blobs.append(BlobSpec(3, 32 * b + 14, 14, 3, 3))
+    spec = SceneSpec(rows=32 * blocks, cols=32, wavelengths_nm=np.linspace(400.0, 1000.0, bands),
+                     classes=CLASSES, background=0, blobs=blobs, noise_sigma=0.01,
+                     shadow=ShadowSpec(strength=0.4, axis="col"), occlusion="order")
+    cube, mask = synth_scene(spec, seed=0)
+    root.mkdir()
+    write_envi(cube, root / "cube.hdr", root / "cube.raw", interleave="bil")
+    write_label_mask_envi(mask, root / "mask.hdr", root / "mask.raw")
+    (root / "palette.json").write_text(json.dumps({str(k): v for k, v in mask.palette.items()}))
+    return root
+
+
+@pytest.mark.parametrize("command", ["kmeans-fit", "covproc-select"])
+def test_fit_memory_grows_far_less_than_the_pixels(command, tmp_path, monkeypatch):
+    # per added pixel the fit keeps its 20 PCA scores and a few labels, and band
+    # selection its bee and mite spectra: far less than the pixel's 204 bands
+    bands, heights = 204, (2, 8)
+    roots = {blocks: stacked_scene(tmp_path / str(blocks), blocks, bands) for blocks in heights}
+    monkeypatch.setattr(pipeline, "TILE_CELLS", 4 * 32 * bands)  # 4-row tiles
+    name, settings = FIT_COMMANDS[command]
+    configs = {blocks: RunConfig.from_dict({"inputs": {
+        "cube_header": str(root / "cube.hdr"), "mask": str(root / "mask.hdr"),
+        "palette": str(root / "palette.json")}, **settings}) for blocks, root in roots.items()}
+
+    def run(config):
+        if name == "fit":
+            return fit_pipeline(config)
+        cube, mask = pipeline.load_inputs(config)  # mapped pages are not numpy buffers
+        return pipeline.run_band_selection(cube, mask.labels.ravel(), config)
+
+    run(configs[heights[0]])  # imports and first calls, not per row
+    peaks = {}
+    for blocks in heights:
+        tracemalloc.start()
+        try:
+            run(configs[blocks])
+            peaks[blocks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    added_pixels = (heights[1] - heights[0]) * 32 * 32
+    assert peaks[heights[1]] - peaks[heights[0]] < 0.5 * added_pixels * bands * 8, peaks

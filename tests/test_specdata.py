@@ -124,8 +124,32 @@ class TestReadWriteEnvi:
         )
         (tmp_path / "nan.hdr").write_text(header)
         (tmp_path / "nan.raw").write_bytes(np.array([np.nan], dtype="<f4").tobytes())
-        with pytest.raises(EnviFormatError, match="NaN"):
+        with pytest.raises(EnviFormatError, match="NaN") as caught:
             read_envi(tmp_path / "nan.hdr", tmp_path / "nan.raw")
+        assert str(tmp_path / "nan.raw") in str(caught.value)
+
+    def test_values_checked_once_per_read(self, tmp_path, monkeypatch):
+        cube = make_cube(rows=6, cols=7, bands=5)
+        write_envi(cube, tmp_path / "c.hdr", tmp_path / "c.raw", dtype="f8")
+        isfinite, checked = np.isfinite, []
+
+        def counting(x, *args, **kwargs):
+            checked.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        read_envi(tmp_path / "c.hdr", tmp_path / "c.raw")
+        assert checked.count(cube.data.size) == 1
+
+    @pytest.mark.parametrize("wavelengths", ["{400, 400, 600}", "{600, 500, 400}", "{400, nan, 600}"])
+    def test_bad_wavelength_list_rejected_naming_the_header(self, tmp_path, wavelengths):
+        header = ("samples = 1\nlines = 1\nbands = 3\ndata type = 4\n"
+                  f"interleave = bsq\nwavelength = {wavelengths}\n")
+        (tmp_path / "w.hdr").write_text(header)
+        (tmp_path / "w.raw").write_bytes(np.zeros(3, dtype="<f4").tobytes())
+        for reader in (read_envi, open_envi):
+            with pytest.raises(EnviFormatError, match="wavelengths_nm"):
+                reader(tmp_path / "w.hdr", tmp_path / "w.raw")
 
     def test_specim_iq_shape(self, tmp_path):
         # 512x512 px, 204 bands over 400-1000 nm, float32, ENVI compatible
