@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Console smoke test: synth, fit, apply and inspect a tiny scene through the
-# installed spectral-sift command, for both workflows. Run it with the package
+# installed spectral-sift command, for both workflows, and select bands on it
+# with r2 and with covproc. Run it with the package
 # installed (python -m pip install .) and its environment active:
 #
 #     bash .github/console-smoke.sh
@@ -39,6 +40,23 @@ for workflow in kmeans kfpls; do
   spectral-sift apply --model $workflow/model.json --cube scene/cube.hdr --out $workflow/applied
   spectral-sift inspect --model $workflow/model.json --json > $workflow/inspect.json
   python -c "import json, sys; assert json.load(open(sys.argv[1]))['format_version'] == 5" $workflow/inspect.json
+  spectral-sift inspect --model $workflow/model.json > $workflow/inspect.txt
+  grep -q "^workflow: $workflow$" $workflow/inspect.txt
+done
+# band selection on the 13-band scene, keeping the last 2 bands out
+cat > r2.json <<'JSON'
+{"band_selection": {"method": "r2", "n_tail": 2, "target_count": 4},
+ "inputs": {"cube_header": "scene/cube.hdr", "mask": "scene/mask.hdr",
+            "palette": "scene/palette.json"}}
+JSON
+cat > covproc.json <<'JSON'
+{"band_selection": {"method": "covproc", "n_tail": 2, "stop_by_clustering": true},
+ "inputs": {"cube_header": "scene/cube.hdr", "mask": "scene/mask.hdr",
+            "palette": "scene/palette.json"}}
+JSON
+for method in r2 covproc; do
+  spectral-sift select-bands --config $method.json --out $method > /dev/null
+  python -c "import json, sys; assert json.load(open(sys.argv[1]))['bands_for_model']" $method/selection_report.json
 done
 # fit and apply both workflows again from a float32 BIL copy, the layout of a
 # camera frame, which fit reads mapped in row tiles

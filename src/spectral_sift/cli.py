@@ -30,7 +30,7 @@ from .pipeline import (
     run_synth,
     write_apply_outputs,
 )
-from .specdata import EnviFormatError, open_envi
+from .specdata import open_envi
 from .specdata import read_envi  # noqa: F401  bench/spans.py traces cli.read_envi by name
 
 log = logging.getLogger("spectral_sift")
@@ -190,8 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EscalationError, KfConvergenceError) as exc:
         log.error("model quality failure: %s", exc)
         return EXIT_QUALITY
-    except (ConfigError, EnviFormatError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # bad config, header or payload; a path in the way
         log.error("%s", exc)
         return EXIT_USAGE
 

@@ -123,13 +123,13 @@ def _finish_squared_distances(sq: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray
     return np.maximum(sq, 0.0, out=sq)
 
 
-def kmeanspp_init(X: np.ndarray, k: int, seed: int | np.random.Generator) -> np.ndarray:
+def kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """D^2-weighted seeding: each next centroid favors far-away points.
 
     Raises ValueError when X has fewer than k distinct rows.
     """
     X = np.asarray(X, dtype=np.float64)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(X.shape[0])]
     d2 = np.sum((X - centroids[0]) ** 2, axis=1)
@@ -235,9 +235,7 @@ def lloyd_iterations(
     return centroids, assignment, inertia
 
 
-def kmeans_fit(
-    X: np.ndarray, k: int, seed: int | np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
+def kmeans_fit(X: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
     """K-means++ seeding followed by Lloyd iterations."""
     X = np.asarray(X, dtype=np.float64)
     return lloyd_iterations(X, kmeanspp_init(X, k, seed))

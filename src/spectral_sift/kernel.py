@@ -7,8 +7,10 @@ predictions do not change when the kernel is multiplied by a constant.
 
 SIMPLS factors do not depend on the requested count, so one fit at the
 largest count holds every smaller model: its first a factors are the fit at
-a. The Kernel Flows loss and the latent-count search each fit once and take
-prefixes.
+a. Every kernel PLS fit goes through one nested fit (``_NestedFit``), whose
+``dual_coef(a)`` gives the model at any live count: the Kernel Flows loss
+fits each model once, at the largest count its half-batch allows, and the
+latent-count search fits once and scores every count on the grid from it.
 
 Kernel Flows tunes the lengthscale by stochastic descent on a
 cross-validation discrepancy: models fitted on a random batch and on half of
@@ -261,16 +263,10 @@ def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np
     return A, Q
 
 
-class _GramFit(NamedTuple):
-    center_stats: KernelCenterStats
-    dual_coef: np.ndarray
-    y_means: np.ndarray
-    classes: np.ndarray
-
-
 class _NestedFit(NamedTuple):
     """The live factors of one kernel PLS-DA fit and the centered Gram
-    matrix they were fitted on; ``at(a)`` is the fit at any live count."""
+    matrix they were fitted on; ``dual_coef(a)`` gives the fit at any live
+    count."""
 
     Kc: np.ndarray
     center_stats: KernelCenterStats
@@ -283,13 +279,14 @@ class _NestedFit(NamedTuple):
     def live(self) -> int:
         return self.A.shape[1]
 
-    def at(self, a: int) -> _GramFit:
-        return _GramFit(self.center_stats, self.A[:, :a] @ self.Q[:, :a].T,
-                        self.y_means, self.classes)
+    def dual_coef(self, a: int) -> np.ndarray:
+        return self.A[:, :a] @ self.Q[:, :a].T
 
-    def predict_training(self, fit: _GramFit) -> np.ndarray:
-        """Indicator scores of the training rows, from the stored centered Gram."""
-        return self.Kc @ fit.dual_coef + fit.y_means
+    def model(self, spec: KernelSpec, X: np.ndarray, a: int) -> KernelPlsModel:
+        """The fit at ``a`` factors as a model with support spectra ``X``."""
+        return KernelPlsModel(kernel=spec, support=X.copy(), center_stats=self.center_stats,
+                              dual_coef=self.dual_coef(a), y_means=self.y_means,
+                              classes=self.classes, a=a)
 
 
 def _fit_nested(K: np.ndarray, labels: np.ndarray, a: int) -> _NestedFit:
@@ -308,28 +305,18 @@ def _fit_nested(K: np.ndarray, labels: np.ndarray, a: int) -> _NestedFit:
     return _NestedFit(Kc, stats, A, Q, y_means, encoding.classes)
 
 
-def _fit_gram(K: np.ndarray, labels: np.ndarray, a: int) -> _GramFit:
-    """Kernel PLS-DA with exactly ``a`` factors; DegenerateDataError if fewer live."""
-    nested = _fit_nested(K, labels, a)
+def fit_kernel_pls(X: np.ndarray, labels: np.ndarray, spec: KernelSpec, a: int) -> KernelPlsModel:
+    """Fit kernel PLS-DA with exactly ``a`` factors: centered Gram matrix
+    against class indicators; DegenerateDataError if fewer are live."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected 2-D spectra, got ndim={X.ndim}")
+    nested = _fit_nested(kernel_matrix(spec, X, X), labels, a)
     if nested.live < a:
         raise DegenerateDataError(
             f"kernel cross-product exhausted at factor {nested.live + 1} of {a}"
         )
-    return nested.at(a)
-
-
-def _predict_gram(K: np.ndarray, fit: _GramFit) -> np.ndarray:
-    """Indicator scores from a cross-kernel against the training rows of ``fit``."""
-    return center_kernel(K, fit.center_stats) @ fit.dual_coef + fit.y_means
-
-
-def fit_kernel_pls(X: np.ndarray, labels: np.ndarray, spec: KernelSpec, a: int) -> KernelPlsModel:
-    """Fit kernel PLS-DA: centered Gram matrix against class indicators."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected 2-D spectra, got ndim={X.ndim}")
-    fit = _fit_gram(kernel_matrix(spec, X, X), labels, a)
-    return KernelPlsModel(kernel=spec, support=X.copy(), a=a, **fit._asdict())
+    return nested.model(spec, X, a)
 
 
 def predict_indicators(model: KernelPlsModel, X_new: np.ndarray) -> np.ndarray:
@@ -421,6 +408,12 @@ class KfResult:
         return self.model.a
 
 
+def _kf_batch_sizes(n: int, batch_ratio: float) -> tuple[int, int]:
+    """Rows of a Kernel Flows batch and of its half-batch, from n training rows."""
+    n_batch = max(int(round(batch_ratio * n)), 2)
+    return n_batch, max(n_batch // 2, 1)
+
+
 def draw_kf_batches(
     rng: np.random.Generator,
     labels: np.ndarray,
@@ -431,8 +424,7 @@ def draw_kf_batches(
     labels = np.asarray(labels)
     classes = np.unique(labels)
     n = labels.size
-    n_batch = max(int(round(batch_ratio * n)), 2)
-    n_half = max(n_batch // 2, 1)
+    n_batch, n_half = _kf_batch_sizes(n, batch_ratio)
     if n_half < classes.size:
         raise ValueError(
             f"half-batches of {n_half} rows cannot contain all {classes.size} classes"
@@ -455,55 +447,49 @@ def draw_kf_batches(
 
 
 def kf_loss(
-    D: np.ndarray | list[np.ndarray],
+    D_ff: np.ndarray,
     labels: np.ndarray,
     spec: KernelSpec,
     a: int,
-    batches: list[tuple[np.ndarray, np.ndarray]],
+    full: np.ndarray,
+    half: np.ndarray,
 ) -> float:
-    """Mean Kernel Flows discrepancy over the given batches.
+    """Kernel Flows discrepancy of one batch.
 
-    ``D`` holds the Euclidean distances between all training rows, or the
-    list of each batch's block ``D[np.ix_(full, full)]`` of them, as
-    :func:`kf_gradient` passes them; each batch is a pair of sorted row-index
-    arrays, the half within the full batch, as :func:`draw_kf_batches` draws
-    them. Per batch:
+    ``full`` and ``half`` are sorted row-index arrays, the half within the
+    full batch, as :func:`draw_kf_batches` draws them; ``D_ff`` holds the
+    Euclidean distances between the batch's rows, ``D[np.ix_(full, full)]``
+    of the training distances ``D``, and ``labels`` the labels of all
+    training rows. Returns
     rho = ||yhat_full - yhat_half||^2 / ||yhat_full||^2 on the full batch,
-    where yhat_half comes from the model fitted on the half. Returns inf when
-    a fit degenerates outright (all-equal kernel rows). Each model is fitted
+    where yhat_half comes from the model fitted on the half, or inf when a
+    fit degenerates outright (all-equal kernel rows). Each model is fitted
     once, at min(a, half size - 1) factors, and keeps its live ones: at
     extreme lengthscales the Gram matrix cannot carry them all.
     """
-    if isinstance(D, list):
-        blocks = D
-    else:
-        D = np.asarray(D, dtype=np.float64)
-        blocks = (D[np.ix_(full, full)] for full, _ in batches)  # one block at a time
     labels = np.asarray(labels)
-    rhos = []
-    for (full, half), D_ff in zip(batches, blocks, strict=True):
-        a_fit = min(a, half.size - 1)
-        pos = np.searchsorted(full, half)  # where the half-batch rows sit in the batch
-        if not np.array_equal(full[np.minimum(pos, full.size - 1)], half):
-            raise ValueError("each half-batch must lie within its sorted batch")
-        K_ff = distance_kernel(spec, D_ff)
-        # take, not K_ff[:, pos]: a C-ordered copy, like a kernel computed from the
-        # spectra, so row means and products round the same way
-        K_fh = K_ff.take(pos, axis=1)
-        try:
-            nested_full = _fit_nested(K_ff, labels[full], a_fit)
-            nested_half = _fit_nested(K_fh[pos], labels[half], a_fit)
-        except ValueError:
-            return float("inf")
-        if nested_full.live == 0 or nested_half.live == 0:
-            return float("inf")
-        yhat_full = nested_full.predict_training(nested_full.at(nested_full.live))
-        yhat_half = _predict_gram(K_fh, nested_half.at(nested_half.live))
-        denom = float(np.sum(yhat_full**2))
-        if denom <= 0:
-            return float("inf")
-        rhos.append(float(np.sum((yhat_full - yhat_half) ** 2)) / denom)
-    return float(np.mean(rhos))
+    a_fit = min(a, half.size - 1)
+    pos = np.searchsorted(full, half)  # where the half-batch rows sit in the batch
+    if not np.array_equal(full[np.minimum(pos, full.size - 1)], half):
+        raise ValueError("each half-batch must lie within its sorted batch")
+    K_ff = distance_kernel(spec, D_ff)
+    # take, not K_ff[:, pos]: a C-ordered copy, like a kernel computed from the
+    # spectra, so row means and products round the same way
+    K_fh = K_ff.take(pos, axis=1)
+    try:
+        fit_full = _fit_nested(K_ff, labels[full], a_fit)
+        fit_half = _fit_nested(K_fh[pos], labels[half], a_fit)
+    except ValueError:
+        return float("inf")
+    if fit_full.live == 0 or fit_half.live == 0:
+        return float("inf")
+    yhat_full = fit_full.Kc @ fit_full.dual_coef(fit_full.live) + fit_full.y_means
+    yhat_half = (center_kernel(K_fh, fit_half.center_stats) @ fit_half.dual_coef(fit_half.live)
+                 + fit_half.y_means)
+    denom = float(np.sum(yhat_full**2))
+    if denom <= 0:
+        return float("inf")
+    return float(np.sum((yhat_full - yhat_half) ** 2)) / denom
 
 
 def kf_gradient(
@@ -518,18 +504,18 @@ def kf_gradient(
     losses at log lengthscale ± ``step``: the loss is their midpoint
     (up + down)/2, the derivative their central difference.
 
-    Both losses are taken batch by batch, so each batch's block of ``D`` is
-    sliced once and only one block is held at a time. Each loss is the mean
-    of its batch values, as :func:`kf_loss` over all the batches gives it.
-    A batch with an infinite loss ends the evaluation: (inf, nan).
+    Each loss is the mean over the batches of :func:`kf_loss`. Both losses
+    are taken batch by batch, so each batch's block of ``D`` is sliced once
+    and only one block is held at a time. A batch with an infinite loss
+    ends the evaluation: (inf, nan).
     """
     D = np.asarray(D, dtype=np.float64)
     log_ell = np.log(spec.lengthscale)
     specs = [KernelSpec(spec.family, np.exp(log_ell + s)) for s in (step, -step)]
     ups, downs = [], []
     for full, half in batches:
-        block = [D[np.ix_(full, full)]]
-        up, down = (kf_loss(block, labels, s, a, [(full, half)]) for s in specs)
+        D_ff = D[np.ix_(full, full)]
+        up, down = (kf_loss(D_ff, labels, s, a, full, half) for s in specs)
         if not (np.isfinite(up) and np.isfinite(down)):
             return float("inf"), float("nan")
         ups.append(up)
@@ -580,7 +566,7 @@ def kf_optimize(
         raise ValueError("degenerate training set: median pairwise distance is zero")
     lo, hi = np.log(LENGTHSCALE_BOUNDS[0] * med), np.log(LENGTHSCALE_BOUNDS[1] * med)
 
-    n_half = max(max(int(round(cfg.batch_ratio * X.shape[0])), 2) // 2, 1)
+    _, n_half = _kf_batch_sizes(X.shape[0], cfg.batch_ratio)
     a_inner = min(max(cfg.a_grid), n_half - 1)
     if a_inner < 1:
         raise ValueError("batches too small for even one latent variable")
@@ -617,23 +603,21 @@ def kf_optimize(
     except ValueError:
         nested = None
     r2_by_a: dict[int, float | None] = {}
-    fits = {}
+    scores_by_a = {}
     for a in grid:
         if nested is None or a > nested.live:
             r2_by_a[a] = None
             continue
-        fit = nested.at(a)
-        scores = nested.predict_training(fit)
-        fits[a] = fit, scores
+        scores = nested.Kc @ nested.dual_coef(a) + nested.y_means
+        scores_by_a[a] = scores
         r2_by_a[a] = 1.0 - float(np.sum((Y - scores) ** 2)) / tss
-    if not fits:
+    if not scores_by_a:
         raise KfConvergenceError("no feasible latent-variable count on the grid")
     best = max(r2 for r2 in r2_by_a.values() if r2 is not None)
     a_star = min(a for a, r2 in r2_by_a.items() if r2 is not None and r2 >= best - 0.01)
 
-    fit, scores = fits[a_star]
-    model = KernelPlsModel(kernel=spec_opt, support=X.copy(), a=a_star, **fit._asdict())
-    return KfResult(model=model, predicted=decode_da(fit.classes, scores), trace=trace,
+    return KfResult(model=nested.model(spec_opt, X, a_star),
+                    predicted=decode_da(nested.classes, scores_by_a[a_star]), trace=trace,
                     r2_by_a=r2_by_a, initial_lengthscale=ell0)
 
 

@@ -4,8 +4,9 @@ The factorization deflates the X'Y cross-product matrix (never X itself), so
 weight vectors apply to the original data and X-scores come out mutually
 orthogonal. Regression coefficients are assembled as b = W (P'W)^-1 Q'.
 
-Inputs are autoscaled internally by default; pass ``scale=False`` when the
-caller has already centered/scaled (covariance-procedure selection does).
+The fit takes X and Y as given: the caller centers or autoscales them first
+(covariance-procedure selection passes its autoscaled, deflated X and
+centered y), and predictions are in the same units.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .preprocess import ScaleModel, apply_scale, fit_scale, invert_scale
 
 #: condition-number guard for inverting P'W
 MAX_CONDITION = 1e12
@@ -26,13 +25,10 @@ class DegenerateDataError(ValueError):
 
 @dataclass(frozen=True)
 class PlsModel:
-    weights: np.ndarray  # W (vars, a): T = X_scaled @ W
+    weights: np.ndarray  # W (vars, a): T = X @ W
     x_loadings: np.ndarray  # P (vars, a)
     y_loadings: np.ndarray  # Q (responses, a)
     x_scores: np.ndarray  # T (rows, a), unit-norm orthogonal columns
-    x_scale: ScaleModel | None
-    y_scale: ScaleModel | None
-    y_1d: bool
 
     @property
     def a(self) -> int:
@@ -80,49 +76,36 @@ def dominant_eigenvector(M: np.ndarray) -> np.ndarray:
     return q
 
 
-def fit_simpls(X: np.ndarray, Y: np.ndarray, a: int, scale: bool = True) -> PlsModel:
-    """Fit a SIMPLS model with ``a`` latent variables.
+def fit_simpls(X: np.ndarray, Y: np.ndarray, a: int) -> PlsModel:
+    """Fit a SIMPLS model with ``a`` latent variables to X and Y as given.
 
     Each factor maximizes the covariance between its X-score and the
     remaining Y structure, subject to orthogonality with earlier X-scores.
+    A 1-D Y is one response column.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    y_1d = Y.ndim == 1
-    if y_1d:
+    if Y.ndim == 1:
         Y = Y[:, None]
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"X {X.shape} and Y {Y.shape} must share their row count")
     n, p = X.shape
     if not 1 <= a <= min(n - 1, p):
         raise ValueError(f"a must be in [1, {min(n - 1, p)}] for a {n}x{p} matrix, got {a}")
+    if float(np.max(np.abs(Y - Y.mean(axis=0)))) == 0.0:
+        raise ValueError("Y has zero variance")
 
-    if scale:
-        x_scale = fit_scale(X)
-        y_scale = fit_scale(Y)
-        if np.all(y_scale.flagged):
-            raise ValueError("Y has zero variance")
-        Xw = apply_scale(x_scale, X)
-        Yw = apply_scale(y_scale, Y)
-    else:
-        x_scale = None
-        y_scale = None
-        if float(np.max(np.abs(Y - Y.mean(axis=0)))) == 0.0:
-            raise ValueError("Y has zero variance")
-        Xw = X
-        Yw = Y
-
-    S = Xw.T @ Yw
+    S = X.T @ Y
     W = np.empty((p, a))
     P = np.empty((p, a))
-    Q = np.empty((Yw.shape[1], a))
+    Q = np.empty((Y.shape[1], a))
     T = np.empty((n, a))
     V = np.zeros((p, a))  # orthonormal basis of past X-loadings, for deflating S
-    scale_ref = float(np.linalg.norm(Xw)) * max(1.0, float(np.linalg.norm(Yw)))
+    scale_ref = float(np.linalg.norm(X)) * max(1.0, float(np.linalg.norm(Y)))
 
     for i in range(a):
         r = S @ dominant_eigenvector(S.T @ S)
-        t = Xw @ r
+        t = X @ r
         normt = float(np.linalg.norm(t))
         if normt <= 1e-12 * max(scale_ref, 1.0):
             raise DegenerateDataError(
@@ -133,8 +116,8 @@ def fit_simpls(X: np.ndarray, Y: np.ndarray, a: int, scale: bool = True) -> PlsM
         r /= normt
         W[:, i] = r
         T[:, i] = t
-        P[:, i] = Xw.T @ t
-        Q[:, i] = Yw.T @ t
+        P[:, i] = X.T @ t
+        Q[:, i] = Y.T @ t
         v = P[:, i].copy()
         if i > 0:
             v -= V[:, :i] @ (V[:, :i].T @ v)
@@ -142,14 +125,11 @@ def fit_simpls(X: np.ndarray, Y: np.ndarray, a: int, scale: bool = True) -> PlsM
         V[:, i] = v
         S = S - v[:, None] @ (v[None, :] @ S)
 
-    return PlsModel(
-        weights=W, x_loadings=P, y_loadings=Q, x_scores=T,
-        x_scale=x_scale, y_scale=y_scale, y_1d=y_1d,
-    )
+    return PlsModel(weights=W, x_loadings=P, y_loadings=Q, x_scores=T)
 
 
 def regression_coefficients(model: PlsModel) -> np.ndarray:
-    """b = W (P'W)^-1 Q', mapping scaled X to scaled Y.
+    """b = W (P'W)^-1 Q', mapping X to Y.
 
     P'W is solved, not pseudo-inverted; a condition number beyond the guard
     means redundant latent variables and is reported instead of smoothed over.
@@ -164,13 +144,9 @@ def regression_coefficients(model: PlsModel) -> np.ndarray:
 
 
 def predict(model: PlsModel, X_new: np.ndarray) -> np.ndarray:
-    """Responses for new rows via the regression-coefficient path."""
+    """Responses (rows, responses) for new rows via the regression-coefficient
+    path, in the units the model was fitted in."""
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.n_vars:
         raise ValueError(f"expected {model.n_vars} columns, got shape {X_new.shape}")
-    b = regression_coefficients(model)
-    Xw = apply_scale(model.x_scale, X_new) if model.x_scale is not None else X_new
-    Yw = Xw @ b
-    Y = invert_scale(model.y_scale, Yw) if model.y_scale is not None else Yw
-    return Y[:, 0] if model.y_1d else Y
-
+    return X_new @ regression_coefficients(model)

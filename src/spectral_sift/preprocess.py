@@ -22,16 +22,6 @@ class ScaleModel:
     stds: np.ndarray
     flagged: np.ndarray  # bands whose raw std was < EPSILON (std replaced by 1)
 
-    @property
-    def n_bands(self) -> int:
-        return self.means.size
-
-    def _check_width(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_bands:
-            raise ValueError(f"expected a 2-D matrix with {self.n_bands} columns, got shape {X.shape}")
-        return X
-
 
 def carried_sum(tiles: Iterable[np.ndarray]) -> tuple[np.ndarray | None, int]:
     """Column sums and row count of a matrix fed in 2-D row tiles, top to bottom.
@@ -84,12 +74,9 @@ def fit_scale(X: np.ndarray) -> ScaleModel:
 def apply_scale(model: ScaleModel, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(X - means) / stds, using the stored calibration statistics; into
     ``out`` (which may be ``X``) when given."""
-    X = model._check_width(X)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.means.size:
+        raise ValueError(f"expected a 2-D matrix with {model.means.size} columns, got shape {X.shape}")
     out = np.subtract(X, model.means, out=out)
     return np.divide(out, model.stds, out=out)
 
-
-def invert_scale(model: ScaleModel, X: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`apply_scale`."""
-    X = model._check_width(X)
-    return X * model.stds + model.means

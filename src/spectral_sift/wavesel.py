@@ -253,7 +253,7 @@ def covproc_select(
     round_traces: list[RoundTrace] = []
     chosen_alphas: list[float] = []
     for r in range(1, rounds + 1):
-        model = fit_simpls(X[:, usable], y, a=1, scale=False)
+        model = fit_simpls(X[:, usable], y, a=1)
         weights = model.weights[:, 0]
         order = np.argsort(-np.abs(weights), kind="stable")
         sorted_bands = [usable[i] for i in order]

@@ -13,6 +13,7 @@ import pytest
 from scipy.spatial.distance import cdist, pdist
 
 from spectral_sift import cluster, kernel, pls
+from spectral_sift.preprocess import apply_scale, fit_scale
 from spectral_sift.kernel import (
     KERNEL_FAMILIES,
     LENGTHSCALE_BOUNDS,
@@ -88,6 +89,25 @@ def reference_kf_loss(X, labels, spec, a, batches, events=None):
             return float("inf")
         rhos.append(float(np.sum((yhat_full - yhat_half) ** 2)) / denom)
     return float(np.mean(rhos))
+
+
+def fit_gram(K, labels, a):
+    """Kernel PLS-DA on a Gram matrix at exactly ``a`` live factors: the
+    nested fit and its dual coefficients at ``a``."""
+    nested = kernel._fit_nested(K, labels, a)
+    assert nested.live == a
+    return nested, nested.dual_coef(a)
+
+
+def predict_gram(K_new, nested, dual_coef):
+    """Indicator scores from a cross-kernel against the training rows."""
+    return center_kernel(K_new, nested.center_stats) @ dual_coef + nested.y_means
+
+
+def batch_losses(D, labels, spec, a, batches):
+    """``kf_loss`` of each batch, on its block of the training distances D."""
+    return [kf_loss(D[np.ix_(full, full)], labels, spec, a, full, half)
+            for full, half in batches]
 
 
 def reference_dual_simpls(Kc, Yc, a):
@@ -368,8 +388,10 @@ class TestKernelPls:
         rng = np.random.default_rng(3)
         X, labels = xor_data(rng)
         enc = pls.encode_da(labels)
-        linear = pls.fit_simpls(X, enc.indicators, a=2)
-        linear_acc = np.mean(pls.decode_da(enc.classes, pls.predict(linear, X)) == labels)
+        x_scale, y_scale = fit_scale(X), fit_scale(enc.indicators)
+        linear = pls.fit_simpls(apply_scale(x_scale, X), apply_scale(y_scale, enc.indicators), a=2)
+        yhat = pls.predict(linear, apply_scale(x_scale, X)) * y_scale.stds + y_scale.means
+        linear_acc = np.mean(pls.decode_da(enc.classes, yhat) == labels)
         assert linear_acc < 1.0
         model = fit_kernel_pls(X, labels, KernelSpec("gaussian", 0.7), a=4)
         predicted, _ = classify(model, X)
@@ -385,10 +407,10 @@ class TestKernelPls:
         Yc = enc.indicators - enc.indicators.mean(axis=0)
         K = Xc @ Xc.T
         for a in (1, 2, 4):
-            primal = pls.fit_simpls(Xc, Yc, a=a, scale=False)
+            primal = pls.fit_simpls(Xc, Yc, a=a)
             yhat_primal = pls.predict(primal, Xc) + enc.indicators.mean(axis=0)
-            dual = kernel._fit_gram(K, labels, a)
-            np.testing.assert_allclose(kernel._predict_gram(K, dual), yhat_primal, atol=1e-6)
+            np.testing.assert_allclose(predict_gram(K, *fit_gram(K, labels, a)), yhat_primal,
+                                       atol=1e-6)
 
     @pytest.mark.parametrize("factor", [0.02, 3.7])
     def test_scaled_kernel_predicts_the_same(self, factor):
@@ -399,8 +421,8 @@ class TestKernelPls:
         K = kernel_matrix(KernelSpec("matern52", 2.0), X, X)
         K_new = kernel_matrix(KernelSpec("matern52", 2.0), X_new, X)
         for a in (1, 3, 6):
-            plain = kernel._predict_gram(K_new, kernel._fit_gram(K, labels, a))
-            scaled = kernel._predict_gram(factor * K_new, kernel._fit_gram(factor * K, labels, a))
+            plain = predict_gram(K_new, *fit_gram(K, labels, a))
+            scaled = predict_gram(factor * K_new, *fit_gram(factor * K, labels, a))
             np.testing.assert_allclose(scaled, plain, rtol=1e-9, atol=1e-12)
 
     def test_one_support_point_per_class(self):
@@ -476,15 +498,15 @@ class TestKernelPls:
         # one fit at the largest count holds, bit for bit, the fit at every smaller one
         X, labels = three_blobs(np.random.default_rng(24))
         for scale in (LENGTHSCALE_BOUNDS[0], 1.0, LENGTHSCALE_BOUNDS[1]):
-            K = kernel_matrix(KernelSpec("matern52", scale * float(np.median(pdist(X)))), X, X)
-            nested = kernel._fit_nested(K, labels, 10)
+            spec = KernelSpec("matern52", scale * float(np.median(pdist(X))))
+            nested = kernel._fit_nested(kernel_matrix(spec, X, X), labels, 10)
             for a in range(1, 11):
                 if a > nested.live:
                     with pytest.raises(pls.DegenerateDataError, match="exhausted"):
-                        kernel._fit_gram(K, labels, a)
+                        fit_kernel_pls(X, labels, spec, a)
                     continue
-                separate = kernel._fit_gram(K, labels, a)
-                assert np.array_equal(nested.at(a).dual_coef, separate.dual_coef)
+                separate = fit_kernel_pls(X, labels, spec, a)
+                assert np.array_equal(nested.dual_coef(a), separate.dual_coef)
 
     def test_degenerate_kernel_rejected(self):
         X = np.ones((8, 3))
@@ -567,8 +589,8 @@ class TestKfLossOnDistances:
         events = set()
         for scale in (LENGTHSCALE_BOUNDS[0], 1.0, LENGTHSCALE_BOUNDS[1]):
             spec = KernelSpec(family, scale * med)
-            assert kf_loss(D, labels, spec, 5, batches) == reference_kf_loss(
-                X, labels, spec, 5, batches, events)
+            for batch, loss in zip(batches, batch_losses(D, labels, spec, 5, batches)):
+                assert loss == reference_kf_loss(X, labels, spec, 5, [batch], events)
         assert "step-down" in events  # the factor step-down ran at a bound
 
     def test_degenerate_half_batch_gives_inf(self):
@@ -583,14 +605,14 @@ class TestKfLossOnDistances:
             events = set()
             assert reference_kf_loss(X, labels, spec, 3, batches, events) == float("inf")
             assert events == {"inf"}
-            assert kf_loss(D, labels, spec, 3, batches) == float("inf")
+            assert batch_losses(D, labels, spec, 3, batches) == [float("inf")]
 
     def test_half_outside_batch_rejected(self):
         rng = np.random.default_rng(14)
         X, labels = three_blobs(rng, n_per=4)
         batches = [(np.arange(0, 12, 2), np.array([0, 1, 4]))]
         with pytest.raises(ValueError, match="half-batch"):
-            kf_loss(cdist(X, X), labels, KernelSpec("gaussian", 1.0), 2, batches)
+            batch_losses(cdist(X, X), labels, KernelSpec("gaussian", 1.0), 2, batches)
 
     def test_optimizer_matches_loss_from_spectra(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -599,7 +621,8 @@ class TestKfLossOnDistances:
                        subsamplings_per_iter=5, a_grid=(1, 2, 3, 4))
         spec0 = KernelConfig("matern52", float(np.median(pdist(X))))
         fast = kf_optimize(X, labels, spec0, cfg, seed=3)
-        monkeypatch.setattr(kernel, "kf_loss", lambda D, *args: reference_kf_loss(X, *args))
+        monkeypatch.setattr(kernel, "kf_loss", lambda D_ff, labels, spec, a, full, half:
+                            reference_kf_loss(X, labels, spec, a, [(full, half)]))
         slow = kf_optimize(X, labels, spec0, cfg, seed=3)
         np.testing.assert_array_equal(fast.trace, slow.trace)
         assert fast.spec == slow.spec
@@ -659,7 +682,8 @@ class TestKfOptimize:
         batches = draw_kf_batches(batch_rng, labels, 40, 0.5)
         grid = np.exp(np.linspace(np.log(0.05), np.log(3.0), 25))
         D = cdist(X, X)
-        losses = [kf_loss(D, labels, KernelSpec("gaussian", g), 8, batches) for g in grid]
+        losses = [np.mean(batch_losses(D, labels, KernelSpec("gaussian", g), 8, batches))
+                  for g in grid]
         ell_star = float(grid[int(np.argmin(losses))])
 
         cfg = KfConfig(learning_rate=0.02, momentum=0.8, iterations=25,

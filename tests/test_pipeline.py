@@ -874,3 +874,92 @@ def test_fit_memory_grows_far_less_than_the_pixels(command, tmp_path, monkeypatc
             tracemalloc.stop()
     added_pixels = (heights[1] - heights[0]) * 32 * 32
     assert peaks[heights[1]] - peaks[heights[0]] < 0.5 * added_pixels * bands * 8, peaks
+
+
+#: the scene of .github/console-smoke.sh: 13 bands, two bees with a mite each
+SMOKE_SCENE = {
+    "rows": 40, "cols": 36, "wavelengths_nm": list(range(400, 1001, 50)),
+    "classes": [
+        {"label": 0, "name": "background", "knots": [[400, 0.62], [700, 0.70], [1000, 0.74]]},
+        {"label": 1, "name": "bee",
+         "knots": [[400, 0.10], [600, 0.16], [750, 0.34], [1000, 0.42]]},
+        {"label": 3, "name": "mite",
+         "knots": [[400, 0.08], [600, 0.35], [700, 0.45], [1000, 0.30]]}],
+    "background": 0, "noise_sigma": 0.01, "shadow": {"strength": 0.4}, "occlusion": "order",
+    "blobs": [{"label": 1, "row": 2, "col": 3, "height": 14, "width": 10, "shape": "ellipse"},
+              {"label": 3, "row": 7, "col": 6, "height": 3, "width": 3},
+              {"label": 1, "row": 22, "col": 21, "height": 14, "width": 10, "shape": "ellipse"},
+              {"label": 3, "row": 27, "col": 24, "height": 3, "width": 3}],
+}
+
+
+@pytest.fixture(scope="module")
+def smoke_scene(tmp_path_factory):
+    """The console-smoke scene, written by ``synth --seed 0``."""
+    root = tmp_path_factory.mktemp("smoke")
+    (root / "scene.json").write_text(json.dumps(SMOKE_SCENE))
+    assert cli.main(["synth", "--scene", str(root / "scene.json"), "--seed", "0",
+                     "--out", str(root / "scene")]) == EXIT_OK
+    return root / "scene"
+
+
+@pytest.mark.parametrize("command", ["fit", "apply", "select-bands", "synth"])
+def test_out_naming_a_file_exits_1_naming_it(command, fitted, tmp_path, caplog):
+    root = fitted[0]
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    config = write_run_config(root, tmp_path / "run.json",
+                              band_selection={"method": "r2", "target_count": 2})
+    (tmp_path / "scene.json").write_text(json.dumps(SMOKE_SCENE))
+    argv = {
+        "fit": ["fit", "--config", config],
+        "apply": ["apply", "--model", str(root / "model.json"), "--cube", str(root / "cube.hdr")],
+        "select-bands": ["select-bands", "--config", config],
+        "synth": ["synth", "--scene", str(tmp_path / "scene.json")],
+    }[command]
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(argv + ["--out", str(taken)])
+    assert code == EXIT_USAGE
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "\n" not in errors[0] and str(taken) in errors[0], errors
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("round_order, bands", [(None, [4, 10, 3, 5]), ([2, 1], [10, 4])])
+def test_round_order_concatenates_covproc_rounds(round_order, bands, smoke_scene, tmp_path):
+    selection = {"method": "covproc", "n_tail": 2, "round_order": round_order}
+    config = write_run_config(smoke_scene, tmp_path / "run.json", band_selection=selection)
+    assert cli.main(["select-bands", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "selection_report.json").read_text())
+    assert [r["variables"] for r in report["rounds"]] == [[4], [10], [3], [5]]
+    assert report["bands_for_model"] == bands
+
+
+def test_unknown_round_in_round_order_exits_1(smoke_scene, tmp_path, caplog):
+    selection = {"method": "covproc", "n_tail": 2, "round_order": [9]}
+    config = write_run_config(smoke_scene, tmp_path / "run.json", band_selection=selection)
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["select-bands", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "unknown round indices [9]; have [1, 2, 3, 4]" in caplog.text
+    assert not (tmp_path / "out" / "selection_report.json").exists()
+
+
+@pytest.mark.parametrize("cube_data", [True, False])
+def test_cube_data_names_a_payload_the_header_does_not(cube_data, smoke_scene, tmp_path, caplog):
+    (tmp_path / "cube.hdr").write_bytes((smoke_scene / "cube.hdr").read_bytes())
+    (tmp_path / "pixels.bin").write_bytes((smoke_scene / "cube.raw").read_bytes())
+    inputs = {"cube_header": str(tmp_path / "cube.hdr"), "mask": str(smoke_scene / "mask.hdr"),
+              "palette": str(smoke_scene / "palette.json")}
+    if cube_data:
+        inputs["cube_data"] = str(tmp_path / "pixels.bin")
+    (tmp_path / "run.json").write_text(json.dumps({"inputs": inputs}))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["fit", "--config", str(tmp_path / "run.json"),
+                         "--out", str(tmp_path / "out")])
+    if cube_data:
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "model.json").exists()
+    else:
+        assert code == EXIT_USAGE
+        assert f"cannot infer data file for header {tmp_path / 'cube.hdr'}" in caplog.text

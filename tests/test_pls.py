@@ -1,5 +1,8 @@
 """SIMPLS factorization, regression coefficients, prediction, DA encoding."""
 
+from dataclasses import fields
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,34 @@ from spectral_sift.pls import (
     predict,
     regression_coefficients,
 )
-from spectral_sift.preprocess import apply_scale, fit_scale
+from spectral_sift.preprocess import ScaleModel, apply_scale, fit_scale
 
 
-def r_squared(model, X, Y):
+class Autoscaled(NamedTuple):
+    """A SIMPLS fit on autoscaled X and Y, with the two scalings."""
+
+    model: PlsModel
+    x_scale: ScaleModel
+    y_scale: ScaleModel
+
+
+def fit_autoscaled(X, Y, a):
+    """Autoscale X and Y (a 1-D Y as one column), then fit SIMPLS on them."""
+    Y = Y[:, None] if Y.ndim == 1 else Y
+    x_scale, y_scale = fit_scale(X), fit_scale(Y)
+    return Autoscaled(fit_simpls(apply_scale(x_scale, X), apply_scale(y_scale, Y), a),
+                      x_scale, y_scale)
+
+
+def predict_autoscaled(fit, X):
+    """Predictions of an autoscaled fit for raw rows, in Y's units (2-D)."""
+    Ys = predict(fit.model, apply_scale(fit.x_scale, X))
+    return Ys * fit.y_scale.stds + fit.y_scale.means
+
+
+def r_squared(fit, X, Y):
     """Training R^2 = 1 - RSS/TSS, pooled over the response columns."""
-    rss = float(np.sum((Y - predict(model, X)) ** 2))
+    rss = float(np.sum((Y - predict_autoscaled(fit, X)) ** 2))
     return 1.0 - rss / float(np.sum((Y - Y.mean(axis=0)) ** 2))
 
 
@@ -32,13 +57,13 @@ class TestFitSimpls:
     def test_exact_linear_relation_recovered(self):
         rng = np.random.default_rng(0)
         X, y = random_problem(rng, n=30, p=6, q=1)
-        model = fit_simpls(X, y[:, 0], a=6)
-        np.testing.assert_allclose(predict(model, X), y[:, 0], atol=1e-8)
+        fit = fit_autoscaled(X, y[:, 0], a=6)
+        np.testing.assert_allclose(predict_autoscaled(fit, X)[:, 0], y[:, 0], atol=1e-8)
 
     def test_first_weight_is_covariance_direction(self):
         rng = np.random.default_rng(1)
         X, y = random_problem(rng, n=50, p=10, q=1, noise=0.5)
-        model = fit_simpls(X, y[:, 0], a=1)
+        model = fit_autoscaled(X, y[:, 0], a=1).model
         xs = apply_scale(fit_scale(X), X)
         ys = apply_scale(fit_scale(y), y)[:, 0]
         direction = xs.T @ ys
@@ -83,14 +108,14 @@ class TestFitSimpls:
     def test_r2_non_decreasing_in_a(self):
         rng = np.random.default_rng(4)
         X, Y = random_problem(rng, n=45, p=10, q=2, noise=2.0)
-        r2s = [r_squared(fit_simpls(X, Y, a=a), X, Y) for a in range(1, 11)]
+        r2s = [r_squared(fit_autoscaled(X, Y, a=a), X, Y) for a in range(1, 11)]
         assert np.all(np.diff(r2s) >= -1e-12)
 
     def test_matches_least_squares_at_full_rank(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             X, Y = random_problem(rng, n=40, p=7, q=2, noise=1.0)
-            model = fit_simpls(X, Y, a=7)
+            model = fit_autoscaled(X, Y, a=7).model
             xs_model, ys_model = fit_scale(X), fit_scale(Y)
             Xs, Ys = apply_scale(xs_model, X), apply_scale(ys_model, Y)
             b_ols = np.linalg.solve(Xs.T @ Xs, Xs.T @ Ys)
@@ -108,16 +133,21 @@ class TestFitSimpls:
         with pytest.raises(ValueError, match="zero variance"):
             fit_simpls(X, np.ones(10), a=2)
 
-    def test_scale_false_uses_data_as_given(self):
+    def test_fits_data_as_given(self):
         rng = np.random.default_rng(8)
         X, Y = random_problem(rng, n=30, p=5, q=1)
         Xc = X - X.mean(axis=0)
         Yc = Y - Y.mean(axis=0)
-        model = fit_simpls(Xc, Yc, a=3, scale=False)
-        assert model.x_scale is None and model.y_scale is None
-        # prediction path is then plain X @ b
+        model = fit_simpls(Xc, Yc, a=3)
+        # the model stores no scaling of its own
+        assert [f.name for f in fields(model)] == ["weights", "x_loadings", "y_loadings",
+                                                   "x_scores"]
+        # prediction path is plain X @ b
         b = regression_coefficients(model)
         np.testing.assert_allclose(predict(model, Xc), Xc @ b, atol=1e-12)
+        # a 1-D Y is one response column, and predictions stay 2-D
+        one_d = fit_simpls(Xc, Yc[:, 0], a=3)
+        assert np.array_equal(predict(one_d, Xc), predict(model, Xc))
 
 
 class TestRegressionCoefficients:
@@ -133,10 +163,11 @@ class TestRegressionCoefficients:
     def test_prediction_paths_agree(self):
         rng = np.random.default_rng(10)
         X, Y = random_problem(rng, n=40, p=8, q=2, noise=1.0)
-        model = fit_simpls(X, Y, a=5)
+        fit = fit_autoscaled(X, Y, a=5)
+        model = fit.model
         # factor-space path: scores of new data times Y-loadings
         X_new = rng.normal(size=(15, 8)) @ np.diag(rng.uniform(0.5, 2.0, size=8))
-        Xs = apply_scale(model.x_scale, X_new)
+        Xs = apply_scale(fit.x_scale, X_new)
         factor_path = (Xs @ model.weights) @ model.y_loadings.T
         coef_path = Xs @ regression_coefficients(model)
         np.testing.assert_allclose(coef_path, factor_path, atol=1e-10)
@@ -150,7 +181,6 @@ class TestRegressionCoefficients:
             x_loadings=np.repeat(model.x_loadings[:, :1], 2, axis=1),
             y_loadings=np.repeat(model.y_loadings[:, :1], 2, axis=1),
             x_scores=model.x_scores,
-            x_scale=model.x_scale, y_scale=model.y_scale, y_1d=model.y_1d,
         )
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             regression_coefficients(broken)
@@ -160,19 +190,19 @@ class TestPredict:
     def test_training_predictions_match_residual_definition(self):
         rng = np.random.default_rng(12)
         X, Y = random_problem(rng, n=30, p=6, q=2, noise=1.5)
-        model = fit_simpls(X, Y, a=4)
-        Ys = apply_scale(model.y_scale, Y)
-        fitted = model.x_scores @ model.y_loadings.T  # T Q' in scaled space
+        fit = fit_autoscaled(X, Y, a=4)
+        Ys = apply_scale(fit.y_scale, Y)
+        fitted = fit.model.x_scores @ fit.model.y_loadings.T  # T Q' in scaled space
         residual_path = Ys - (Ys - fitted)
         np.testing.assert_allclose(
-            apply_scale(model.y_scale, predict(model, X)), residual_path, atol=1e-10
+            apply_scale(fit.y_scale, predict_autoscaled(fit, X)), residual_path, atol=1e-10
         )
 
     def test_row_at_training_means_predicts_y_mean(self):
         rng = np.random.default_rng(13)
         X, Y = random_problem(rng, n=25, p=5, q=2, noise=1.0)
-        model = fit_simpls(X, Y, a=3)
-        out = predict(model, model.x_scale.means[None, :])
+        fit = fit_autoscaled(X, Y, a=3)
+        out = predict_autoscaled(fit, fit.x_scale.means[None, :])
         np.testing.assert_allclose(out, Y.mean(axis=0)[None, :], atol=1e-10)
 
     def test_dimension_mismatch(self):
@@ -216,6 +246,6 @@ def test_plsda_end_to_end_separable():
     centers = np.array([[0, 0, 0, 0], [4, 0, 0, 0], [0, 4, 0, 0]], dtype=float)
     X = centers[labels] + 0.2 * rng.normal(size=(n, 4))
     enc = encode_da(labels)
-    model = fit_simpls(X, enc.indicators, a=3)
-    decoded = decode_da(enc.classes, predict(model, X))
+    fit = fit_autoscaled(X, enc.indicators, a=3)
+    decoded = decode_da(enc.classes, predict_autoscaled(fit, X))
     assert np.mean(decoded == labels) == 1.0

@@ -1,4 +1,4 @@
-"""Autoscaling: fit statistics, application, inversion, degenerate columns."""
+"""Autoscaling: fit statistics, application, degenerate columns."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from spectral_sift.preprocess import (
     carried_sum,
     fit_scale,
     fit_scale_tiles,
-    invert_scale,
 )
 
 
@@ -60,21 +59,6 @@ def test_row_at_means_maps_to_zero():
     np.testing.assert_allclose(apply_scale(model, model.means[None, :]), 0.0)
 
 
-def test_apply_invert_roundtrip():
-    rng = np.random.default_rng(2)
-    X = rng.normal(scale=10.0, size=(30, 8))
-    model = fit_scale(X)
-    np.testing.assert_allclose(invert_scale(model, apply_scale(model, X)), X, atol=1e-10)
-    np.testing.assert_allclose(apply_scale(model, invert_scale(model, X)), X, atol=1e-10)
-
-
-def test_invert_of_zero_matrix_gives_means():
-    X = np.array([[0.0, 2.0], [2.0, 4.0]])
-    model = fit_scale(X)
-    out = invert_scale(model, np.zeros((3, 2)))
-    np.testing.assert_allclose(out, np.broadcast_to(model.means, (3, 2)))
-
-
 def test_stored_model_differs_from_self_fitting():
     rng = np.random.default_rng(3)
     calib = rng.normal(0.0, 1.0, size=(100, 4))
@@ -92,8 +76,6 @@ def test_errors():
     model = fit_scale(np.random.default_rng(0).normal(size=(5, 3)))
     with pytest.raises(ValueError, match="3 columns"):
         apply_scale(model, np.ones((2, 4)))
-    with pytest.raises(ValueError, match="3 columns"):
-        invert_scale(model, np.ones((2, 4)))
 
 
 def test_model_is_immutable():

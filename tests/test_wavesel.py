@@ -76,9 +76,9 @@ def oracle_greedy(X, y, target, lv=5, init=(), exclude=()):
 
 # ---------------------------------------------------------------------------
 # the per-candidate refit loop that r2_forward_select's batched cross-product
-# SIMPLS replaced, kept as its oracle: a full fit_simpls model per candidate,
-# stepping the factor count down while the cross-product is exhausted, and
-# R^2 from the model's predictions
+# SIMPLS replaced, kept as its oracle: a full fit_simpls model per candidate
+# on its autoscaled columns and y, stepping the factor count down while the
+# cross-product is exhausted, and R^2 from the model's predictions in y's units
 # ---------------------------------------------------------------------------
 
 
@@ -87,23 +87,27 @@ def reference_r2_steps(X, y, target_count, init=(), lv=5, exclude=()):
     usable = [b for b in range(X.shape[1]) if b not in set(exclude)]
     selected = list(init)
     tss = float(np.sum((y - y.mean()) ** 2))
+    y_scale = fit_scale(y[:, None])
+    ys = apply_scale(y_scale, y[:, None])
     steps = []
     while len(selected) < target_count:
         bands = [b for b in usable if b not in selected]
         r2s = []
         for band in bands:
             cols = selected + [band]
+            Xs = apply_scale(fit_scale(X[:, cols]), X[:, cols])
             a = min(lv, len(cols), X.shape[0] - 1)
             model = None
             while model is None and a >= 1:
                 try:
-                    model = fit_simpls(X[:, cols], y, a)
+                    model = fit_simpls(Xs, ys, a)
                 except DegenerateDataError:
                     a -= 1
             if model is None:  # no covariance with y even at one factor
                 r2s.append(0.0)
             else:
-                r2s.append(1.0 - float(np.sum((y - predict(model, X[:, cols])) ** 2)) / tss)
+                yhat = predict(model, Xs)[:, 0] * y_scale.stds[0] + y_scale.means[0]
+                r2s.append(1.0 - float(np.sum((y - yhat) ** 2)) / tss)
         r2s = np.array(r2s)
         i = int(np.flatnonzero(r2s.max() - r2s <= TIE_RTOL * abs(r2s.max()))[0])
         selected.append(bands[i])
