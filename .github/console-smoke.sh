@@ -58,14 +58,26 @@ for method in r2 covproc; do
   spectral-sift select-bands --config $method.json --out $method > /dev/null
   python -c "import json, sys; assert json.load(open(sys.argv[1]))['bands_for_model']" $method/selection_report.json
 done
-# fit and apply both workflows again from a float32 BIL copy, the layout of a
-# camera frame, which fit reads mapped in row tiles
-mkdir bil
-python -c "from spectral_sift.specdata import read_envi, write_envi; write_envi(read_envi('scene/cube.hdr'), 'bil/cube.hdr', 'bil/cube.raw', interleave='bil', dtype='f4')"
+# fit and apply both workflows again from two float32 copies: BIL, the layout
+# of a camera frame, and big-endian BSQ, whose row tiles are read one band at a
+# time. Both hold the same values, so both give the same model and masks.
+mkdir bil bsq
+python - <<'PY'
+from spectral_sift.specdata import read_envi, write_envi
+cube = read_envi("scene/cube.hdr")
+write_envi(cube, "bil/cube.hdr", "bil/cube.raw", interleave="bil", dtype="f4")
+write_envi(cube, "bsq/cube.hdr", "bsq/cube.raw", interleave="bsq", dtype="f4", byte_order=1)
+PY
+for copy in bil bsq; do
+  for workflow in kmeans kfpls; do
+    sed "s#scene/cube.hdr#$copy/cube.hdr#" $workflow.json > $copy/$workflow.json
+    spectral-sift fit --config $copy/$workflow.json --out $copy/$workflow
+    spectral-sift apply --model $copy/$workflow/model.json --cube $copy/cube.hdr --out $copy/$workflow/applied
+  done
+done
 for workflow in kmeans kfpls; do
-  sed 's#scene/cube.hdr#bil/cube.hdr#' $workflow.json > bil/$workflow.json
-  spectral-sift fit --config bil/$workflow.json --out bil/$workflow
-  spectral-sift apply --model bil/$workflow/model.json --cube bil/cube.hdr --out bil/$workflow/applied
+  cmp bil/$workflow/model.json bsq/$workflow/model.json
+  cmp bil/$workflow/applied/class_mask.raw bsq/$workflow/applied/class_mask.raw
 done
 # diagnostics.json is standard JSON (no Infinity or NaN), and the KF trace has
 # one row per configured iteration

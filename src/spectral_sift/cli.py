@@ -107,8 +107,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_apply(args) -> int:
     model = PipelineModel.load(args.model)
-    result = apply_pipeline(model, open_envi(args.cube, args.cube_data))
-    summary = write_apply_outputs(result, args.out)
+    cube = open_envi(args.cube, args.cube_data)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a path in the way fails before any tile
+    result = apply_pipeline(model, cube)
+    summary = write_apply_outputs(result, out)
     _emit(summary)
     return EXIT_OK
 

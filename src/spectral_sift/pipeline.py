@@ -7,15 +7,17 @@ path samples labeled pixels, tunes the kernel by Kernel Flows, and fits
 kernel PLS-DA on the raw spectra. Applying a model never refits statistics:
 new images are always pushed through the stored calibration parameters.
 
-No command holds a cube as float64. Fit, band selection and apply map the
-file (:class:`MappedCube`, from :func:`load_inputs` or ``open_envi``) and
-read it in row tiles, each converted to a row-major float64 pixels-by-bands
-matrix of the columns in use (a band subset is a sorted column list) and
-checked for NaN/Inf. A fit walks the tiles once per statistic in one reused
-buffer and keeps only per-pixel results: the PCA scores, or the few pixels
-it gathers (Kernel Flows samples, band selection's bee and mite rows).
-Apply classifies tiles on a thread pool. Rows and mask labels are in
-row-major scan order, so a per-pixel result reshapes to the image grid.
+No command holds a cube as float64, nor its whole payload. Fit, band
+selection and apply open the file (:class:`CubeFile`, from
+:func:`load_inputs` or ``open_envi``) and read it in row tiles, each read
+from the file in chunks of about a megabyte, converted to a row-major
+float64 pixels-by-bands matrix of the columns in use (a band subset is a
+sorted column list) and checked for NaN/Inf. A fit walks the tiles once per
+statistic in one reused buffer and keeps only per-pixel results: the PCA
+scores, or the few pixels it gathers (Kernel Flows samples, band
+selection's bee and mite rows). Apply classifies tiles on a thread pool.
+Rows and mask labels are in row-major scan order, so a per-pixel result
+reshapes to the image grid.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from . import wavesel as ws
 from .modelio import ConfigError
 from .specdata import (
     UNLABELED,
+    CubeFile,
     EnviFormatError,
     HyperCube,
     LabelMask,
-    MappedCube,
     SceneSpec,
     open_envi,
     read_label_mask,
@@ -214,9 +216,10 @@ class PipelineModel:
         return cls.from_dict(doc)
 
 
-def load_inputs(config: RunConfig) -> tuple[MappedCube, LabelMask]:
-    """The configured cube, mapped (:func:`open_envi`; only its size and
-    header are checked here), and its label mask, which must match its grid."""
+def load_inputs(config: RunConfig) -> tuple[CubeFile, LabelMask]:
+    """The configured cube, opened but not read (:func:`open_envi`; only its
+    header and size are checked here), and its label mask, which must match
+    its grid."""
     inputs = config.inputs
     for key in ("cube_header", "mask"):
         if not getattr(inputs, key):
@@ -274,24 +277,42 @@ def _discriminant_rows(labels: np.ndarray, mite_label: int, bee_label: int) -> t
 TILE_CELLS = 1 << 20
 
 
-def _read_tile(cube: HyperCube | MappedCube, r0: int, rows: int, columns: list[int] | None,
+#: stored bytes of a cube file that a tile reads at once (at least one row),
+#: into one buffer that the tile reuses for all its chunks. Small next to a
+#: float64 tile (``TILE_CELLS`` cells, 8 MiB), so the payload in memory is one
+#: chunk per thread; not much smaller: one-row chunks made a kmeans apply of
+#: a 256 x 256 f4 BIL cube take 0.14 s in place of 0.08 s (two workers on
+#: 2 vCPUs).
+CHUNK_BYTES = 1 << 20
+
+
+def _read_tile(cube: HyperCube | CubeFile, r0: int, rows: int, columns: list[int] | None,
                out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``r0`` to ``r0 + rows`` of the cube as a row-major float64 pixels ×
     columns matrix (every band when ``columns`` is None), converted from the
     stored dtype into the flat buffer ``out`` when one is given. Raises
-    EnviFormatError, naming the rows, if a value is NaN or infinite."""
-    tile = cube.data[r0:r0 + rows]
-    if columns is not None:
-        tile = tile[:, :, columns]  # take() would first copy every band of a strided view
-    if out is None:
-        X = np.ascontiguousarray(tile, dtype=np.float64)
+    EnviFormatError, naming the rows, if a value is NaN or infinite, or if a
+    cube file is shorter than when it was opened."""
+    rows = min(rows, cube.rows - r0)
+    if isinstance(cube, CubeFile):
+        width = cube.bands if columns is None else len(columns)
+        size = rows * cube.cols * width
+        X = (np.empty(size) if out is None else out[:size]).reshape(-1, width)
+        cube.read_rows(r0, columns, X, CHUNK_BYTES)
+        source = f"payload of {cube.path}"
     else:
-        X = out[:tile.size].reshape(tile.shape)
-        np.copyto(X, tile)
-    X = X.reshape(-1, tile.shape[2])
+        tile = cube.data[r0:r0 + rows]
+        if columns is not None:
+            tile = tile[:, :, columns]  # take() would first copy every band of a strided view
+        if out is None:
+            X = np.ascontiguousarray(tile, dtype=np.float64)
+        else:
+            X = out[:tile.size].reshape(tile.shape)
+            np.copyto(X, tile)
+        X = X.reshape(-1, tile.shape[2])
+        source = "cube data"
     if not np.all(np.isfinite(X)):
-        source = f"payload of {cube.path}" if isinstance(cube, MappedCube) else "cube data"
-        raise EnviFormatError(f"{source} contains NaN/Inf in rows {r0}-{r0 + len(tile) - 1}")
+        raise EnviFormatError(f"{source} contains NaN/Inf in rows {r0}-{r0 + rows - 1}")
     return X
 
 
@@ -305,7 +326,7 @@ class _RowTiles:
     the columns read alone, so a fit's bits do not depend on the machine.
     """
 
-    def __init__(self, cube: HyperCube | MappedCube, columns: list[int] | None) -> None:
+    def __init__(self, cube: HyperCube | CubeFile, columns: list[int] | None) -> None:
         self.cube, self.columns = cube, columns
         self.width = cube.bands if columns is None else len(columns)
         self.step = max(1, TILE_CELLS // (cube.cols * self.width))
@@ -316,7 +337,7 @@ class _RowTiles:
             yield _read_tile(self.cube, r0, self.step, self.columns, self.buffer)
 
 
-def _gather_pixels(cube: HyperCube | MappedCube, columns: list[int] | None,
+def _gather_pixels(cube: HyperCube | CubeFile, columns: list[int] | None,
                    pixels: np.ndarray) -> np.ndarray:
     """Rows ``pixels`` (flat pixel indices, in any order) of the cube's pixels ×
     columns matrix, as float64. Every tile is read, so a NaN/Inf anywhere in
@@ -331,7 +352,7 @@ def _gather_pixels(cube: HyperCube | MappedCube, columns: list[int] | None,
     return out
 
 
-def _fit_kmeans_path(cube: HyperCube | MappedCube, columns: list[int] | None,
+def _fit_kmeans_path(cube: HyperCube | CubeFile, columns: list[int] | None,
                      labels: np.ndarray, config: RunConfig):
     """Autoscale, PCA, component gate and escalation on the cube's columns
     (every band when None), in four passes over the row tiles: column means,
@@ -384,7 +405,7 @@ def _sample_labeled_pixels(labels: np.ndarray, per_class: int,
     return np.concatenate(rows), np.concatenate(out_labels)
 
 
-def _fit_kfpls_path(cube: HyperCube | MappedCube, columns: list[int] | None,
+def _fit_kfpls_path(cube: HyperCube | CubeFile, columns: list[int] | None,
                     labels: np.ndarray, config: RunConfig):
     if np.unique(labels[labels != UNLABELED]).size < 2:
         raise ValueError("kernel workflow needs at least 2 labeled classes")
@@ -403,7 +424,7 @@ def _fit_kfpls_path(cube: HyperCube | MappedCube, columns: list[int] | None,
     return result, diagnostics
 
 
-def _clustering_stop_test(cube: HyperCube | MappedCube, labels: np.ndarray, config: RunConfig):
+def _clustering_stop_test(cube: HyperCube | CubeFile, labels: np.ndarray, config: RunConfig):
     """Success test for band subsets: does the full supervised pipeline pass
     on those columns of the cube?"""
 
@@ -419,7 +440,7 @@ def _clustering_stop_test(cube: HyperCube | MappedCube, labels: np.ndarray, conf
     return passes
 
 
-def run_band_selection(cube: HyperCube | MappedCube, labels: np.ndarray, config: RunConfig):
+def run_band_selection(cube: HyperCube | CubeFile, labels: np.ndarray, config: RunConfig):
     """Run the configured selector on the cube's bee and mite pixels; returns
     (report, bands_for_model). Reading those pixels checks the whole payload
     for NaN/Inf; the clustering stop test reads only each prefix's bands."""
@@ -624,7 +645,7 @@ def _pixel_classifier(model: PipelineModel):
     return classify_kfpls, max(model.kernel.n_support, model.wavelengths_nm.size), palette
 
 
-def apply_pipeline(model: PipelineModel, cube: HyperCube | MappedCube) -> ApplyResult:
+def apply_pipeline(model: PipelineModel, cube: HyperCube | CubeFile) -> ApplyResult:
     """Classify a new cube with stored calibration statistics only.
 
     The band count and wavelength grid are checked once; then row tiles are

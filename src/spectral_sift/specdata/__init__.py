@@ -9,9 +9,9 @@ from .cube import (
 )
 from .envi import (
     DATA_TYPES,
+    CubeFile,
     EnviFormatError,
     EnviHeader,
-    MappedCube,
     format_envi_header,
     open_envi,
     parse_envi_header,
@@ -29,9 +29,9 @@ __all__ = [
     "HyperCube",
     "LabelMask",
     "flatten",
+    "CubeFile",
     "EnviFormatError",
     "EnviHeader",
-    "MappedCube",
     "DATA_TYPES",
     "parse_envi_header",
     "format_envi_header",

@@ -3,9 +3,9 @@
 A :class:`HyperCube` holds a whole cube in memory, in (row, col, band) order
 as float64. Scene synthesis makes one, the ENVI writer writes one, and
 ``read_envi`` loads one for tests and scripts. No fit or apply command holds
-a cube: both read row tiles of an
-:class:`~spectral_sift.specdata.envi.MappedCube`, a view of the file in its
-stored dtype, and convert each tile to float64 on their own. Wavelengths are
+a cube: both read row tiles from the file of a
+:class:`~spectral_sift.specdata.envi.CubeFile`, which holds only its header
+and path, and convert each tile to float64 on their own. Wavelengths are
 band centers in nanometres and must be strictly increasing.
 """
 
@@ -115,7 +115,7 @@ class LabelMask:
             raise ValueError(f"palette must not define the reserved unlabeled value {UNLABELED}")
 
     def matches(self, cube) -> bool:
-        """Whether a cube (in memory or mapped) has the mask's rows and columns."""
+        """Whether a cube (in memory or in its file) has the mask's rows and columns."""
         return (self.rows, self.cols) == (cube.rows, cube.cols)
 
 

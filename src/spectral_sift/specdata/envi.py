@@ -48,8 +48,12 @@ class EnviHeader:
     wavelengths_nm: np.ndarray | None = None
     extras: dict[str, str] = field(default_factory=dict)
 
+    def dtype(self) -> np.dtype:
+        """The payload's element type as stored, byte order included."""
+        return np.dtype((">" if self.byte_order == 1 else "<") + DATA_TYPES[self.data_type])
+
     def itemsize(self) -> int:
-        return int(np.dtype(DATA_TYPES[self.data_type]).itemsize)
+        return self.dtype().itemsize
 
     def payload_bytes(self) -> int:
         return self.samples * self.lines * self.bands * self.itemsize()
@@ -169,25 +173,23 @@ _DISK_SHAPE = {
 }
 
 
-def _open_payload(header: EnviHeader, data_path: Path, mapped: bool = False) -> np.ndarray:
-    """The payload as a (row, col, band) view in its stored dtype, whatever the
-    interleave: mapped read-only from the file when ``mapped``, else read into
-    memory. The file size is checked first."""
+def _check_payload_size(header: EnviHeader, data_path: Path) -> None:
     size = max(data_path.stat().st_size - header.header_offset, 0)
     if size != header.payload_bytes():
         raise EnviFormatError(
             f"payload is {size} bytes, header implies {header.payload_bytes()} "
             f"({header.samples}x{header.lines}x{header.bands}, type {header.data_type})"
         )
-    dtype = np.dtype((">" if header.byte_order == 1 else "<") + DATA_TYPES[header.data_type])
+
+
+def _open_payload(header: EnviHeader, data_path: Path) -> np.ndarray:
+    """The payload read into memory, as a (row, col, band) view in its stored
+    dtype whatever the interleave. The file size is checked first."""
+    _check_payload_size(header, data_path)
     names, axes = _DISK_SHAPE[header.interleave]
     shape = tuple(getattr(header, name) for name in names)
-    if mapped:
-        disk = np.memmap(data_path, dtype=dtype, mode="r", offset=header.header_offset,
-                         shape=shape)
-    else:
-        disk = np.fromfile(data_path, dtype=dtype, offset=header.header_offset).reshape(shape)
-    return disk.transpose(axes)
+    disk = np.fromfile(data_path, dtype=header.dtype(), offset=header.header_offset)
+    return disk.reshape(shape).transpose(axes)
 
 
 def _infer_data_path(header_path: Path) -> Path:
@@ -200,53 +202,109 @@ def _infer_data_path(header_path: Path) -> Path:
 
 
 @dataclass(frozen=True)
-class MappedCube:
-    """An ENVI cube mapped from its file, not read: what ``fit``,
-    ``select-bands`` and ``apply`` read.
+class CubeFile:
+    """An ENVI cube left in its file: what ``fit``, ``select-bands`` and
+    ``apply`` read.
 
-    ``data`` is a read-only (row, col, band) view of the payload in its stored
-    dtype, so only the pages a caller touches are read, and they stay file
-    cache that the operating system can reclaim. The file size and the
-    wavelength list are checked when the file is opened; a reader converts
-    the row tiles it uses to float64 and checks each for NaN/Inf itself. The
-    file must not shrink while the view is in use.
+    It holds the checked header and the payload path, and no pixel:
+    :meth:`read_rows` reads the rows a caller asks for from the file and
+    converts them to float64; the caller checks them for NaN/Inf. The file
+    size and the wavelength list are checked when the file is opened.
     """
 
-    data: np.ndarray
-    wavelengths_nm: np.ndarray
+    header: EnviHeader
     path: Path
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.header.lines
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.header.samples
 
     @property
     def bands(self) -> int:
-        return self.data.shape[2]
+        return self.header.bands
+
+    @property
+    def wavelengths_nm(self) -> np.ndarray:
+        return self.header.wavelengths_nm
+
+    def read_rows(self, r0: int, columns: list[int] | None, X: np.ndarray,
+                  chunk_bytes: int) -> None:
+        """Fill the float64 pixels × columns matrix ``X`` (every band when
+        ``columns`` is None) with the rows from ``r0`` on, reading at most
+        ``chunk_bytes`` of the file (at least one row) at a time into one
+        buffer and converting each chunk's columns into ``X``.
+
+        BIL and BIP chunks are whole rows; a BSQ chunk takes one read per band
+        in use. A native float64 BIP payload read in every band is already the
+        layout of ``X``, so it is read straight into it. The file is opened
+        here, so concurrent callers share no file position. Raises
+        EnviFormatError if the payload is shorter than when it was opened.
+        """
+        header, cols, bands = self.header, self.cols, self.bands
+        rows = X.shape[0] // cols
+        dtype = header.dtype()
+        with open(self.path, "rb", buffering=0) as fh:  # unbuffered: reads land in the arrays
+
+            def read(element: int, into: np.ndarray) -> None:
+                """Read the stored elements from ``element`` on into ``into``."""
+                fh.seek(header.header_offset + element * dtype.itemsize)
+                view = memoryview(into).cast("B")
+                done = 0
+                while done < view.nbytes:
+                    count = fh.readinto(view[done:])
+                    if not count:
+                        raise EnviFormatError(
+                            f"payload of {self.path} ends before rows {r0}-{r0 + rows - 1}: "
+                            "it is shorter than when it was opened")
+                    done += count
+
+            if header.interleave == "bip" and columns is None and dtype == np.float64:
+                read(r0 * cols * bands, X)
+                return
+            bsq = header.interleave == "bsq"
+            read_bands = len(columns) if bsq and columns is not None else bands
+            step = min(rows, max(1, chunk_bytes // (cols * read_bands * dtype.itemsize)))
+            buffer = np.empty(step * cols * read_bands, dtype=dtype)
+            for c0 in range(0, rows, step):
+                n = min(step, rows - c0)
+                tile = X[c0 * cols:(c0 + n) * cols]
+                chunk = buffer[:n * cols * read_bands]
+                if bsq:  # (band, pixel): each band's rows lie together in the file
+                    chunk = chunk.reshape(read_bands, n * cols)
+                    for j, band in enumerate(range(bands) if columns is None else columns):
+                        read((band * self.rows + r0 + c0) * cols, chunk[j])
+                    np.copyto(tile, chunk.T)
+                    continue
+                read((r0 + c0) * cols * bands, chunk)
+                if header.interleave == "bil":  # (row, band, sample)
+                    chunk = chunk.reshape(n, bands, cols)
+                    if columns is not None:
+                        chunk = chunk[:, columns]
+                    np.copyto(tile.reshape(n, cols, -1), chunk.transpose(0, 2, 1))
+                else:  # bip: (pixel, band)
+                    chunk = chunk.reshape(n * cols, bands)
+                    np.copyto(tile, chunk if columns is None else chunk[:, columns])
 
 
-def _open_cube(header_path: str | Path, data_path: str | Path | None, mapped: bool):
+def open_envi(header_path: str | Path, data_path: str | Path | None = None) -> CubeFile:
+    """Check an ENVI cube for reading in parts, reading none of its payload:
+    the header, the payload size and the wavelength list, which the header
+    must carry."""
     header_path = Path(header_path)
     header = parse_envi_header(header_path.read_text())
     data_path = Path(data_path) if data_path is not None else _infer_data_path(header_path)
-    data = _open_payload(header, data_path, mapped)
+    _check_payload_size(header, data_path)
     if header.wavelengths_nm is None:
         raise EnviFormatError(f"header {header_path} has no wavelength list")
     try:
         check_wavelengths(header.wavelengths_nm, header.bands)
     except ValueError as exc:
         raise EnviFormatError(f"header {header_path}: {exc}") from None
-    return header, data, data_path
-
-
-def open_envi(header_path: str | Path, data_path: str | Path | None = None) -> MappedCube:
-    """Map an ENVI cube for reading in parts; the header must carry a wavelength list."""
-    header, data, data_path = _open_cube(header_path, data_path, mapped=True)
-    return MappedCube(data=data, wavelengths_nm=header.wavelengths_nm, path=data_path)
+    return CubeFile(header=header, path=data_path)
 
 
 def read_envi(header_path: str | Path, data_path: str | Path | None = None) -> HyperCube:
@@ -257,12 +315,12 @@ def read_envi(header_path: str | Path, data_path: str | Path | None = None) -> H
     needs neither, so the array read from the file is the cube. The cube
     checks every value for NaN/Inf once, as it is built.
     """
-    header, data, data_path = _open_cube(header_path, data_path, mapped=False)
-    data = np.ascontiguousarray(data, dtype=np.float64)
+    cube = open_envi(header_path, data_path)
+    data = np.ascontiguousarray(_open_payload(cube.header, cube.path), dtype=np.float64)
     try:
-        return HyperCube(data=data, wavelengths_nm=header.wavelengths_nm)
+        return HyperCube(data=data, wavelengths_nm=cube.wavelengths_nm)
     except ValueError as exc:  # the header is checked: only the values can fail
-        raise EnviFormatError(f"payload of {data_path}: {exc}") from None
+        raise EnviFormatError(f"payload of {cube.path}: {exc}") from None
 
 
 def write_envi(

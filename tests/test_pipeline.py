@@ -3,9 +3,11 @@
 import argparse
 import base64
 import dataclasses
+import inspect
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -493,7 +495,7 @@ def spy_tiles(monkeypatch, model, record=lambda X: X.shape[0]):
 
 def assert_tiles_match_whole_cube(monkeypatch, model, root, workers):
     """Tiles of 1 row, 7 rows and the whole cube give the same bytes, from the
-    mapped file and from the cube read into memory."""
+    cube file and from the cube read into memory."""
     cube = open_envi(root / "bil.hdr")
     seen = spy_tiles(monkeypatch, model)
     results = []
@@ -589,28 +591,34 @@ def test_apply_memory_does_not_grow_with_rows(fixture, request, tmp_path, monkey
     apply_pipeline(model, open_envi(tmp_path / "32.hdr"))  # imports and first calls, not per row
     peaks = {}
     for rows in heights:
-        cube = open_envi(tmp_path / f"{rows}.hdr")  # mapped pages are not numpy buffers
+        cube = open_envi(tmp_path / f"{rows}.hdr")
         tracemalloc.start()
         try:
             apply_pipeline(model, cube)
             peaks[rows] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # the masks grow with the rows: class ids, cluster ids (kmeans) and one count comparison
+    # the masks grow with the rows: class ids, cluster ids (kmeans) and one count
+    # comparison; a tile's chunk buffer is counted too, but holds CHUNK_BYTES at most
     mask_bytes = heights[1] * cols * (3 if model.workflow == "kmeans" else 2)
     assert peaks[heights[1]] <= 1.25 * peaks[heights[0]] + mask_bytes, peaks
 
 
-def copy_with_nan_in_last_row(bil_copy, tmp_path):
-    """A copy of the BIL cube with one NaN in its last row; returns its header."""
+def bil_copy_in(bil_copy, tmp_path):
+    """A copy of the BIL cube in ``tmp_path``; returns its header."""
     for suffix in ("hdr", "raw"):
         (tmp_path / f"cube.{suffix}").write_bytes((bil_copy / f"bil.{suffix}").read_bytes())
-    cube = open_envi(tmp_path / "cube.hdr")
+    return tmp_path / "cube.hdr"
+
+
+def copy_with_nan_in_last_row(bil_copy, tmp_path):
+    """A copy of the BIL cube with one NaN in its last row; returns its header."""
+    cube = open_envi(bil_copy_in(bil_copy, tmp_path))
     payload = np.memmap(tmp_path / "cube.raw", dtype="<f4", mode="r+",
                         shape=(cube.rows, cube.bands, cube.cols))  # BIL: line, band, sample
     payload[-1, 3, 5] = np.nan
     payload.flush()
-    del payload, cube
+    del payload
     return tmp_path / "cube.hdr"
 
 
@@ -691,6 +699,58 @@ def test_truncated_payload_exits_1_before_any_tile(fitted, bil_copy, tmp_path, m
     assert seen == [] and not (tmp_path / "out").exists()
 
 
+def shrunk_after_open(open_envi):
+    """``open_envi`` that halves the payload once it has checked its size, as a
+    file rewritten while it is read would be."""
+
+    def opener(*args, **kwargs):
+        cube = open_envi(*args, **kwargs)
+        with open(cube.path, "r+b") as fh:
+            fh.truncate(cube.header.payload_bytes() // 2)
+        return cube
+
+    return opener
+
+
+@pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
+def test_payload_shrunk_after_open_fails_apply(fixture, request, bil_copy, tmp_path):
+    value = request.getfixturevalue(fixture)
+    model = value[3] if fixture == "fitted" else value[1]
+    cube = shrunk_after_open(open_envi)(bil_copy_in(bil_copy, tmp_path))
+    shrunk = re.escape(f"payload of {tmp_path / 'cube.raw'} ends before")
+    with pytest.raises(EnviFormatError, match=shrunk):
+        apply_pipeline(model, cube)
+
+
+def test_payload_shrunk_after_open_fails_the_kmeans_fit(scene, bil_copy, tmp_path, monkeypatch):
+    header = bil_copy_in(bil_copy, tmp_path)
+    monkeypatch.setattr(pipeline, "open_envi", shrunk_after_open(open_envi))
+    config = RunConfig(inputs=InputsConfig(cube_header=str(header),
+                                           mask=str(scene[0] / "mask.hdr")))
+    shrunk = re.escape(f"payload of {tmp_path / 'cube.raw'} ends before")
+    with pytest.raises(EnviFormatError, match=shrunk):
+        fit_pipeline(config)
+
+
+def test_apply_on_a_payload_shrunk_after_open_exits_1(fitted, bil_copy, tmp_path):
+    # in a fresh process, so that a read that ended it by a signal fails the test only
+    header = bil_copy_in(bil_copy, tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (inspect.getsource(shrunk_after_open)
+            + "import sys\nfrom spectral_sift import cli\n"
+            + "cli.open_envi = shrunk_after_open(cli.open_envi)\n"
+            + "sys.exit(cli.main(sys.argv[1:]))\n")
+    run = subprocess.run(
+        [sys.executable, "-c", code, "apply", "--model", str(fitted[0] / "model.json"),
+         "--cube", str(header), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == EXIT_USAGE, run.stderr
+    errors = run.stderr.strip().splitlines()
+    assert len(errors) == 1 and f"payload of {tmp_path / 'cube.raw'} ends before" in errors[0]
+    assert not (tmp_path / "out" / "class_mask.raw").exists()
+
+
 @pytest.mark.parametrize("change, message", [
     ("drop-band", "cube has 23 bands; model expects 24"),
     ("shift-grid", "cube wavelengths do not match the model's calibration grid"),
@@ -710,10 +770,10 @@ def test_band_or_wavelength_mismatch_exits_1(change, message, fitted, tmp_path, 
                          "--cube", str(tmp_path / "cube.hdr"), "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
     assert message in caplog.text
-    assert seen == [] and not (tmp_path / "out").exists()
+    assert seen == [] and list((tmp_path / "out").iterdir()) == []
 
 
-# fit and select-bands read the mapped cube in row tiles
+# fit and select-bands read the cube file in row tiles
 
 FIT_COMMANDS = {
     "kmeans-fit": ("fit", {}),
@@ -860,7 +920,7 @@ def test_fit_memory_grows_far_less_than_the_pixels(command, tmp_path, monkeypatc
     def run(config):
         if name == "fit":
             return fit_pipeline(config)
-        cube, mask = pipeline.load_inputs(config)  # mapped pages are not numpy buffers
+        cube, mask = pipeline.load_inputs(config)
         return pipeline.run_band_selection(cube, mask.labels.ravel(), config)
 
     run(configs[heights[0]])  # imports and first calls, not per row
@@ -904,8 +964,10 @@ def smoke_scene(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command", ["fit", "apply", "select-bands", "synth"])
-def test_out_naming_a_file_exits_1_naming_it(command, fitted, tmp_path, caplog):
+def test_out_naming_a_file_exits_1_naming_it(command, fitted, tmp_path, monkeypatch, caplog):
     root = fitted[0]
+    applied = []  # apply fails on the path before it classifies a tile
+    monkeypatch.setattr(cli, "apply_pipeline", lambda *args: applied.append(args))
     taken = tmp_path / "taken"
     taken.write_text("")
     config = write_run_config(root, tmp_path / "run.json",
@@ -922,7 +984,7 @@ def test_out_naming_a_file_exits_1_naming_it(command, fitted, tmp_path, caplog):
     assert code == EXIT_USAGE
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and "\n" not in errors[0] and str(taken) in errors[0], errors
-    assert taken.read_text() == ""
+    assert taken.read_text() == "" and applied == []
 
 
 @pytest.mark.parametrize("round_order, bands", [(None, [4, 10, 3, 5]), ([2, 1], [10, 4])])

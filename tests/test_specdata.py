@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from spectral_sift import pipeline
+from spectral_sift.pipeline import _read_tile
+from spectral_sift.specdata import envi
 from spectral_sift.specdata import (
     BlobSpec,
     ClassSpec,
@@ -184,10 +187,11 @@ class TestReadWriteEnvi:
         back = read_envi(tmp_path / "c.hdr", tmp_path / "c.raw")
         np.testing.assert_array_equal(back.data, cube.data)
         np.testing.assert_array_equal(back.wavelengths_nm, cube.wavelengths_nm)
-        mapped = open_envi(tmp_path / "c.hdr", tmp_path / "c.raw")  # stored dtype, not float64
-        assert mapped.data.dtype == np.dtype((">" if byte_order else "<") + "f4")
-        np.testing.assert_array_equal(mapped.data, cube.data)
-        np.testing.assert_array_equal(mapped.wavelengths_nm, cube.wavelengths_nm)
+        opened = open_envi(tmp_path / "c.hdr", tmp_path / "c.raw")  # stored dtype, not float64
+        assert opened.header.dtype() == np.dtype((">" if byte_order else "<") + "f4")
+        tile = _read_tile(opened, 0, opened.rows, None)
+        np.testing.assert_array_equal(tile.reshape(cube.data.shape), cube.data)
+        np.testing.assert_array_equal(opened.wavelengths_nm, cube.wavelengths_nm)
 
     def test_interleaves_agree_elementwise(self, tmp_path):
         cube = make_cube(seed=3)
@@ -212,6 +216,79 @@ class TestReadWriteEnvi:
         with pytest.raises(ValueError, match="strictly increasing"):
             write_envi(cube, tmp_path / "x.hdr", tmp_path / "x.raw")
         assert not (tmp_path / "x.raw").exists()
+
+
+class TestReadTile:
+    """Row tiles read from a cube file in small chunks keep the bits of the
+    cube read whole."""
+
+    class CountedReads:
+        """The file object a cube file read opens, counting its ``readinto`` calls."""
+
+        def __init__(self, fh, counts):
+            self.fh, self.counts = fh, counts
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def seek(self, *args):
+            return self.fh.seek(*args)
+
+        def readinto(self, view):
+            self.counts.append(len(view))
+            return self.fh.readinto(view)
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counts = []
+        monkeypatch.setattr(envi, "open",
+                            lambda *args, **kw: self.CountedReads(open(*args, **kw), counts),
+                            raising=False)
+        return counts
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("dtype", ["f4", "f8"])
+    @pytest.mark.parametrize("byte_order", [0, 1])
+    @pytest.mark.parametrize("columns", [None, [0, 2, 3, 6]])
+    @pytest.mark.parametrize("chunk_rows", [1, 9])  # one row; more than a tile holds
+    def test_tiles_equal_the_cube_read_whole(self, tmp_path, monkeypatch, reads, interleave,
+                                             dtype, byte_order, columns, chunk_rows):
+        cube = make_cube(rows=9, cols=5, bands=7, seed=5)
+        write_envi(cube, tmp_path / "c.hdr", tmp_path / "c.raw", interleave=interleave,
+                   dtype=dtype, byte_order=byte_order)
+        X = flatten(read_envi(tmp_path / "c.hdr"))
+        if columns is not None:
+            X = X[:, columns]
+        opened = open_envi(tmp_path / "c.hdr")
+        width = X.shape[1]
+        row_bytes = 5 * (width if interleave == "bsq" else 7) * int(dtype[1])
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_rows * row_bytes + row_bytes // 2)
+        out = np.full(9 * 5 * width, np.nan)
+        for r0, rows in [(0, 9), (0, 4), (4, 4), (8, 4)]:  # the last tile is cut to one row
+            reads.clear()
+            for buffer in (None, out):
+                tile = _read_tile(opened, r0, rows, columns, buffer)
+                assert tile.dtype == np.float64 and tile.flags.c_contiguous
+                assert tile.tobytes() == X[r0 * 5:(r0 + rows) * 5].tobytes()
+            read_rows = min(rows, 9 - r0)
+            # native float64 BIP is the tile's own layout: one read, straight into the tile
+            direct = interleave == "bip" and columns is None and dtype == "f8" and byte_order == 0
+            chunks = 1 if direct else -(-read_rows // chunk_rows)
+            per_chunk = width if interleave == "bsq" else 1
+            assert len(reads) == 2 * chunks * per_chunk
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_payload_shrunk_after_open_is_an_error(self, tmp_path, interleave):
+        cube = make_cube(rows=8, cols=5, bands=7, seed=1)
+        write_envi(cube, tmp_path / "c.hdr", tmp_path / "c.raw", interleave=interleave)
+        opened = open_envi(tmp_path / "c.hdr")
+        with open(tmp_path / "c.raw", "r+b") as fh:
+            fh.truncate(fh.seek(0, 2) // 2)
+        with pytest.raises(EnviFormatError, match=r"c\.raw ends before rows 2-7"):
+            _read_tile(opened, 2, 6, None)
 
 
 class TestMaskIO:
