@@ -68,6 +68,17 @@ cube = read_envi("scene/cube.hdr")
 write_envi(cube, "bil/cube.hdr", "bil/cube.raw", interleave="bil", dtype="f4")
 write_envi(cube, "bsq/cube.hdr", "bsq/cube.raw", interleave="bsq", dtype="f4", byte_order=1)
 PY
+# both copies read back whole as the f8 scene cast through float32, and the
+# ENVI mask reads as its PGM twin
+python - <<'PY'
+import numpy as np
+from spectral_sift.specdata import read_envi, read_label_mask
+expected = read_envi("scene/cube.hdr").data.astype("f4").astype("f8")
+for copy in ("bil", "bsq"):
+    assert np.array_equal(read_envi(f"{copy}/cube.hdr").data, expected), copy
+assert np.array_equal(read_label_mask("scene/mask.hdr").labels,
+                      read_label_mask("scene/mask.pgm").labels)
+PY
 for copy in bil bsq; do
   for workflow in kmeans kfpls; do
     sed "s#scene/cube.hdr#$copy/cube.hdr#" $workflow.json > $copy/$workflow.json

@@ -9,15 +9,17 @@ new images are always pushed through the stored calibration parameters.
 
 No command holds a cube as float64, nor its whole payload. Fit, band
 selection and apply open the file (:class:`CubeFile`, from
-:func:`load_inputs` or ``open_envi``) and read it in row tiles, each read
-from the file in chunks of about a megabyte, converted to a row-major
-float64 pixels-by-bands matrix of the columns in use (a band subset is a
-sorted column list) and checked for NaN/Inf. A fit walks the tiles once per
-statistic in one reused buffer and keeps only per-pixel results: the PCA
-scores, or the few pixels it gathers (Kernel Flows samples, band
-selection's bee and mite rows). Apply classifies tiles on a thread pool.
-Rows and mask labels are in row-major scan order, so a per-pixel result
-reshapes to the image grid.
+:func:`load_inputs` or ``open_envi``) and read it in row tiles through
+:meth:`CubeFile.read_rows`, which decodes every cube read, whole
+(``read_envi``) or tiled: each tile is read in chunks of about a megabyte,
+converted to a row-major float64 pixels-by-bands matrix of the columns in
+use (a band subset is a sorted column list) and checked for NaN/Inf; a
+:class:`HyperCube` gives its tiles through its own ``read_rows``. A fit
+walks the tiles once per statistic in one reused buffer and keeps only
+per-pixel results: the PCA scores, or the few pixels it gathers (Kernel
+Flows samples, band selection's bee and mite rows). Apply classifies tiles
+on a thread pool. Rows and mask labels are in row-major scan order, so a
+per-pixel result reshapes to the image grid.
 """
 
 from __future__ import annotations
@@ -277,42 +279,20 @@ def _discriminant_rows(labels: np.ndarray, mite_label: int, bee_label: int) -> t
 TILE_CELLS = 1 << 20
 
 
-#: stored bytes of a cube file that a tile reads at once (at least one row),
-#: into one buffer that the tile reuses for all its chunks. Small next to a
-#: float64 tile (``TILE_CELLS`` cells, 8 MiB), so the payload in memory is one
-#: chunk per thread; not much smaller: one-row chunks made a kmeans apply of
-#: a 256 x 256 f4 BIL cube take 0.14 s in place of 0.08 s (two workers on
-#: 2 vCPUs).
-CHUNK_BYTES = 1 << 20
-
-
 def _read_tile(cube: HyperCube | CubeFile, r0: int, rows: int, columns: list[int] | None,
                out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``r0`` to ``r0 + rows`` of the cube as a row-major float64 pixels ×
-    columns matrix (every band when ``columns`` is None), converted from the
-    stored dtype into the flat buffer ``out`` when one is given. Raises
+    columns matrix (every band when ``columns`` is None), read by the cube's
+    ``read_rows`` into the flat buffer ``out`` when one is given. Raises
     EnviFormatError, naming the rows, if a value is NaN or infinite, or if a
     cube file is shorter than when it was opened."""
     rows = min(rows, cube.rows - r0)
-    if isinstance(cube, CubeFile):
-        width = cube.bands if columns is None else len(columns)
-        size = rows * cube.cols * width
-        X = (np.empty(size) if out is None else out[:size]).reshape(-1, width)
-        cube.read_rows(r0, columns, X, CHUNK_BYTES)
-        source = f"payload of {cube.path}"
-    else:
-        tile = cube.data[r0:r0 + rows]
-        if columns is not None:
-            tile = tile[:, :, columns]  # take() would first copy every band of a strided view
-        if out is None:
-            X = np.ascontiguousarray(tile, dtype=np.float64)
-        else:
-            X = out[:tile.size].reshape(tile.shape)
-            np.copyto(X, tile)
-        X = X.reshape(-1, tile.shape[2])
-        source = "cube data"
+    width = cube.bands if columns is None else len(columns)
+    size = rows * cube.cols * width
+    X = (np.empty(size) if out is None else out[:size]).reshape(-1, width)
+    cube.read_rows(r0, columns, X)
     if not np.all(np.isfinite(X)):
-        raise EnviFormatError(f"{source} contains NaN/Inf in rows {r0}-{r0 + rows - 1}")
+        raise EnviFormatError(f"{cube.source} contains NaN/Inf in rows {r0}-{r0 + rows - 1}")
     return X
 
 

@@ -2,11 +2,11 @@
 
 A :class:`HyperCube` holds a whole cube in memory, in (row, col, band) order
 as float64. Scene synthesis makes one, the ENVI writer writes one, and
-``read_envi`` loads one for tests and scripts. No fit or apply command holds
-a cube: both read row tiles from the file of a
-:class:`~spectral_sift.specdata.envi.CubeFile`, which holds only its header
-and path, and convert each tile to float64 on their own. Wavelengths are
-band centers in nanometres and must be strictly increasing.
+``read_envi`` loads one for tests and scripts. Every cube read, whole or in
+row tiles, goes through a ``read_rows``: ``read_envi`` reads every row of a
+:class:`~spectral_sift.specdata.envi.CubeFile` at once, and fit and apply
+read row tiles of a cube file, or of a cube in memory, the same way.
+Wavelengths are band centers in nanometres and must be strictly increasing.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ def check_wavelengths(wavelengths_nm: np.ndarray, bands: int) -> None:
 
 @dataclass
 class HyperCube:
-    """3-D reflectance array plus its spectral axis, wholly in memory.
+    """3-D reflectance array plus its spectral axis, wholly in memory;
+    ``read_envi`` fills one through ``CubeFile.read_rows``.
 
     Parameters
     ----------
@@ -66,6 +67,16 @@ class HyperCube:
     @property
     def bands(self) -> int:
         return self.data.shape[2]
+
+    source = "cube data"  # what an error about the values names
+
+    def read_rows(self, r0: int, columns: list[int] | None, X: np.ndarray) -> None:
+        """Copy the rows from ``r0`` on into the float64 pixels × columns matrix
+        ``X`` (every band when ``columns`` is None), as ``CubeFile.read_rows`` does."""
+        tile = self.data[r0:r0 + X.shape[0] // self.cols]
+        if columns is not None:
+            tile = tile[:, :, columns]  # take() would first copy every band of a strided view
+        np.copyto(X.reshape(tile.shape), tile)
 
     def validate(self) -> None:
         if self.data.ndim != 3:

@@ -1,9 +1,10 @@
 """Cube model, ENVI/PGM round-trips, flattening, and synthetic scenes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spectral_sift import pipeline
 from spectral_sift.pipeline import _read_tile
 from spectral_sift.specdata import envi
 from spectral_sift.specdata import (
@@ -11,10 +12,12 @@ from spectral_sift.specdata import (
     ClassSpec,
     EnviFormatError,
     HyperCube,
+    EnviHeader,
     LabelMask,
     SceneSpec,
     ShadowSpec,
     flatten,
+    format_envi_header,
     open_envi,
     parse_envi_header,
     read_envi,
@@ -144,6 +147,21 @@ class TestReadWriteEnvi:
         read_envi(tmp_path / "c.hdr", tmp_path / "c.raw")
         assert checked.count(cube.data.size) == 1
 
+    def test_memory_is_the_float64_cube_and_one_chunk(self, tmp_path, monkeypatch):
+        # f4 BIL over 32 chunks: the stored payload is never in memory whole
+        cube = make_cube(rows=64, cols=32, bands=64, seed=2)
+        write_envi(cube, tmp_path / "c.hdr", tmp_path / "c.raw", interleave="bil", dtype="f4")
+        monkeypatch.setattr(envi, "CHUNK_BYTES", cube.data.size * 4 // 32)
+        tracemalloc.start()
+        try:
+            back = read_envi(tmp_path / "c.hdr", tmp_path / "c.raw")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.data, cube.data.astype("f4"))
+        # slack: the cube's one-byte-per-value NaN/Inf check, and 64 KiB of small objects
+        assert peak <= cube.data.nbytes + envi.CHUNK_BYTES + cube.data.size + (1 << 16)
+
     @pytest.mark.parametrize("wavelengths", ["{400, 400, 600}", "{600, 500, 400}", "{400, nan, 600}"])
     def test_bad_wavelength_list_rejected_naming_the_header(self, tmp_path, wavelengths):
         header = ("samples = 1\nlines = 1\nbands = 3\ndata type = 4\n"
@@ -219,8 +237,7 @@ class TestReadWriteEnvi:
 
 
 class TestReadTile:
-    """Row tiles read from a cube file in small chunks keep the bits of the
-    cube read whole."""
+    """Row tiles read from a cube file in small chunks hold the values written."""
 
     class CountedReads:
         """The file object a cube file read opens, counting its ``readinto`` calls."""
@@ -259,13 +276,13 @@ class TestReadTile:
         cube = make_cube(rows=9, cols=5, bands=7, seed=5)
         write_envi(cube, tmp_path / "c.hdr", tmp_path / "c.raw", interleave=interleave,
                    dtype=dtype, byte_order=byte_order)
-        X = flatten(read_envi(tmp_path / "c.hdr"))
+        X = flatten(cube).astype(dtype).astype(np.float64)  # the values as stored
         if columns is not None:
             X = X[:, columns]
         opened = open_envi(tmp_path / "c.hdr")
         width = X.shape[1]
         row_bytes = 5 * (width if interleave == "bsq" else 7) * int(dtype[1])
-        monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_rows * row_bytes + row_bytes // 2)
+        monkeypatch.setattr(envi, "CHUNK_BYTES", chunk_rows * row_bytes + row_bytes // 2)
         out = np.full(9 * 5 * width, np.nan)
         for r0, rows in [(0, 9), (0, 4), (4, 4), (8, 4)]:  # the last tile is cut to one row
             reads.clear()
@@ -305,6 +322,25 @@ class TestMaskIO:
         write_label_mask_envi(mask, tmp_path / "m.hdr", tmp_path / "m.raw")
         back = read_label_mask(tmp_path / "m.hdr", tmp_path / "m.raw", palette=mask.palette)
         np.testing.assert_array_equal(back.labels, labels)
+
+    @pytest.mark.parametrize("interleave", ["bil", "bip"])
+    def test_envi_mask_any_interleave_after_a_header_offset(self, tmp_path, interleave):
+        labels = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        write_label_mask_envi(LabelMask(labels=labels), tmp_path / "bsq.hdr",
+                              tmp_path / "bsq.raw")
+        header = EnviHeader(samples=4, lines=3, bands=1, data_type=1, interleave=interleave,
+                            header_offset=16)
+        (tmp_path / "m.hdr").write_text(format_envi_header(header))
+        (tmp_path / "m.raw").write_bytes(b"\xff" * 16 + labels.tobytes())
+        back = read_label_mask(tmp_path / "m.hdr", tmp_path / "m.raw")
+        np.testing.assert_array_equal(back.labels, read_label_mask(tmp_path / "bsq.hdr").labels)
+
+    def test_truncated_envi_mask_rejected(self, tmp_path):
+        mask = LabelMask(labels=np.zeros((3, 4), dtype=np.uint8))
+        write_label_mask_envi(mask, tmp_path / "m.hdr", tmp_path / "m.raw")
+        (tmp_path / "m.raw").write_bytes(bytes(11))
+        with pytest.raises(EnviFormatError, match="11 bytes, header implies 12"):
+            read_label_mask(tmp_path / "m.hdr", tmp_path / "m.raw")
 
     def test_palette_invariant(self):
         with pytest.raises(ValueError, match="absent from palette"):
