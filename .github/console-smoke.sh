@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Console smoke test: synth, fit, apply and inspect a tiny scene through the
 # installed spectral-sift command, for both workflows, and select bands on it
-# with r2 and with covproc. Run it with the package
-# installed (python -m pip install .) and its environment active:
+# with r2 and with covproc, with and without the clustering stop test. Run it
+# with the package installed (python -m pip install .) and its environment
+# active:
 #
 #     bash .github/console-smoke.sh
 #
@@ -54,9 +55,23 @@ cat > covproc.json <<'JSON'
  "inputs": {"cube_header": "scene/cube.hdr", "mask": "scene/mask.hdr",
             "palette": "scene/palette.json"}}
 JSON
-for method in r2 covproc; do
+cat > r2-stop.json <<'JSON'
+{"band_selection": {"method": "r2", "n_tail": 2, "target_count": 6, "stop_by_clustering": true},
+ "inputs": {"cube_header": "scene/cube.hdr", "mask": "scene/mask.hdr",
+            "palette": "scene/palette.json"}}
+JSON
+for method in r2 covproc r2-stop; do
   spectral-sift select-bands --config $method.json --out $method > /dev/null
   python -c "import json, sys; assert json.load(open(sys.argv[1]))['bands_for_model']" $method/selection_report.json
+done
+# with k_max 2 no band prefix passes the clustering stop test: a model-quality
+# failure, exit 2, and no report
+for method in covproc r2-stop; do
+  sed 's#"inputs"#"cluster": {"k_max": 2}, "inputs"#' $method.json > $method-k2.json
+  status=0
+  spectral-sift select-bands --config $method-k2.json --out $method-k2 > /dev/null 2>&1 || status=$?
+  test $status -eq 2
+  test ! -e $method-k2/selection_report.json
 done
 # fit and apply both workflows again from two float32 copies: BIL, the layout
 # of a camera frame, and big-endian BSQ, whose row tiles are read one band at a

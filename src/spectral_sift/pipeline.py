@@ -404,18 +404,20 @@ def _fit_kfpls_path(cube: HyperCube | CubeFile, columns: list[int] | None,
     return result, diagnostics
 
 
-def _clustering_stop_test(cube: HyperCube | CubeFile, labels: np.ndarray, config: RunConfig):
+def _clustering_stop_test(cube: HyperCube | CubeFile, labels: np.ndarray, config: RunConfig,
+                          tested: list[bool]):
     """Success test for band subsets: does the full supervised pipeline pass
-    on those columns of the cube?"""
+    on those columns of the cube? Each answer is appended to ``tested``."""
 
     def passes(bands: list[int]) -> bool:
-        if not bands:
-            return False
-        try:
-            _fit_kmeans_path(cube, sorted(set(bands)), labels, config)
-        except (cl.EscalationError, ValueError):
-            return False
-        return True
+        ok = bool(bands)
+        if ok:
+            try:
+                _fit_kmeans_path(cube, sorted(set(bands)), labels, config)
+            except (cl.EscalationError, ValueError):
+                ok = False
+        tested.append(ok)
+        return ok
 
     return passes
 
@@ -423,14 +425,16 @@ def _clustering_stop_test(cube: HyperCube | CubeFile, labels: np.ndarray, config
 def run_band_selection(cube: HyperCube | CubeFile, labels: np.ndarray, config: RunConfig):
     """Run the configured selector on the cube's bee and mite pixels; returns
     (report, bands_for_model). Reading those pixels checks the whole payload
-    for NaN/Inf; the clustering stop test reads only each prefix's bands."""
+    for NaN/Inf; the clustering stop test reads only each prefix's bands, and
+    ``EscalationError`` says that no prefix it tried passed."""
     bands_cfg = config.band_selection
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
     Xbm = _gather_pixels(cube, None, np.flatnonzero(selector))
     excluded = ws.exclude_tail(cube.bands, bands_cfg.n_tail)
+    tested: list[bool] = []  # the stop test's answer on each prefix, in order
     stop = None
     if bands_cfg.stop_by_clustering:
-        stop = _clustering_stop_test(cube, labels, config)
+        stop = _clustering_stop_test(cube, labels, config, tested)
 
     if bands_cfg.method == "r2":
         init = ws.init_by_correlation(Xbm, y, m=bands_cfg.init_m, exclude=excluded)
@@ -438,28 +442,25 @@ def run_band_selection(cube: HyperCube | CubeFile, labels: np.ndarray, config: R
             Xbm, y, target_count=bands_cfg.target_count, init=init, lv=bands_cfg.lv,
             exclude=excluded, stop=stop, wavelengths_nm=cube.wavelengths_nm,
         )
-        return report, list(report.selected)
-
-    if bands_cfg.method == "covproc":
+        bands, listed, first = list(report.selected), "r2 band list", len(init) + 1
+    elif bands_cfg.method == "covproc":
         report = ws.covproc_select(
             Xbm, y, rounds=bands_cfg.rounds, exclude=excluded, wavelengths_nm=cube.wavelengths_nm,
         )
         order = bands_cfg.round_order or tuple(r.index for r in report.rounds)
         bands = ws.reorder_rounds(report, order)
-        if stop is not None:
-            for size in range(1, len(bands) + 1):
-                if stop(bands[:size]):
-                    bands = bands[:size]
-                    break
-            else:
-                raise cl.EscalationError(
-                    "no prefix of the reordered band list passes the clustering test "
-                    f"({len(bands)} tried, 1 to {len(bands)} bands)",
-                    cl.ClusterDiagnostics(),
-                )
-        return report, bands
-
-    raise ConfigError(f"band selection method {bands_cfg.method!r} cannot be run")
+        if stop is not None:  # the shortest passing prefix
+            bands = next((bands[:n] for n in range(1, len(bands) + 1) if stop(bands[:n])), bands)
+        listed, first = "reordered band list", 1
+    else:
+        raise ConfigError(f"band selection method {bands_cfg.method!r} cannot be run")
+    if stop is not None and not any(tested):
+        raise cl.EscalationError(
+            f"no prefix of the {listed} passes the clustering test "
+            f"({len(tested)} tried, {first} to {first + len(tested) - 1} bands)",
+            cl.ClusterDiagnostics(),
+        )
+    return report, bands
 
 
 def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:

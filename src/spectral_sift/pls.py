@@ -4,9 +4,8 @@ The factorization deflates the X'Y cross-product matrix (never X itself), so
 weight vectors apply to the original data and X-scores come out mutually
 orthogonal. Regression coefficients are assembled as b = W (P'W)^-1 Q'.
 
-The fit takes X and Y as given: the caller centers or autoscales them first
-(covariance-procedure selection passes its autoscaled, deflated X and
-centered y), and predictions are in the same units.
+The fit takes X and Y as given: the caller centers or autoscales them first,
+and predictions are in the same units.
 """
 
 from __future__ import annotations

@@ -84,7 +84,8 @@ class HyperCube:
         if min(self.data.shape) < 1:
             raise ValueError(f"cube dimensions must all be >= 1, got shape {self.data.shape}")
         check_wavelengths(self.wavelengths_nm, self.bands)
-        if not np.all(np.isfinite(self.data)):
+        # NaN propagates through min and max and Inf becomes one: no whole-cube mask
+        if not (np.isfinite(np.min(self.data)) and np.isfinite(np.max(self.data))):
             raise ValueError("cube data contains NaN/Inf")
 
 

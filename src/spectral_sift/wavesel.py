@@ -2,8 +2,8 @@
 
 Two selectors: a greedy forward search that adds whichever band raises the
 training R^2 most, and a covariance-procedure search that works in rounds of
-sorted one-factor PLS weights with an alpha = |y't| / (t't) prefix criterion
-and X deflation between rounds.
+sorted band/response covariances with an alpha = |y't| / (t't) prefix
+criterion and X deflation between rounds.
 
 The forward search reads the rows only to form its cross-products: SIMPLS
 needs only X'X and X'y, and autoscaling is per column, so every candidate
@@ -27,7 +27,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .pca import correlate_scores
-from .pls import DegenerateDataError, fit_simpls
+from .pls import DegenerateDataError
+from .pls import fit_simpls  # noqa: F401  bench/spans.py traces wavesel.fit_simpls by name
 from .preprocess import apply_scale, fit_scale
 
 METHOD_R2 = "r2_forward"
@@ -45,7 +46,7 @@ class RoundTrace:
     """One covariance-procedure round: its sorted candidates and alpha curve."""
 
     index: int  # 1-based round number
-    variables: list[int]  # bands chosen this round, in sorted-weight order
+    variables: list[int]  # bands chosen this round, in sorted-covariance order
     alphas: np.ndarray  # alpha per prefix length (NaN where undefined)
     chosen_n: int
 
@@ -230,12 +231,15 @@ def covproc_select(
 ) -> SelectionReport:
     """Covariance-procedure selection in rounds, deflating X between rounds.
 
-    X is autoscaled and y centered once, here, as :func:`r2_forward_select`
-    does; the deflated X is not rescaled. Each round sorts bands by one-factor
-    PLS weight magnitude, grows a sparse weight vector whose entries are the
-    band/response covariances y'x, and keeps the shortest prefix whose
-    alpha = |y't| / (t't), with t = X w, is within ``TIE_RTOL`` of the
-    round's largest alpha.
+    The usable bands of X are autoscaled and y centered once, here, as
+    :func:`r2_forward_select` does; the deflated X is not rescaled. Each
+    round takes the band/response covariances c = y'X once, sorts the bands
+    by |c|, grows a sparse weight vector whose entries are those covariances,
+    and keeps the shortest prefix whose alpha = |y't| / (t't), with t = X w,
+    is within ``TIE_RTOL`` of the round's largest alpha. A round whose full
+    score X c has a norm of at most 1e-12 max(||X|| max(1, ||y||), 1) (y
+    orthogonal to every band, or X deflated away) raises
+    :class:`DegenerateDataError`.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -243,50 +247,40 @@ def covproc_select(
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} entries")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    X = apply_scale(fit_scale(X), X)  # a new array, deflated in place below
-    y = y - y.mean()
-
     excluded = sorted(set(exclude))
     usable = _usable(X.shape[1], excluded)
+    X = X[:, usable]  # a copy: excluded bands take no part, and it is deflated in place
+    apply_scale(fit_scale(X), X, out=X)
+    y = y - y.mean()
+    norm_y = max(1.0, float(np.linalg.norm(y)))
 
-    selected: list[int] = []
     round_traces: list[RoundTrace] = []
-    chosen_alphas: list[float] = []
     for r in range(1, rounds + 1):
-        model = fit_simpls(X[:, usable], y, a=1)
-        weights = model.weights[:, 0]
-        order = np.argsort(-np.abs(weights), kind="stable")
-        sorted_bands = [usable[i] for i in order]
-
-        alphas = np.full(len(sorted_bands), np.nan)
+        c = y @ X
+        order = np.argsort(-np.abs(c), kind="stable")
+        alphas = np.full(order.size, np.nan)
         scores = np.zeros(X.shape[0])
-        for i, band in enumerate(sorted_bands):
-            scores = scores + X[:, band] * float(y @ X[:, band])
+        for i, j in enumerate(order):
+            scores += X[:, j] * c[j]
             tt = float(scores @ scores)
             if tt > 0:
                 alphas[i] = abs(float(y @ scores)) / tt
-        if not np.any(np.isfinite(alphas)):
-            raise DegenerateDataError(f"round {r}: every prefix has zero scores")
+        # the last prefix holds every usable band, so its score is X c
+        if np.linalg.norm(scores) <= 1e-12 * max(np.linalg.norm(X) * norm_y, 1.0):
+            raise DegenerateDataError(f"round {r}: the band/response covariances give no score")
         n = _first_near_max(alphas)  # smallest prefix among near-maximal alphas
-        chosen = sorted_bands[: n + 1]
+        kept = order[: n + 1]
         w_r = np.zeros(X.shape[1])
-        for band in chosen:
-            w_r[band] = float(y @ X[:, band])
+        w_r[kept] = c[kept]
         t = X @ w_r
-        p_r = X.T @ t / float(t @ t)
-        X -= np.outer(t, p_r)
-
-        round_traces.append(
-            RoundTrace(index=r, variables=chosen, alphas=alphas, chosen_n=n + 1)
-        )
-        chosen_alphas.append(float(alphas[n]))
-        for band in chosen:
-            if band not in selected:
-                selected.append(band)
+        X -= np.outer(t, X.T @ t / float(t @ t))
+        round_traces.append(RoundTrace(r, [usable[j] for j in kept], alphas, n + 1))
 
     return SelectionReport(
-        method=METHOD_COVPROC, selected=selected, excluded=excluded,
-        trace=chosen_alphas, rounds=round_traces, wavelengths_nm=wavelengths_nm,
+        method=METHOD_COVPROC,
+        selected=list(dict.fromkeys(b for rt in round_traces for b in rt.variables)),
+        excluded=excluded, trace=[float(rt.alphas[rt.chosen_n - 1]) for rt in round_traces],
+        rounds=round_traces, wavelengths_nm=wavelengths_nm,
     )
 
 

@@ -309,17 +309,24 @@ def test_escalation_exhausted_exits_2_listing_every_attempt(fitted, tmp_path, ca
 
 
 def test_covproc_without_a_passing_prefix_exits_2(scene, tmp_path, caplog):
-    config = write_run_config(
-        scene[0], tmp_path / "run.json", cluster={"k0": 2, "k_max": 2},
-        band_selection={"method": "covproc", "n_tail": 4, "rounds": 3,
-                        "stop_by_clustering": True})
-    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
-        code = cli.main(["select-bands", "--config", config, "--out", str(tmp_path / "out")])
-    assert code == EXIT_QUALITY
-    assert "model quality failure" in caplog.text
-    assert "no prefix of the reordered band list passes the clustering test" in caplog.text
-    assert "(3 tried, 1 to 3 bands)" in caplog.text
-    assert not (tmp_path / "out" / "selection_report.json").exists()
+    # r2 fails the same way when every prefix it added fails the stop test
+    for selection, message in (
+        ({"method": "covproc", "rounds": 3},
+         "no prefix of the reordered band list passes the clustering test (3 tried, 1 to 3 bands)"),
+        ({"method": "r2", "target_count": 6},
+         "no prefix of the r2 band list passes the clustering test (3 tried, 4 to 6 bands)"),
+    ):
+        out = tmp_path / selection["method"]
+        config = write_run_config(
+            scene[0], out.with_suffix(".json"), cluster={"k0": 2, "k_max": 2},
+            band_selection={**selection, "n_tail": 4, "stop_by_clustering": True})
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+            code = cli.main(["select-bands", "--config", config, "--out", str(out)])
+        assert code == EXIT_QUALITY
+        assert "model quality failure" in caplog.text
+        assert message in caplog.text
+        assert not (out / "selection_report.json").exists()
 
 
 def test_format_1_model_rejected_by_apply(fitted, tmp_path, caplog):

@@ -47,10 +47,14 @@ class TestHyperCube:
             HyperCube(data=np.zeros((2, 2, 3)), wavelengths_nm=[500.0, 500.0, 600.0])
 
     def test_rejects_nan(self):
-        data = np.zeros((2, 2, 2))
-        data[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            HyperCube(data=data, wavelengths_nm=[400.0, 500.0])
+        for bad in (np.nan, np.inf, -np.inf):  # Inf too, alone or beside a NaN
+            data = np.zeros((2, 2, 2))
+            data[1, 0, 1] = bad
+            with pytest.raises(ValueError, match="NaN/Inf"):
+                HyperCube(data=data, wavelengths_nm=[400.0, 500.0])
+            data[0, 1, 0] = np.nan
+            with pytest.raises(ValueError, match="NaN/Inf"):
+                HyperCube(data=data, wavelengths_nm=[400.0, 500.0])
 
     def test_rejects_wrong_wavelength_count(self):
         with pytest.raises(ValueError, match="length bands"):
@@ -137,15 +141,20 @@ class TestReadWriteEnvi:
     def test_values_checked_once_per_read(self, tmp_path, monkeypatch):
         cube = make_cube(rows=6, cols=7, bands=5)
         write_envi(cube, tmp_path / "c.hdr", tmp_path / "c.raw", dtype="f8")
-        isfinite, checked = np.isfinite, []
+        checked = []
 
-        def counting(x, *args, **kwargs):
-            checked.append(np.size(x))
-            return isfinite(x, *args, **kwargs)
+        def counting(name):
+            reduce = getattr(np, name)
 
-        monkeypatch.setattr(np, "isfinite", counting)
+            def spy(x, *args, **kwargs):
+                checked.append((name, np.size(x)))
+                return reduce(x, *args, **kwargs)
+            return spy
+
+        for name in ("min", "max"):
+            monkeypatch.setattr(np, name, counting(name))
         read_envi(tmp_path / "c.hdr", tmp_path / "c.raw")
-        assert checked.count(cube.data.size) == 1
+        assert [name for name, size in checked if size == cube.data.size] == ["min", "max"]
 
     def test_memory_is_the_float64_cube_and_one_chunk(self, tmp_path, monkeypatch):
         # f4 BIL over 32 chunks: the stored payload is never in memory whole
@@ -159,8 +168,8 @@ class TestReadWriteEnvi:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(back.data, cube.data.astype("f4"))
-        # slack: the cube's one-byte-per-value NaN/Inf check, and 64 KiB of small objects
-        assert peak <= cube.data.nbytes + envi.CHUNK_BYTES + cube.data.size + (1 << 16)
+        # slack: 64 KiB of small objects
+        assert peak <= cube.data.nbytes + envi.CHUNK_BYTES + (1 << 16)
 
     @pytest.mark.parametrize("wavelengths", ["{400, 400, 600}", "{600, 500, 400}", "{400, nan, 600}"])
     def test_bad_wavelength_list_rejected_naming_the_header(self, tmp_path, wavelengths):

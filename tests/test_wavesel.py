@@ -432,6 +432,64 @@ class TestCovproc:
         with pytest.raises((DegenerateDataError, ValueError)):
             covproc_select(X, y, rounds=1)
 
+    @staticmethod
+    def simpls_order(X, y, usable):
+        """Oracle: usable bands by descending |one-factor SIMPLS weight| on X."""
+        weights = fit_simpls(X[:, usable], y, a=1).weights[:, 0]
+        return [usable[i] for i in np.argsort(-np.abs(weights), kind="stable")]
+
+    def check_rounds_against_simpls(self, raw, y, report, usable):
+        X = apply_scale(fit_scale(raw), raw)
+        y = y - y.mean()
+        for rnd in report.rounds:
+            assert rnd.variables == self.simpls_order(X, y, usable)[: rnd.chosen_n]
+            w = np.zeros(X.shape[1])
+            for band in rnd.variables:
+                w[band] = float(y @ X[:, band])
+            t = X @ w
+            X = X - np.outer(t, X.T @ t / float(t @ t))
+
+    def test_rounds_follow_the_one_factor_pls_weights(self):
+        rng = np.random.default_rng(18)
+        for trial in range(30):
+            n, p = int(rng.integers(20, 80)), int(rng.integers(3, 25))
+            raw = rng.normal(size=(n, p)) @ (np.eye(p) + 0.5 * rng.normal(size=(p, p)))
+            y = raw @ rng.normal(size=p) + rng.normal(size=n)
+            if trial % 2:
+                y = (y > np.median(y)).astype(float)  # a bee/mite indicator
+            exclude = set(rng.choice(p, size=p // 3, replace=False).tolist())
+            rounds = min(3, p - len(exclude))
+            report = covproc_select(raw, y, rounds=rounds, exclude=exclude)
+            usable = [b for b in range(p) if b not in exclude]
+            self.check_rounds_against_simpls(raw, y, report, usable)
+
+    def test_duplicated_band_tie_goes_to_the_lower_band(self):
+        # each column is a shuffle of (2, -2, ..., 2, -2, 0): it autoscales to
+        # exactly (1, -1, ..., 0), so with an integer centered y every round-1
+        # covariance is an exact integer, and bands 2 and 6 tie exactly
+        rng = np.random.default_rng(19)
+        n, p = 41, 8
+        base = np.array([2.0, -2.0] * (n // 2) + [0.0])
+        raw = np.column_stack([rng.permutation(base) for _ in range(p)])
+        raw[:, 6] = raw[:, 2]
+        noise = rng.integers(-1, 2, size=n).astype(float)
+        noise[0] -= noise.sum()  # sums to 0, so y - mean(y) stays an integer vector
+        y = 3.0 * raw[:, 2] + noise + 7.0
+        report = covproc_select(raw, y, rounds=1)
+        order = self.simpls_order(apply_scale(fit_scale(raw), raw), y - y.mean(), list(range(p)))
+        assert order[:2] == [2, 6]
+        assert report.rounds[0].variables[0] == 2
+        self.check_rounds_against_simpls(raw, y, report, list(range(p)))
+
+    @pytest.mark.parametrize("p", [3, 4, 6, 10, 20])
+    def test_more_rounds_than_bands_exhaust_at_round_p_plus_1(self, p):
+        # each round deflates X by one rank, so after p rounds nothing is left
+        rng = np.random.default_rng(p)
+        X, y = rng.normal(size=(30, p)), rng.normal(size=30)
+        assert len(covproc_select(X, y, rounds=p).rounds) == p
+        with pytest.raises(DegenerateDataError, match=f"round {p + 1}:"):
+            covproc_select(X, y, rounds=p + 1)
+
 
 class TestReorderRounds:
     def make_report(self):
