@@ -64,6 +64,27 @@ for method in r2 covproc r2-stop; do
   spectral-sift select-bands --config $method.json --out $method > /dev/null
   python -c "import json, sys; assert json.load(open(sys.argv[1]))['bands_for_model']" $method/selection_report.json
 done
+# the stop test cuts r2's report to the prefix it keeps: the 3 init bands
+# (init_m) and one R^2 per band added after them; fit keeps that prefix too
+python - <<'PY'
+import json
+doc = json.load(open("r2-stop/selection_report.json"))
+assert doc["selected"] == doc["bands_for_model"], doc
+assert len(doc["trace"]) == len(doc["selected"]) - 3, doc
+PY
+spectral-sift fit --config r2-stop.json --out r2-stop/fit > /dev/null
+python - <<'PY'
+import json
+bands = json.load(open("r2-stop/selection_report.json"))["bands_for_model"]
+assert json.load(open("r2-stop/fit/model.json"))["band_subset"] == sorted(bands)
+PY
+# r2 adds at least one band to its init_m: a target_count of 4 with init_m 4
+# is a usage error, exit 1, and no report
+sed 's#"target_count": 4#"init_m": 4, "target_count": 4#' r2.json > r2-init4.json
+status=0
+spectral-sift select-bands --config r2-init4.json --out r2-init4 > /dev/null 2>&1 || status=$?
+test $status -eq 1
+test ! -e r2-init4/selection_report.json
 # with k_max 2 no band prefix passes the clustering stop test: a model-quality
 # failure, exit 2, and no report
 for method in covproc r2-stop; do

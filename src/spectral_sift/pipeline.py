@@ -13,9 +13,9 @@ selection and apply open the file (:class:`CubeFile`, from
 :meth:`CubeFile.read_rows`, which decodes every cube read, whole
 (``read_envi``) or tiled: each tile is read in chunks of about a megabyte,
 converted to a row-major float64 pixels-by-bands matrix of the columns in
-use (a band subset is a sorted column list) and checked for NaN/Inf; a
-:class:`HyperCube` gives its tiles through its own ``read_rows``. A fit
-walks the tiles once per statistic in one reused buffer and keeps only
+use (a band subset is a sorted column list) and checked for NaN/Inf. Apply
+also takes a :class:`HyperCube`, whose own ``read_rows`` gives its tiles. A
+fit walks the tiles once per statistic in one reused buffer and keeps only
 per-pixel results: the PCA scores, or the few pixels it gathers (Kernel
 Flows samples, band selection's bee and mite rows). Apply classifies tiles
 on a thread pool. Rows and mask labels are in row-major scan order, so a
@@ -82,7 +82,7 @@ class LabelsConfig:
 
 @dataclass
 class PcaConfig:
-    components: int | None = None  # None: the fit_pca default (at most 20)
+    components: int | None = None  # None: at most pca.DEFAULT_MAX_COMPONENTS
     top_n: int | None = None  # None without a threshold: the top 2 components
     threshold: float | None = None
 
@@ -113,6 +113,11 @@ class BandSelectionConfig:
     rounds: int = 4
     round_order: tuple[int, ...] | None = None
     stop_by_clustering: bool = False
+
+    def __post_init__(self) -> None:
+        if self.method == "r2" and self.target_count <= self.init_m:
+            raise ConfigError(f"target_count must exceed init_m ({self.init_m}) for r2, "
+                              f"got {self.target_count}")
 
 
 @dataclass
@@ -306,7 +311,7 @@ class _RowTiles:
     the columns read alone, so a fit's bits do not depend on the machine.
     """
 
-    def __init__(self, cube: HyperCube | CubeFile, columns: list[int] | None) -> None:
+    def __init__(self, cube: CubeFile, columns: list[int] | None) -> None:
         self.cube, self.columns = cube, columns
         self.width = cube.bands if columns is None else len(columns)
         self.step = max(1, TILE_CELLS // (cube.cols * self.width))
@@ -317,7 +322,7 @@ class _RowTiles:
             yield _read_tile(self.cube, r0, self.step, self.columns, self.buffer)
 
 
-def _gather_pixels(cube: HyperCube | CubeFile, columns: list[int] | None,
+def _gather_pixels(cube: CubeFile, columns: list[int] | None,
                    pixels: np.ndarray) -> np.ndarray:
     """Rows ``pixels`` (flat pixel indices, in any order) of the cube's pixels ×
     columns matrix, as float64. Every tile is read, so a NaN/Inf anywhere in
@@ -332,7 +337,7 @@ def _gather_pixels(cube: HyperCube | CubeFile, columns: list[int] | None,
     return out
 
 
-def _fit_kmeans_path(cube: HyperCube | CubeFile, columns: list[int] | None,
+def _fit_kmeans_path(cube: CubeFile, columns: list[int] | None,
                      labels: np.ndarray, config: RunConfig):
     """Autoscale, PCA, component gate and escalation on the cube's columns
     (every band when None), in four passes over the row tiles: column means,
@@ -385,7 +390,7 @@ def _sample_labeled_pixels(labels: np.ndarray, per_class: int,
     return np.concatenate(rows), np.concatenate(out_labels)
 
 
-def _fit_kfpls_path(cube: HyperCube | CubeFile, columns: list[int] | None,
+def _fit_kfpls_path(cube: CubeFile, columns: list[int] | None,
                     labels: np.ndarray, config: RunConfig):
     if np.unique(labels[labels != UNLABELED]).size < 2:
         raise ValueError("kernel workflow needs at least 2 labeled classes")
@@ -404,43 +409,37 @@ def _fit_kfpls_path(cube: HyperCube | CubeFile, columns: list[int] | None,
     return result, diagnostics
 
 
-def _clustering_stop_test(cube: HyperCube | CubeFile, labels: np.ndarray, config: RunConfig,
-                          tested: list[bool]):
-    """Success test for band subsets: does the full supervised pipeline pass
-    on those columns of the cube? Each answer is appended to ``tested``."""
-
-    def passes(bands: list[int]) -> bool:
-        ok = bool(bands)
-        if ok:
-            try:
-                _fit_kmeans_path(cube, sorted(set(bands)), labels, config)
-            except (cl.EscalationError, ValueError):
-                ok = False
-        tested.append(ok)
-        return ok
-
-    return passes
+def _passes_clustering(cube: CubeFile, labels: np.ndarray, config: RunConfig,
+                       bands: list[int]) -> bool:
+    """Does the kmeans path pass on those columns of the cube?"""
+    try:
+        _fit_kmeans_path(cube, sorted(bands), labels, config)
+    except (cl.EscalationError, ValueError):
+        return False
+    return True
 
 
-def run_band_selection(cube: HyperCube | CubeFile, labels: np.ndarray, config: RunConfig):
+def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     """Run the configured selector on the cube's bee and mite pixels; returns
     (report, bands_for_model). Reading those pixels checks the whole payload
-    for NaN/Inf; the clustering stop test reads only each prefix's bands, and
-    ``EscalationError`` says that no prefix it tried passed."""
+    for NaN/Inf.
+
+    The selector only ranks bands. With ``stop_by_clustering`` one rule then
+    cuts either list: its prefixes are tested in order, from ``first`` bands
+    (the init size + 1 for r2, 1 for covproc), by the kmeans path on those
+    bands alone, and the first that passes is kept; an r2 report is cut to
+    it. ``EscalationError`` says that none passed.
+    """
     bands_cfg = config.band_selection
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
     Xbm = _gather_pixels(cube, None, np.flatnonzero(selector))
     excluded = ws.exclude_tail(cube.bands, bands_cfg.n_tail)
-    tested: list[bool] = []  # the stop test's answer on each prefix, in order
-    stop = None
-    if bands_cfg.stop_by_clustering:
-        stop = _clustering_stop_test(cube, labels, config, tested)
 
     if bands_cfg.method == "r2":
         init = ws.init_by_correlation(Xbm, y, m=bands_cfg.init_m, exclude=excluded)
         report = ws.r2_forward_select(
             Xbm, y, target_count=bands_cfg.target_count, init=init, lv=bands_cfg.lv,
-            exclude=excluded, stop=stop, wavelengths_nm=cube.wavelengths_nm,
+            exclude=excluded, wavelengths_nm=cube.wavelengths_nm,
         )
         bands, listed, first = list(report.selected), "r2 band list", len(init) + 1
     elif bands_cfg.method == "covproc":
@@ -448,18 +447,21 @@ def run_band_selection(cube: HyperCube | CubeFile, labels: np.ndarray, config: R
             Xbm, y, rounds=bands_cfg.rounds, exclude=excluded, wavelengths_nm=cube.wavelengths_nm,
         )
         order = bands_cfg.round_order or tuple(r.index for r in report.rounds)
-        bands = ws.reorder_rounds(report, order)
-        if stop is not None:  # the shortest passing prefix
-            bands = next((bands[:n] for n in range(1, len(bands) + 1) if stop(bands[:n])), bands)
-        listed, first = "reordered band list", 1
+        bands, listed, first = ws.reorder_rounds(report, order), "reordered band list", 1
     else:
         raise ConfigError(f"band selection method {bands_cfg.method!r} cannot be run")
-    if stop is not None and not any(tested):
-        raise cl.EscalationError(
-            f"no prefix of the {listed} passes the clustering test "
-            f"({len(tested)} tried, {first} to {first + len(tested) - 1} bands)",
-            cl.ClusterDiagnostics(),
-        )
+    if bands_cfg.stop_by_clustering:
+        n = next((n for n in range(first, len(bands) + 1)
+                  if _passes_clustering(cube, labels, config, bands[:n])), None)
+        if n is None:
+            raise cl.EscalationError(
+                f"no prefix of the {listed} passes the clustering test "
+                f"({len(bands) - first + 1} tried, {first} to {len(bands)} bands)",
+                cl.ClusterDiagnostics(),
+            )
+        bands = bands[:n]
+        if report.method == ws.METHOD_R2:
+            report.selected, report.trace = list(bands), report.trace[:n - first + 1]
     return report, bands
 
 

@@ -1,15 +1,14 @@
 """ENVI-compatible file I/O plus 8-bit mask files (ENVI or PGM P5).
 
 Headers are plain-text ``key = value`` files; list values are brace-enclosed
-and may span lines. Keys are matched case- and whitespace-insensitively and
-unrecognized keys are carried through verbatim so that rewritten headers do
-not lose vendor fields.
+and may span lines. Keys are matched case- and whitespace-insensitively; a
+key given twice is an error, and keys this package does not read are ignored.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,6 @@ class EnviHeader:
     byte_order: int = 0
     header_offset: int = 0
     wavelengths_nm: np.ndarray | None = None
-    extras: dict[str, str] = field(default_factory=dict)
 
     def dtype(self) -> np.dtype:
         """The payload's element type as stored, byte order included."""
@@ -141,7 +139,6 @@ def parse_envi_header(text: str) -> EnviHeader:
         byte_order=byte_order,
         header_offset=header_offset,
         wavelengths_nm=wavelengths,
-        extras=raw,
     )
 
 
@@ -157,8 +154,6 @@ def format_envi_header(header: EnviHeader) -> str:
     if header.wavelengths_nm is not None:
         body = ", ".join(repr(float(v)) for v in header.wavelengths_nm)
         out.append("wavelength = { " + body + " }")
-    for key, value in header.extras.items():
-        out.append(f"{key} = {value}")
     return "\n".join(out) + "\n"
 
 

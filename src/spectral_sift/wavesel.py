@@ -22,7 +22,7 @@ rounding cannot decide the pick.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -165,7 +165,6 @@ def r2_forward_select(
     init: Sequence[int] = (),
     lv: int = DEFAULT_FORWARD_LV,
     exclude: Iterable[int] = (),
-    stop: Callable[[list[int]], bool] | None = None,
     wavelengths_nm: np.ndarray | None = None,
 ) -> SelectionReport:
     """Greedy forward band selection by training R^2.
@@ -176,9 +175,9 @@ def r2_forward_select(
     lowest wins. X and y are autoscaled once, and all of a step's
     candidates are fitted in one batched SIMPLS on their blocks of C = X'X
     and s = X'y. A band set whose cross-product with y vanishes scores
-    R^2 = 0. X and y must be finite.
-    ``stop`` is consulted after each addition; returning True ends the
-    search early (the pipeline wires the clustering success test here).
+    R^2 = 0. X and y must be finite, and ``target_count`` above the init
+    size. A step depends on the bands before it alone, so each prefix of
+    the report is the search stopped there.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -195,8 +194,9 @@ def r2_forward_select(
         raise ValueError("init bands must be unique")
     if set(selected) - set(usable):
         raise ValueError("init bands fall in the excluded set")
-    if not 1 <= target_count <= len(usable):
-        raise ValueError(f"target_count must be in [1, {len(usable)}], got {target_count}")
+    if not len(selected) < target_count <= len(usable):
+        raise ValueError(f"target_count must be in [{len(selected) + 1}, {len(usable)}], "
+                         f"got {target_count}")
     if float(np.sum((y - y.mean()) ** 2)) == 0:
         raise ValueError("response has zero variance")
 
@@ -213,8 +213,6 @@ def r2_forward_select(
         i = _first_near_max(r2)  # remaining ascends, so the lowest tied band wins
         selected.append(remaining[i])
         trace.append(float(r2[i]))
-        if stop is not None and stop(list(selected)):
-            break
 
     return SelectionReport(
         method=METHOD_R2, selected=selected, excluded=excluded, trace=trace,

@@ -329,6 +329,48 @@ def test_covproc_without_a_passing_prefix_exits_2(scene, tmp_path, caplog):
         assert not (out / "selection_report.json").exists()
 
 
+@pytest.mark.parametrize("method, settings, k_max", [
+    ("r2", {"target_count": 10}, 5),
+    ("covproc", {"rounds": 6}, 4),
+])
+def test_stop_rule_keeps_the_first_passing_prefix(method, settings, k_max, scene, monkeypatch):
+    # at these k_max the kmeans path fails on the first prefixes and passes before the list ends
+    root, mask = scene
+    labels = mask.labels.ravel()
+    cube = open_envi(root / "cube.hdr")
+
+    def select(stop):
+        bands = BandSelectionConfig(method=method, n_tail=4, stop_by_clustering=stop, **settings)
+        config = scene_config(root, band_selection=bands,
+                              cluster=pipeline.ClusterConfig(k_max=k_max))
+        return pipeline.run_band_selection(cube, labels, config)
+
+    full_report, full_bands = select(False)
+    tested, failed, fit = [], [], pipeline._fit_kmeans_path
+
+    def spy(*args):
+        tested.append(args[1])
+        try:
+            return fit(*args)
+        except (cl.EscalationError, ValueError):
+            failed.append(args[1])
+            raise
+
+    monkeypatch.setattr(pipeline, "_fit_kmeans_path", spy)
+    report, bands = select(True)
+    first = 4 if method == "r2" else 1  # the init size (init_m 3) + 1, or one band
+    n = len(bands)
+    assert first < n < len(full_bands)
+    assert tested == [sorted(full_bands[:m]) for m in range(first, n + 1)]
+    assert failed == tested[:-1]
+    assert bands == full_bands[:n]
+    expected = full_report.to_dict()
+    if method == "r2":
+        expected.update(selected=expected["selected"][:n], selected_nm=expected["selected_nm"][:n],
+                        trace=expected["trace"][:n - first + 1])
+    assert report.to_dict() == expected
+
+
 def test_format_1_model_rejected_by_apply(fitted, tmp_path, caplog):
     root = fitted[0]
     doc = json.loads((root / "model.json").read_text())
@@ -421,6 +463,11 @@ def test_old_format_model_rejected_by_apply(version, fitted, tmp_path, caplog):
     ({"workflow": "kfpls", "kf": {"fd_step": -1e-4}}, "kf: fd_step must be > 0, got -0.0001"),
     ({"workflow": "kfpls", "kf": {"a_grid": [0, 3]}}, "kf: a_grid entries must be >= 1, got [0, 3]"),
     ({"workflow": "kfpls", "kf": {"a_grid": [0]}}, "kf: a_grid entries must be >= 1, got [0]"),
+    ({"band_selection": {"method": "r2", "target_count": 3}},
+     "band_selection: target_count must exceed init_m (3) for r2, got 3"),
+    ({"band_selection": {"method": "r2", "init_m": 4, "target_count": 2,
+                         "stop_by_clustering": True}},
+     "band_selection: target_count must exceed init_m (4) for r2, got 2"),
 ])
 def test_malformed_config_exits_1_naming_the_key(doc, key, tmp_path, caplog):
     (tmp_path / "run.json").write_text(json.dumps(doc))
@@ -978,7 +1025,7 @@ def test_out_naming_a_file_exits_1_naming_it(command, fitted, tmp_path, monkeypa
     taken = tmp_path / "taken"
     taken.write_text("")
     config = write_run_config(root, tmp_path / "run.json",
-                              band_selection={"method": "r2", "target_count": 2})
+                              band_selection={"method": "r2", "target_count": 4})
     (tmp_path / "scene.json").write_text(json.dumps(SMOKE_SCENE))
     argv = {
         "fit": ["fit", "--config", config],

@@ -72,13 +72,15 @@ class TestEnviHeader:
             "INTERLEAVE = BSQ\n"
             "byte order = 0\n"
             "wavelength = { 400.0,\n  500.0 }\n"
-            "some vendor field = kept verbatim\n"
+            "some vendor field = ignored\n"
         )
-        header = parse_envi_header(text)
+        header = parse_envi_header(text)  # a key the package does not read still parses
         assert (header.samples, header.lines, header.bands) == (3, 2, 2)
         assert header.interleave == "bsq"
-        assert header.extras["some vendor field"] == "kept verbatim"
         np.testing.assert_allclose(header.wavelengths_nm, [400.0, 500.0])
+        for repeated in ("Some  Vendor Field = again\n", "lines = 2\n"):
+            with pytest.raises(EnviFormatError, match="duplicate header key"):
+                parse_envi_header(text + repeated)
 
     def test_parse_rejects_garbage_line(self):
         with pytest.raises(EnviFormatError, match="without '='"):

@@ -242,19 +242,14 @@ class TestR2Forward:
         assert report.selected[:2] == [1, 3]
         assert len(report.selected) == 4
 
-    def test_stop_callback_halts(self):
+    def test_target_count_must_exceed_the_init_size(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 10))
         y = X @ rng.normal(size=10)
-        seen = []
-
-        def stop(selected):
-            seen.append(list(selected))
-            return len(selected) >= 2
-
-        report = r2_forward_select(X, y, target_count=8, stop=stop)
-        assert len(report.selected) == 2
-        assert seen == [report.selected[:1], report.selected[:2]]
+        for target_count in (1, 2):
+            with pytest.raises(ValueError, match=r"target_count must be in \[3, 10\]"):
+                r2_forward_select(X, y, target_count=target_count, init=[1, 3])
+        assert r2_forward_select(X, y, target_count=3, init=[1, 3]).selected[:2] == [1, 3]
 
 
 def random_design(rng, n=60, p=12):
