@@ -72,12 +72,19 @@ doc = json.load(open("r2-stop/selection_report.json"))
 assert doc["selected"] == doc["bands_for_model"], doc
 assert len(doc["trace"]) == len(doc["selected"]) - 3, doc
 PY
-spectral-sift fit --config r2-stop.json --out r2-stop/fit > /dev/null
-python - <<'PY'
-import json
-bands = json.load(open("r2-stop/selection_report.json"))["bands_for_model"]
-assert json.load(open("r2-stop/fit/model.json"))["band_subset"] == sorted(bands)
+# fit with either stop test keeps the selected prefix and the escalation that
+# passed on it
+for method in r2-stop covproc; do
+  spectral-sift fit --config $method.json --out $method/fit > /dev/null
+  python - $method <<'PY'
+import json, sys
+method = sys.argv[1]
+bands = json.load(open(f"{method}/selection_report.json"))["bands_for_model"]
+assert json.load(open(f"{method}/fit/model.json"))["band_subset"] == sorted(bands)
+last = json.load(open(f"{method}/fit/diagnostics.json"))["escalation"][-1]
+assert last["false_alarms"] == 0 and last["missed_mites"] == 0, last
 PY
+done
 # r2 adds at least one band to its init_m: a target_count of 4 with init_m 4
 # is a usage error, exit 1, and no report
 sed 's#"target_count": 4#"init_m": 4, "target_count": 4#' r2.json > r2-init4.json

@@ -123,7 +123,7 @@ def _cmd_select_bands(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cube, mask = load_inputs(config)
-    report, bands = run_band_selection(cube, mask.labels.ravel(), config)
+    report, bands, _ = run_band_selection(cube, mask.labels.ravel(), config)
     doc = report.to_dict()
     doc["bands_for_model"] = [int(b) for b in bands]
     doc["bands_for_model_nm"] = [float(cube.wavelengths_nm[b]) for b in bands]

@@ -14,7 +14,9 @@ point's row of squared distances only when the bounds, less a rounding
 margin, cannot prove that its nearest centroid is unchanged. Assignments,
 centroids and inertia are bit for bit those of a loop that recomputes every
 point on every iteration; every point is recomputed when a cluster empties
-(the re-seed needs all distances) and once more at the end.
+(the re-seed needs all distances) and once more at the end. Those full
+passes, and the first iteration's, run in row blocks of ``BLOCK_ROWS``, so
+no n × k distance matrix is ever held.
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ MARGIN = 2.0**-36
 
 #: Lloyd stops once no centroid moves by this much in an update
 TOL = 1e-6
+
+#: Rows per block of Lloyd's distance passes (at least 2): a block holds
+#: its rows' squared distances to every centroid, 768 KiB at k = 12, where
+#: a whole 512 × 512 frame would hold 25 MB. A last block of one row joins
+#: the block before it (:func:`_row_blocks`).
+BLOCK_ROWS = 1 << 13
 
 
 class EscalationError(RuntimeError):
@@ -123,6 +131,17 @@ def _finish_squared_distances(sq: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray
     return np.maximum(sq, 0.0, out=sq)
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of ``BLOCK_ROWS`` rows that cover ``range(n)`` in order. A
+    last block of one row joins the block before it: numpy computes a single
+    row as a matrix-vector product, whose last bits can differ from the
+    matrix product's."""
+    starts = list(range(0, n, BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """D^2-weighted seeding: each next centroid favors far-away points.
 
@@ -172,9 +191,12 @@ def lloyd_iterations(
     cannot move. A recomputed point's bounds restart from its row, widened by
     the margin so they bound the exact distances. The full distance pass runs
     when a cluster empties, since the re-seed needs every point's distance,
-    and once at the end for the returned assignment and inertia. Exactness
-    rests on a row of ``_squared_distances`` having the same bits whether it
-    is computed among all rows or among two or more of them.
+    and once at the end for the returned assignment and inertia. Those
+    passes and every recomputation run in row blocks (:func:`_row_blocks`);
+    each row's squared distance to its centroid goes into one n-vector, and
+    the inertia is that vector's sum. Exactness rests on a row of
+    ``_squared_distances`` having the same bits whether it is computed among
+    all rows or among two or more of them.
     """
     X = np.asarray(X, dtype=np.float64)
     centroids = np.array(centroids, dtype=np.float64)
@@ -195,15 +217,16 @@ def lloyd_iterations(
             # numpy computes a single row as a matrix-vector product, whose
             # last bits can differ from the matrix product's
             stale = np.repeat(stale, 2)
-        if stale.size:
-            sq = _squared_distances(X.take(stale, axis=0), centroids)
-            row = np.arange(stale.size)
+        for block in _row_blocks(stale.size):
+            points = stale[block]
+            sq = _squared_distances(X.take(points, axis=0), centroids)
+            row = np.arange(points.size)
             closest = np.argmin(sq, axis=1)
-            assignment[stale] = closest
-            upper[stale] = np.sqrt(sq[row, closest] + margin)
+            assignment[points] = closest
+            upper[points] = np.sqrt(sq[row, closest] + margin)
             sq[row, closest] = np.inf
             second = sq[row, np.argmin(sq, axis=1)]  # argmin and a gather beat min over a short axis
-            lower[stale] = np.sqrt(np.maximum(second - margin, 0.0))
+            lower[points] = np.sqrt(np.maximum(second - margin, 0.0))
         counts = np.bincount(assignment, minlength=k)
         sums = np.stack([np.bincount(assignment, weights=c, minlength=k) for c in columns], axis=1)
         filled = counts > 0
@@ -211,8 +234,7 @@ def lloyd_iterations(
         new_centroids[filled] = sums[filled] / counts[filled, None]
         empty = np.flatnonzero(~filled)
         if empty.size:
-            sq = _squared_distances(X, centroids)
-            nearest = sq[np.arange(X.shape[0]), assignment]
+            nearest = _assigned_distances(X, centroids, assignment, reassign=False)
             for j in empty:
                 far = int(np.argmax(nearest))
                 new_centroids[j] = X[far]
@@ -229,10 +251,22 @@ def lloyd_iterations(
         others = np.full(k, movement)
         others[top] = np.max(np.delete(moved, top), initial=0.0)
         lower -= others[assignment]
-    sq = _squared_distances(X, centroids)
-    assignment = np.argmin(sq, axis=1)
-    inertia = float(sq[np.arange(X.shape[0]), assignment].sum())
+    inertia = float(_assigned_distances(X, centroids, assignment, reassign=True).sum())
     return centroids, assignment, inertia
+
+
+def _assigned_distances(X: np.ndarray, centroids: np.ndarray, assignment: np.ndarray,
+                        reassign: bool) -> np.ndarray:
+    """Each row's squared distance to its assigned centroid, computed in row
+    blocks; with ``reassign``, each row is first assigned, in place, to the
+    argmin of its row of ``_squared_distances``."""
+    nearest = np.empty(X.shape[0])
+    for block in _row_blocks(X.shape[0]):
+        sq = _squared_distances(X[block], centroids)
+        if reassign:
+            assignment[block] = np.argmin(sq, axis=1)
+        nearest[block] = sq[np.arange(sq.shape[0]), assignment[block]]
+    return nearest
 
 
 def kmeans_fit(X: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, float]:

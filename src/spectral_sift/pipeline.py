@@ -16,10 +16,11 @@ converted to a row-major float64 pixels-by-bands matrix of the columns in
 use (a band subset is a sorted column list) and checked for NaN/Inf. Apply
 also takes a :class:`HyperCube`, whose own ``read_rows`` gives its tiles. A
 fit walks the tiles once per statistic in one reused buffer and keeps only
-per-pixel results: the PCA scores, or the few pixels it gathers (Kernel
-Flows samples, band selection's bee and mite rows). Apply classifies tiles
-on a thread pool. Rows and mask labels are in row-major scan order, so a
-per-pixel result reshapes to the image grid.
+per-pixel results: the scores of the gated components (the kmeans path
+reads the tiles five times, :func:`_fit_kmeans_path`), or the few pixels it
+gathers (Kernel Flows samples, band selection's bee and mite rows). Apply
+classifies tiles on a thread pool. Rows and mask labels are in row-major
+scan order, so a per-pixel result reshapes to the image grid.
 """
 
 from __future__ import annotations
@@ -337,12 +338,40 @@ def _gather_pixels(cube: CubeFile, columns: list[int] | None,
     return out
 
 
+def _kept_scores(tiles: _RowTiles, scale: pp.ScaleModel, loadings: np.ndarray,
+                 pixels: np.ndarray | None, components: np.ndarray | None) -> np.ndarray:
+    """One pass over the tiles: each tile is autoscaled and projected on every
+    loading column into one buffer that every tile reuses, and only the rows
+    ``pixels`` (a boolean mask over the pixels; every row when None) and the
+    columns ``components`` (every one when None) of its scores are kept.
+    Each pass runs the same products on the same tiles, so a pixel's scores
+    have the same bits in every pass."""
+    k = loadings.shape[1]
+    rows = tiles.cube.rows * tiles.cube.cols if pixels is None else np.count_nonzero(pixels)
+    kept = np.empty((rows, k if components is None else components.size))
+    buffer = np.empty(tiles.buffer.size // tiles.width * k)
+    start = filled = 0
+    for X in tiles:
+        T = np.matmul(pp.apply_scale(scale, X, out=X), loadings,
+                      out=buffer[:X.shape[0] * k].reshape(-1, k))
+        if pixels is not None:
+            T = T[pixels[start:start + X.shape[0]]]
+        if components is not None:
+            T = T[:, components]
+        kept[filled:filled + T.shape[0]] = T
+        start, filled = start + X.shape[0], filled + T.shape[0]
+    return kept
+
+
 def _fit_kmeans_path(cube: CubeFile, columns: list[int] | None,
                      labels: np.ndarray, config: RunConfig):
     """Autoscale, PCA, component gate and escalation on the cube's columns
-    (every band when None), in four passes over the row tiles: column means,
-    standard deviations, the autoscaled cross-product XᵀX, and the scores of
-    every component. Only the scores are kept whole."""
+    (every band when None), in five passes over the row tiles: column means,
+    standard deviations, the autoscaled cross-product XᵀX, the scores of
+    every component at the bee and mite pixels alone (the gate's
+    correlations), and the scores of the selected components at every pixel.
+    Only the last are kept whole, and they are all that the escalation
+    holds of the cube: the tile buffer goes before it starts."""
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
     tiles = _RowTiles(cube, columns)
     scale = pp.fit_scale_tiles(lambda: tiles)
@@ -350,17 +379,12 @@ def _fit_kmeans_path(cube: CubeFile, columns: list[int] | None,
     for X in tiles:
         cross += X.T @ pp.apply_scale(scale, X, out=X)
     pca_model = pc.pca_from_cross_product(cross, labels.size, config.pca.components)
-    scores = np.empty((labels.size, pca_model.k))
-    start = 0
-    for X in tiles:
-        np.matmul(pp.apply_scale(scale, X, out=X), pca_model.loadings,
-                  out=scores[start:start + X.shape[0]])
-        start += X.shape[0]
-
-    rho = pc.correlate_scores(scores[selector], y)
+    rho = pc.correlate_scores(_kept_scores(tiles, scale, pca_model.loadings, selector, None), y)
     selection = pc.select_components(rho, top_n=config.pca.top_n, threshold=config.pca.threshold)
+    scores = _kept_scores(tiles, scale, pca_model.loadings, None, selection.selected)
+    del tiles, X  # the last tile is a view of the buffer
     cluster_model, diag = cl.fit_supervised(
-        scores[:, selection.selected], labels, config.labels.mite, config.labels.bee,
+        scores, labels, config.labels.mite, config.labels.bee,
         k0=config.cluster.k0, k_max=config.cluster.k_max, seed=config.seed,
     )
     diagnostics = {
@@ -410,25 +434,27 @@ def _fit_kfpls_path(cube: CubeFile, columns: list[int] | None,
 
 
 def _passes_clustering(cube: CubeFile, labels: np.ndarray, config: RunConfig,
-                       bands: list[int]) -> bool:
-    """Does the kmeans path pass on those columns of the cube?"""
+                       bands: list[int]):
+    """The kmeans path's result on those columns of the cube (sorted and
+    unique, as a model's band subset), or None when it fails there."""
     try:
-        _fit_kmeans_path(cube, sorted(bands), labels, config)
+        return _fit_kmeans_path(cube, sorted(set(bands)), labels, config)
     except (cl.EscalationError, ValueError):
-        return False
-    return True
+        return None
 
 
 def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     """Run the configured selector on the cube's bee and mite pixels; returns
-    (report, bands_for_model). Reading those pixels checks the whole payload
-    for NaN/Inf.
+    ``(report, bands_for_model, passing_fit)``. Reading those pixels checks
+    the whole payload for NaN/Inf.
 
     The selector only ranks bands. With ``stop_by_clustering`` one rule then
     cuts either list: its prefixes are tested in order, from ``first`` bands
     (the init size + 1 for r2, 1 for covproc), by the kmeans path on those
     bands alone, and the first that passes is kept; an r2 report is cut to
-    it. ``EscalationError`` says that none passed.
+    it. ``EscalationError`` says that none passed. ``passing_fit`` is the
+    kmeans path's result on the kept bands, the one ``fit_pipeline`` would
+    compute on them; it is None without the stop test.
     """
     bands_cfg = config.band_selection
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
@@ -450,19 +476,22 @@ def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
         bands, listed, first = ws.reorder_rounds(report, order), "reordered band list", 1
     else:
         raise ConfigError(f"band selection method {bands_cfg.method!r} cannot be run")
-    if bands_cfg.stop_by_clustering:
-        n = next((n for n in range(first, len(bands) + 1)
-                  if _passes_clustering(cube, labels, config, bands[:n])), None)
-        if n is None:
-            raise cl.EscalationError(
-                f"no prefix of the {listed} passes the clustering test "
-                f"({len(bands) - first + 1} tried, {first} to {len(bands)} bands)",
-                cl.ClusterDiagnostics(),
-            )
-        bands = bands[:n]
-        if report.method == ws.METHOD_R2:
-            report.selected, report.trace = list(bands), report.trace[:n - first + 1]
-    return report, bands
+    if not bands_cfg.stop_by_clustering:
+        return report, bands, None
+    for n in range(first, len(bands) + 1):
+        passing_fit = _passes_clustering(cube, labels, config, bands[:n])
+        if passing_fit is not None:
+            break
+    else:
+        raise cl.EscalationError(
+            f"no prefix of the {listed} passes the clustering test "
+            f"({len(bands) - first + 1} tried, {first} to {len(bands)} bands)",
+            cl.ClusterDiagnostics(),
+        )
+    bands = bands[:n]
+    if report.method == ws.METHOD_R2:
+        report.selected, report.trace = list(bands), report.trace[:n - first + 1]
+    return report, bands, passing_fit
 
 
 def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
@@ -473,8 +502,9 @@ def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
 
     report_doc = None
     band_subset = None
+    passing_fit = None
     if config.band_selection.method != "none":
-        report, bands = run_band_selection(cube, labels, config)
+        report, bands, passing_fit = run_band_selection(cube, labels, config)
         report_doc = report.to_dict()
         report_doc["bands_for_model"] = [int(b) for b in bands]
         band_subset = sorted(set(bands))
@@ -493,8 +523,9 @@ def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
     )
 
     if config.workflow == "kmeans":
-        scale, pca_model, selection, cluster_model, diag = _fit_kmeans_path(
-            cube, band_subset, labels, config)
+        # the stop test's passing fit ran on these very columns
+        scale, pca_model, selection, cluster_model, diag = (
+            passing_fit or _fit_kmeans_path(cube, band_subset, labels, config))
         model.scale = scale
         model.pca = pca_model
         model.selection = selection

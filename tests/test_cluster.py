@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from spectral_sift import cluster
 from spectral_sift.cluster import (
     CLASS_BEE,
     CLASS_MITE,
@@ -260,6 +261,49 @@ class TestBoundedLloyd:
         rng = np.random.default_rng(70 + seed)
         X, _ = blobs(rng, rng.uniform(-10, 10, size=(4, 2)), n_per=30, sigma=2.0)
         assert_matches_reference(X, kmeanspp_init(X, 4, seed=seed), max_iter=max_iter)
+
+
+class TestBlockedLloyd(TestBoundedLloyd):
+    """TestBoundedLloyd's designs, and two more, with the distance passes in
+    blocks of 3 rows: every block boundary falls inside the data."""
+
+    @pytest.fixture(autouse=True)
+    def three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(cluster, "BLOCK_ROWS", 3)
+        rows = []
+        squared_distances = cluster._squared_distances
+
+        def spy(X, centroids):
+            rows.append(X.shape[0])
+            return squared_distances(X, centroids)
+
+        monkeypatch.setattr(cluster, "_squared_distances", spy)
+        yield
+        assert all(2 <= n <= 4 for n in rows), rows  # no block of one row, none of 5
+
+    def test_last_block_of_one_row_joins_the_block_before(self):
+        assert cluster._row_blocks(7) == [slice(0, 3), slice(3, 7)]
+        assert cluster._row_blocks(2) == [slice(0, 2)]
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 300])
+    def test_blobs_leaving_one_row_for_the_last_block(self, max_iter):
+        rng = np.random.default_rng(80)
+        X, _ = blobs(rng, rng.uniform(-10, 10, size=(4, 2)), n_per=25, sigma=2.0)
+        assert X.shape[0] % 3 == 1
+        assert_matches_reference(X, kmeanspp_init(X, 4, seed=1), max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 300])
+    def test_empty_clusters_reseeded_from_rows_in_different_blocks(self, max_iter):
+        # clusters 1 and 2 capture nothing on the first pass; the two rows
+        # farthest from centroid 0 sit in the first block and in the last
+        X = np.array([[-50.0]] + [[0.1 * i] for i in range(1, 9)] + [[40.0]])
+        start = np.array([[0.5], [500.0], [-500.0]])
+        assert set(np.argmin(_squared_distances(X, start), axis=1)) == {0}
+        assert cluster._row_blocks(10) == [slice(0, 3), slice(3, 6), slice(6, 10)]
+        if max_iter == 1:
+            np.testing.assert_array_equal(lloyd_iterations(X, start, max_iter=1)[0][1:],
+                                          [[-50.0], [40.0]])
+        assert_matches_reference(X, start, max_iter=max_iter)
 
 
 class TestFitSupervised:

@@ -20,6 +20,7 @@ import pytest
 from spectral_sift import cli
 from spectral_sift import cluster as cl
 from spectral_sift import kernel as kn
+from spectral_sift import modelio
 from spectral_sift import pipeline
 from spectral_sift import pca as pc
 from spectral_sift import preprocess as pp
@@ -345,7 +346,8 @@ def test_stop_rule_keeps_the_first_passing_prefix(method, settings, k_max, scene
                               cluster=pipeline.ClusterConfig(k_max=k_max))
         return pipeline.run_band_selection(cube, labels, config)
 
-    full_report, full_bands = select(False)
+    full_report, full_bands, no_fit = select(False)
+    assert no_fit is None
     tested, failed, fit = [], [], pipeline._fit_kmeans_path
 
     def spy(*args):
@@ -357,7 +359,7 @@ def test_stop_rule_keeps_the_first_passing_prefix(method, settings, k_max, scene
             raise
 
     monkeypatch.setattr(pipeline, "_fit_kmeans_path", spy)
-    report, bands = select(True)
+    report, bands, _ = select(True)
     first = 4 if method == "r2" else 1  # the init size (init_m 3) + 1, or one band
     n = len(bands)
     assert first < n < len(full_bands)
@@ -369,6 +371,36 @@ def test_stop_rule_keeps_the_first_passing_prefix(method, settings, k_max, scene
         expected.update(selected=expected["selected"][:n], selected_nm=expected["selected_nm"][:n],
                         trace=expected["trace"][:n - first + 1])
     assert report.to_dict() == expected
+
+
+@pytest.mark.parametrize("method, settings, k_max", [
+    ("r2", {"target_count": 10}, 5),
+    ("covproc", {"rounds": 6}, 4),
+])
+def test_fit_reuses_the_stop_tests_passing_fit(method, settings, k_max, scene, monkeypatch):
+    # the kept prefix's kmeans path ran on the model's band subset: fit takes its result
+    root, mask = scene
+    bands = BandSelectionConfig(method=method, n_tail=4, stop_by_clustering=True, **settings)
+    config = scene_config(root, band_selection=bands, cluster=pipeline.ClusterConfig(k_max=k_max))
+    tested, fit = [], pipeline._fit_kmeans_path
+
+    def spy(*args):
+        tested.append(args[1])
+        return fit(*args)
+
+    monkeypatch.setattr(pipeline, "_fit_kmeans_path", spy)
+    model, diagnostics = fit_pipeline(config)
+    kept = diagnostics["band_selection"]["bands_for_model"]
+    first = 4 if method == "r2" else 1
+    assert len(kept) > first  # the first prefixes failed
+    assert tested == [sorted(kept[:m]) for m in range(first, len(kept) + 1)]
+    assert model.band_subset == tested[-1]
+
+    scale, pca_model, selection, cluster_model, fresh = fit(
+        open_envi(root / "cube.hdr"), model.band_subset, mask.labels.ravel(), config)
+    assert modelio.encode([model.scale, model.pca, model.selection, model.cluster]) \
+        == modelio.encode([scale, pca_model, selection, cluster_model])
+    assert {key: diagnostics[key] for key in fresh} == fresh
 
 
 def test_format_1_model_rejected_by_apply(fitted, tmp_path, caplog):
@@ -961,8 +993,9 @@ def stacked_scene(root, blocks, bands):
 
 @pytest.mark.parametrize("command", ["kmeans-fit", "covproc-select"])
 def test_fit_memory_grows_far_less_than_the_pixels(command, tmp_path, monkeypatch):
-    # per added pixel the fit keeps its 20 PCA scores and a few labels, and band
-    # selection its bee and mite spectra: far less than the pixel's 204 bands
+    # per added pixel the fit keeps its selected components' scores and a few
+    # labels, and band selection its bee and mite spectra: far less than the
+    # pixel's 204 bands
     bands, heights = 204, (2, 8)
     roots = {blocks: stacked_scene(tmp_path / str(blocks), blocks, bands) for blocks in heights}
     monkeypatch.setattr(pipeline, "TILE_CELLS", 4 * 32 * bands)  # 4-row tiles
@@ -988,6 +1021,41 @@ def test_fit_memory_grows_far_less_than_the_pixels(command, tmp_path, monkeypatc
             tracemalloc.stop()
     added_pixels = (heights[1] - heights[0]) * 32 * 32
     assert peaks[heights[1]] - peaks[heights[0]] < 0.5 * added_pixels * bands * 8, peaks
+
+
+def s_like_scene(root):
+    """128 x 128 px x 204 bands, six 20 x 14 bees with a 3 x 3 mite each, one
+    bee per cell of a 32-pixel grid, written f8 BIP: made like the benchmark's
+    training scene S. Returns the opened cube and its labels."""
+    blobs = []
+    for row, col in [(0, 0), (0, 64), (32, 32), (64, 96), (96, 0), (96, 64)]:
+        blobs.append(BlobSpec(1, row + 5, col + 9, 20, 14, shape="ellipse"))
+        blobs.append(BlobSpec(3, row + 13, col + 14, 3, 3))
+    spec = SceneSpec(rows=128, cols=128, wavelengths_nm=np.linspace(400.0, 1000.0, 204),
+                     classes=CLASSES, background=0, blobs=blobs, noise_sigma=0.01,
+                     shadow=ShadowSpec(strength=0.4, axis="col"), occlusion="order")
+    cube, mask = synth_scene(spec, seed=0)
+    write_envi(cube, root / "cube.hdr", root / "cube.raw", interleave="bip", dtype="f8")
+    return open_envi(root / "cube.hdr"), mask.labels.ravel()
+
+
+def test_kmeans_fit_holds_no_score_matrix_of_every_component(tmp_path, monkeypatch):
+    # The escalation reads the scores of the selected components alone: 2
+    # columns here, 0.26 MB. The scores of all 20 components take 16384 x 20
+    # x 8 B = 2.62 MB: a fit that holds them, and Lloyd's n x k distance
+    # matrices, peaked at 5.4 MB on this scene; one that keeps the selected
+    # columns alone and computes distances in row blocks, at 2.2 MB. The
+    # bound of 4 MB sits between the two.
+    cube, labels = s_like_scene(tmp_path)
+    config = RunConfig()
+    monkeypatch.setattr(pipeline, "TILE_CELLS", 1 << 14)
+    tracemalloc.start()
+    try:
+        pipeline._fit_kmeans_path(cube, None, labels, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 #: the scene of .github/console-smoke.sh: 13 bands, two bees with a mite each
