@@ -44,6 +44,34 @@ for workflow in kmeans kfpls; do
   spectral-sift inspect --model $workflow/model.json > $workflow/inspect.txt
   grep -q "^workflow: $workflow$" $workflow/inspect.txt
 done
+# a scene whose three classes share one flat spectrum, without noise: every
+# sampled spectrum is the same, so a kfpls fit is an input error, exit 1 with
+# one line on stderr and no traceback, whether the lengthscale is derived from
+# the pairwise distances or given
+cat > flat.json <<'JSON'
+{"rows": 12, "cols": 12,
+ "wavelengths_nm": [400, 450, 500, 550, 600, 650, 700, 750, 800, 850, 900, 950, 1000],
+ "classes": [
+   {"label": 0, "name": "background", "knots": [[400, 0.5], [1000, 0.5]]},
+   {"label": 1, "name": "bee", "knots": [[400, 0.5], [1000, 0.5]]},
+   {"label": 3, "name": "mite", "knots": [[400, 0.5], [1000, 0.5]]}],
+ "background": 0, "noise_sigma": 0, "occlusion": "order",
+ "blobs": [{"label": 1, "row": 2, "col": 2, "height": 6, "width": 6},
+           {"label": 3, "row": 4, "col": 4, "height": 2, "width": 2}]}
+JSON
+spectral-sift synth --scene flat.json --seed 0 --out flat > /dev/null
+sed 's#scene/#flat/#g' kfpls.json > flat-kfpls.json
+sed 's#"inputs"#"kernel": {"lengthscale": 1.0}, "inputs"#' flat-kfpls.json > flat-kfpls-ell.json
+for case in "flat-kfpls:cannot derive a lengthscale: sampled spectra are identical" \
+            "flat-kfpls-ell:degenerate training set: median pairwise distance is zero"; do
+  config=${case%%:*}
+  status=0
+  spectral-sift fit --config $config.json --out $config > /dev/null 2> $config.err || status=$?
+  test $status -eq 1
+  test "$(wc -l < $config.err)" -eq 1
+  grep -q "${case#*:}" $config.err
+  if grep -q Traceback $config.err; then exit 1; fi
+done
 # band selection on the 13-band scene, keeping the last 2 bands out
 cat > r2.json <<'JSON'
 {"band_selection": {"method": "r2", "n_tail": 2, "target_count": 4},

@@ -22,7 +22,12 @@ itself, so an iteration evaluates two losses, not three.
 Distances do not depend on the lengthscale, so the training distances are
 computed once: every Gram matrix of the Kernel Flows loop and of the
 latent-count search is a kernel of index slices of that one matrix. An
-iteration slices each batch's block once, for both of its losses.
+iteration slices each batch's block once, for both of its losses. The fit
+holds that one n × n array, plus a batch's blocks (a quarter of its cells
+each) and row blocks of :data:`BLOCK_CELLS`: the lengthscale medians come
+from one copy of its upper triangle, released before the descent; kernels
+are computed in row blocks; a Gram matrix is centered in place by the fit
+that takes it; and the final Gram matrix overwrites the distances.
 
 Prediction holds one (new rows × support) array: the distance product is
 taken once on all rows, and the passes after it run in place on row blocks
@@ -124,12 +129,28 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def distance_kernel(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Kernel values of a stationary family from Euclidean distances ``r``.
 
-    Each formula is evaluated in one array, ``out`` or a new one, updated in
-    place (matern52 also holds u and, briefly, 1 + u). ``out`` may be ``r``
-    itself; otherwise ``r`` is left as it is. The operations and their order
-    are those of the plain expressions in the comments, so the values keep
-    every bit.
+    The values are written to ``out`` or one new array; ``out`` may be ``r``
+    itself, otherwise ``r`` is left as it is. Above ``BLOCK_CELLS`` cells the
+    rows of ``r`` go through in blocks of at most that many cells (a single
+    wider row is one block), so the temporaries (matern52's u and, briefly,
+    1 + u) are block-sized. The operations and their order are those of the
+    plain expressions in the comments, entry by entry, so the values keep
+    every bit whatever the blocks.
     """
+    if r.size <= BLOCK_CELLS:
+        return _distance_kernel_block(spec, r, out)
+    if out is None:
+        out = np.empty_like(r)
+    rows = max(1, BLOCK_CELLS // r.shape[1])
+    for r0 in range(0, r.shape[0], rows):
+        _distance_kernel_block(spec, r[r0:r0 + rows], out[r0:r0 + rows])
+    return out
+
+
+def _distance_kernel_block(spec: KernelSpec, r: np.ndarray,
+                           out: np.ndarray | None) -> np.ndarray:
+    """:func:`distance_kernel` on one block, each formula updated in place in
+    ``out`` or a new array."""
     ell = spec.lengthscale
     if spec.family == "gaussian":  # exp(-(r**2) / (2 ell**2))
         out = np.square(r, out=out)
@@ -291,14 +312,19 @@ class _NestedFit(NamedTuple):
 
 def _fit_nested(K: np.ndarray, labels: np.ndarray, a: int) -> _NestedFit:
     """Kernel PLS-DA on a training Gram matrix against class indicators, up to
-    ``a`` factors; every kernel PLS fit of the package goes through here."""
+    ``a`` factors; every kernel PLS fit of the package goes through here.
+
+    Takes ownership of ``K``: it is centered in place and held as the fit's
+    ``Kc``, so a caller that still needs the Gram matrix passes a copy.
+    """
     n = K.shape[0]
     if not 1 <= a <= n - 1:
         raise ValueError(f"a must be in [1, {n - 1}] for {n} training rows, got {a}")
     encoding = encode_da(labels)
     stats = fit_kernel_center(K)
-    Kc = center_kernel(K, stats)
-    if float(np.abs(Kc).max()) <= 1e-12 * max(1.0, abs(stats.mean_all)):
+    Kc = center_kernel(K, stats, out=K)
+    # the largest |entry|, without an array of them
+    if float(max(Kc.max(), -Kc.min())) <= 1e-12 * max(1.0, abs(stats.mean_all)):
         raise ValueError("degenerate kernel: all training rows are indistinguishable")
     y_means = encoding.indicators.mean(axis=0)
     A, Q = _dual_simpls(Kc, encoding.indicators - y_means, a)
@@ -465,7 +491,9 @@ def kf_loss(
     where yhat_half comes from the model fitted on the half, or inf when a
     fit degenerates outright (all-equal kernel rows). Each model is fitted
     once, at min(a, half size - 1) factors, and keeps its live ones: at
-    extreme lengthscales the Gram matrix cannot carry them all.
+    extreme lengthscales the Gram matrix cannot carry them all. ``D_ff`` is
+    left as it is; the batch's kernel, its half-batch columns and their rows
+    are each consumed in place by a fit or the centering.
     """
     labels = np.asarray(labels)
     a_fit = min(a, half.size - 1)
@@ -484,8 +512,8 @@ def kf_loss(
     if fit_full.live == 0 or fit_half.live == 0:
         return float("inf")
     yhat_full = fit_full.Kc @ fit_full.dual_coef(fit_full.live) + fit_full.y_means
-    yhat_half = (center_kernel(K_fh, fit_half.center_stats) @ fit_half.dual_coef(fit_half.live)
-                 + fit_half.y_means)
+    yhat_half = (center_kernel(K_fh, fit_half.center_stats, out=K_fh)
+                 @ fit_half.dual_coef(fit_half.live) + fit_half.y_means)
     denom = float(np.sum(yhat_full**2))
     if denom <= 0:
         return float("inf")
@@ -524,6 +552,28 @@ def kf_gradient(
     return (up + down) / 2.0, (up - down) / (2.0 * step)
 
 
+def _pair_medians(D: np.ndarray) -> tuple[float, float | None]:
+    """Medians of the distances between distinct rows, from their square
+    distance matrix ``D``: over all pairs, and over the pairs at non-zero
+    distance (None when there are none).
+
+    Both come from one copy of the strict upper triangle of ``D``,
+    partitioned in place, and have the bits of ``np.median`` of those values.
+    No pair (one row) gives (nan, None).
+    """
+    if D.shape[0] < 2:
+        return float("nan"), None
+    upper = np.concatenate([D[i, i + 1:] for i in range(D.shape[0] - 1)])
+    med = float(np.median(upper, overwrite_input=True))
+    zeros = upper.size - np.count_nonzero(upper)
+    if zeros == upper.size:
+        return med, None
+    if zeros:
+        # distances are >= 0: the entries before the first non-zero rank are the zeros
+        upper.partition(zeros)
+    return med, float(np.median(upper[zeros:], overwrite_input=True))
+
+
 def kf_optimize(
     X: np.ndarray,
     labels: np.ndarray,
@@ -545,23 +595,24 @@ def kf_optimize(
     one fit at the grid's largest count; a count the fit cannot carry gets
     R^2 None. The fit at a* is returned with its training predictions. The
     distances between the training rows are computed once; every Gram matrix
-    of both loops is a kernel of index slices of them. ``seed`` draws the
-    batches.
+    of both loops is a kernel of index slices of them. That n × n matrix is
+    the one the fit holds: the two medians come from a copy of its upper
+    triangle (:func:`_pair_medians`) that is released before the descent,
+    and the final Gram matrix is computed over it in place, in row blocks,
+    then centered in place by the fit. ``seed`` draws the batches.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
 
     D = cdist(X, X)
-    upper = D[np.triu_indices(X.shape[0], k=1)]
+    med, med_nonzero = _pair_medians(D)
     ell0 = kernel.lengthscale
     if ell0 is None:
-        nonzero = upper[upper > 0]
-        if nonzero.size == 0:
+        if med_nonzero is None:
             raise ValueError("cannot derive a lengthscale: sampled spectra are identical")
-        ell0 = float(np.median(nonzero))
+        ell0 = med_nonzero
     spec0 = KernelSpec(kernel.family, ell0)
-    med = float(np.median(upper))
     if med <= 0:
         raise ValueError("degenerate training set: median pairwise distance is zero")
     lo, hi = np.log(LENGTHSCALE_BOUNDS[0] * med), np.log(LENGTHSCALE_BOUNDS[1] * med)
@@ -596,7 +647,7 @@ def kf_optimize(
     encoding = encode_da(labels)
     Y = encoding.indicators
     tss = float(np.sum((Y - Y.mean(axis=0)) ** 2))
-    K = distance_kernel(spec_opt, D)
+    K = distance_kernel(spec_opt, D, out=D)  # nothing reads D after this
     grid = sorted(set(int(a) for a in cfg.a_grid if a <= X.shape[0] - 1))
     try:
         nested = _fit_nested(K, labels, grid[-1]) if grid else None

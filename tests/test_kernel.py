@@ -93,8 +93,9 @@ def reference_kf_loss(X, labels, spec, a, batches, events=None):
 
 def fit_gram(K, labels, a):
     """Kernel PLS-DA on a Gram matrix at exactly ``a`` live factors: the
-    nested fit and its dual coefficients at ``a``."""
-    nested = kernel._fit_nested(K, labels, a)
+    nested fit and its dual coefficients at ``a``. The fit centers a copy of
+    ``K``, which callers go on to use."""
+    nested = kernel._fit_nested(K.copy(), labels, a)
     assert nested.live == a
     return nested, nested.dual_coef(a)
 
@@ -108,6 +109,19 @@ def batch_losses(D, labels, spec, a, batches):
     """``kf_loss`` of each batch, on its block of the training distances D."""
     return [kf_loss(D[np.ix_(full, full)], labels, spec, a, full, half)
             for full, half in batches]
+
+
+def plain_kernel(family, r, ell):
+    """A stationary kernel from distances ``r`` by its plain expression, each
+    step a new array."""
+    if family == "gaussian":
+        return np.exp(-(r**2) / (2.0 * ell**2))
+    if family == "laplacian":
+        return np.exp(-r / ell)
+    if family == "matern52":
+        u = np.sqrt(5.0) * r / ell
+        return (1.0 + u + u**2 / 3.0) * np.exp(-u)
+    return 1.0 / (1.0 + (r / ell) ** 2)
 
 
 def reference_dual_simpls(Kc, Yc, a):
@@ -244,20 +258,49 @@ class TestKernelMatrix:
         # the plain expressions, each step a new array; distances left as they are
         r = kernel.cdist(*np.random.default_rng(25).normal(size=(2, 30, 5)))
         r_before, ell = r.copy(), 0.9
-        if family == "gaussian":
-            want = np.exp(-(r**2) / (2.0 * ell**2))
-        elif family == "laplacian":
-            want = np.exp(-r / ell)
-        elif family == "matern52":
-            u = np.sqrt(5.0) * r / ell
-            want = (1.0 + u + u**2 / 3.0) * np.exp(-u)
-        else:
-            want = 1.0 / (1.0 + (r / ell) ** 2)
+        want = plain_kernel(family, r, ell)
         np.testing.assert_array_equal(kernel.distance_kernel(KernelSpec(family, ell), r), want)
         np.testing.assert_array_equal(r, r_before)
         out = kernel.distance_kernel(KernelSpec(family, ell), r, out=r)
         assert out is r
         np.testing.assert_array_equal(r, want)
+
+    BLOCK_ROWS = kernel.BLOCK_CELLS // 300  # rows per block of a 300-column r
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("shape", [(3 * BLOCK_ROWS + 7, 300), (3, kernel.BLOCK_CELLS + 5)],
+                             ids=["several-blocks", "rows-wider-than-a-block"])
+    @pytest.mark.parametrize("out", ["new", "r", "separate"])
+    def test_blocked_formulas_keep_every_bit(self, family, shape, out):
+        rng = np.random.default_rng(shape[1])
+        A, B = rng.normal(size=(shape[0], 5)), rng.normal(size=(shape[1], 5))
+        B[-1] = A[-1]  # at distance exactly 0
+        r = kernel.cdist(A, B)
+        assert r.size > kernel.BLOCK_CELLS
+        r_before, spec = r.copy(), KernelSpec(family, 0.9)
+        want = plain_kernel(family, r, 0.9)
+        target = {"new": None, "r": r, "separate": np.empty_like(r)}[out]
+        got = kernel.distance_kernel(spec, r, out=target)
+        assert target is None or got is target
+        assert got.tobytes() == want.tobytes()
+        if out != "r":
+            assert r.tobytes() == r_before.tobytes()
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_blocked_temporaries_stay_within_a_few_blocks(self, family):
+        rng = np.random.default_rng(43)
+        r = kernel.cdist(rng.normal(size=(17 * self.BLOCK_ROWS, 5)), rng.normal(size=(300, 5)))
+        spec, few_blocks = KernelSpec(family, 0.9), 3 * 8 * kernel.BLOCK_CELLS + (1 << 16)
+        peaks = []
+        for out in (None, r):  # a new array, then in place
+            tracemalloc.start()
+            try:
+                kernel.distance_kernel(spec, r, out=out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= r.nbytes + few_blocks, (peaks, r.nbytes)
+        assert peaks[1] <= few_blocks, (peaks, r.nbytes)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -508,6 +551,14 @@ class TestKernelPls:
                 separate = fit_kernel_pls(X, labels, spec, a)
                 assert np.array_equal(nested.dual_coef(a), separate.dual_coef)
 
+    def test_nested_fit_centers_its_gram_matrix_in_place(self):
+        X, labels = three_blobs(np.random.default_rng(27))
+        K = kernel_matrix(KernelSpec("matern52", 2.0), X, X)
+        want = center_kernel(K.copy(), fit_kernel_center(K))
+        nested = kernel._fit_nested(K, labels, 3)
+        assert nested.Kc is K
+        assert K.tobytes() == want.tobytes()
+
     def test_degenerate_kernel_rejected(self):
         X = np.ones((8, 3))
         with pytest.raises(ValueError, match="degenerate kernel"):
@@ -592,6 +643,16 @@ class TestKfLossOnDistances:
             for batch, loss in zip(batches, batch_losses(D, labels, spec, 5, batches)):
                 assert loss == reference_kf_loss(X, labels, spec, 5, [batch], events)
         assert "step-down" in events  # the factor step-down ran at a bound
+
+    def test_leaves_the_distance_block_as_it_is(self):
+        # kf_gradient takes both finite-difference losses from one block
+        rng = np.random.default_rng(14)
+        X, labels = three_blobs(rng)
+        (full, half), = draw_kf_batches(rng, labels, 1, 0.5)
+        D_ff = kernel.cdist(X[full], X[full])
+        before = D_ff.copy()
+        assert np.isfinite(kf_loss(D_ff, labels, KernelSpec("matern52", 2.0), 3, full, half))
+        assert D_ff.tobytes() == before.tobytes()
 
     def test_degenerate_half_batch_gives_inf(self):
         rng = np.random.default_rng(13)
@@ -748,6 +809,31 @@ class TestKfOptimize:
         with pytest.raises(ValueError, match="sampled spectra are identical"):
             kf_optimize(X, labels, KernelConfig("gaussian"), KfConfig(iterations=1), seed=0)
 
+    def test_identical_spectra_with_a_lengthscale_rejected(self):
+        X, labels = np.ones((8, 3)), np.repeat([0, 1], 4)
+        with pytest.raises(ValueError, match="median pairwise distance is zero"):
+            kf_optimize(X, labels, KernelConfig("gaussian", 1.0), KfConfig(iterations=1), seed=0)
+
+    def test_working_set_is_one_distance_matrix_and_batch_blocks(self):
+        # the fit holds its n x n distances (then their Gram matrix, in the same
+        # cells), a copy of their upper triangle before the descent, and during
+        # it a batch's blocks of a quarter of the cells each and row blocks
+        rng = np.random.default_rng(44)
+        n, bound = 600, 2.5  # float64 cells per n^2
+        centers = rng.normal(scale=2.0, size=(3, 8))
+        X = np.vstack([c + 0.5 * rng.normal(size=(n // 3, 8)) for c in centers])
+        labels = np.repeat([0, 1, 2], n // 3)
+        cfg = KfConfig(iterations=2, subsamplings_per_iter=2)
+        # first call: np.median imports numpy.ma, about 1 MB that a fit holds once
+        kf_optimize(X, labels, KernelConfig("matern52"), cfg, seed=0)
+        tracemalloc.start()
+        try:
+            kf_optimize(X, labels, KernelConfig("matern52"), cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * n * n, peak / (8 * n * n)
+
     def test_non_finite_loss_raises_at_once(self, monkeypatch):
         # the lengthscale is always in range, so nothing is retried: the two
         # finite-difference losses, then the error, and no warning
@@ -789,6 +875,37 @@ class TestKfOptimize:
         model = fit_kernel_pls(X, labels, result.spec, result.a_star)
         predicted, _ = classify(model, X)
         assert np.mean(predicted == labels) == 1.0
+
+
+class TestPairMedians:
+    """The lengthscale medians against np.median of the upper triangle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 40])
+    @pytest.mark.parametrize("design", ["distinct", "one-copy", "all-but-one-equal", "all-equal"])
+    def test_bits_of_np_median(self, n, design):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        if design == "one-copy":
+            X[0] = X[-1]
+        elif design == "all-but-one-equal":
+            X[1:] = X[1]
+        elif design == "all-equal":
+            X[:] = X[0]
+        D = kernel.cdist(X, X)
+        D_before = D.copy()
+        upper = D[np.triu_indices(n, 1)]
+        nonzero = upper[upper > 0]
+        med, med_nonzero = kernel._pair_medians(D)
+        assert np.float64(med).tobytes() == np.median(upper).tobytes()
+        if nonzero.size == 0:
+            assert med_nonzero is None
+        else:
+            assert np.float64(med_nonzero).tobytes() == np.median(nonzero).tobytes()
+        assert D.tobytes() == D_before.tobytes()
+
+    def test_one_row_has_no_pairs(self):
+        med, med_nonzero = kernel._pair_medians(np.zeros((1, 1)))
+        assert np.isnan(med) and med_nonzero is None
 
 
 def test_save_loss_trace(tmp_path):
