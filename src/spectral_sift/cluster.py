@@ -9,9 +9,10 @@ until the labeled ground truth shows no parasite pixel mixed with anything
 else: every cluster touching a labeled mite pixel becomes a 'mite' cluster,
 and no other labeled pixel may fall into one.
 
-Lloyd's loop keeps Hamerly's two distance bounds per point and recomputes a
-point's row of squared distances only when the bounds, less a rounding
-margin, cannot prove that its nearest centroid is unchanged. Assignments,
+Lloyd's loop keeps one settle key per point, after Hamerly's distance
+bounds: the total centroid travel up to which its nearest centroid provably
+stays put, rounding margin included. A point's row of squared distances is
+recomputed only once the travel reaches its key. Assignments,
 centroids and inertia are bit for bit those of a loop that recomputes every
 point on every iteration; every point is recomputed when a cluster empties
 (the re-seed needs all distances) and once more at the end. Those full
@@ -41,8 +42,8 @@ CLASS_OTHER = "other"
 #: Stability of Numerical Algorithms", §3.1: the dot product and the two norms
 #: each err by at most d·ε times their sums of absolute terms, and the two
 #: additions by ε each). 2⁻³⁶ = 2¹⁷·ε covers d + 2 up to 2¹⁶ and leaves as much
-#: again for the few ε per iteration by which the square roots and the bound
-#: updates can shift the bounds of a point that is not recomputed, over
+#: again for the few ε by which the square roots, a point's settle key and
+#: the summed centroid movements it is compared with can be off, over
 #: thousands of iterations. ``kernel.cdist`` is the second caller: it takes the
 #: square root of ``_squared_distances`` and sets entries within this margin of
 #: zero to exactly 0, so that equal rows are at distance 0.
@@ -180,21 +181,25 @@ def lloyd_iterations(
 
     Every iteration assigns each point to the argmin of its row of
     ``_squared_distances``, as a pass over all points would, but recomputes
-    only the rows whose argmin may have changed (Hamerly, "Making k-means even
-    faster", SDM 2010). Each point keeps an upper bound u on its distance to
-    its centroid and one lower bound l on its distance to every other
-    centroid; after an update u grows by its centroid's movement and l shrinks
-    by the largest movement of any other centroid. A point is recomputed
-    unless max(l, 0)² − u² > 2·MARGIN·reach², where reach is the largest
-    point norm plus the largest centroid norm: its computed squared distance
-    to its centroid is then below every other entry of its row, so the argmin
-    cannot move. A recomputed point's bounds restart from its row, widened by
-    the margin so they bound the exact distances. The full distance pass runs
-    when a cluster empties, since the re-seed needs every point's distance,
-    and once at the end for the returned assignment and inertia. Those
-    passes and every recomputation run in row blocks (:func:`_row_blocks`);
-    each row's squared distance to its centroid goes into one n-vector, and
-    the inertia is that vector's sum. Exactness rests on a row of
+    only the rows whose argmin may have changed. The idea is Hamerly's
+    ("Making k-means even faster", SDM 2010), with his two bounds per point
+    folded into one key. ``travel`` sums, over the updates so far, the largest
+    movement of any centroid. When a point's row is recomputed, with m =
+    MARGIN·reach² (reach is the largest point norm plus the largest centroid
+    norm), u = √(its centroid's entry + m) bounds its exact distance to its
+    centroid from above and l = √max(next smallest entry − m, 0) bounds its
+    distance to every other centroid from below; its key becomes
+    travel + (l − u)/2 − √m. The point is recomputed once key <= travel.
+    Until then every centroid has moved at most Δ = travel − (travel when
+    the key was set) < (l − u)/2 − √m, so l − Δ − (u + Δ) > 2√m and
+    (l − Δ)² − (u + Δ)² > 2√m·(l + u) >= 2√m·u >= 2m: its computed squared
+    distance to its centroid is still below every other entry of its row,
+    and the argmin cannot move. The full distance pass runs when a cluster
+    empties, since the re-seed needs every point's distance, and once at the
+    end for the returned assignment and inertia. Those passes and every
+    recomputation run in row blocks (:func:`_row_blocks`); each row's
+    squared distance to its centroid goes into one n-vector, and the
+    inertia is that vector's sum. Exactness rests on a row of
     ``_squared_distances`` having the same bits whether it is computed among
     all rows or among two or more of them.
     """
@@ -209,10 +214,10 @@ def lloyd_iterations(
     c_norm = float(np.sqrt(np.max(np.sum(centroids**2, axis=1), initial=0.0)))
     margin = MARGIN * (x_norm + max(x_norm, c_norm)) ** 2
     assignment = np.zeros(X.shape[0], dtype=np.intp)
-    upper = np.full(X.shape[0], np.inf)  # no bounds yet: the first pass recomputes every row
-    lower = np.zeros(X.shape[0])
+    key = np.full(X.shape[0], -np.inf)  # no keys yet: the first pass recomputes every row
+    travel = 0.0
     for _ in range(max_iter):
-        stale = np.flatnonzero(np.maximum(lower, 0.0) ** 2 - upper**2 <= 2.0 * margin)
+        stale = np.flatnonzero(key <= travel)
         if stale.size == 1:
             # numpy computes a single row as a matrix-vector product, whose
             # last bits can differ from the matrix product's
@@ -223,10 +228,11 @@ def lloyd_iterations(
             row = np.arange(points.size)
             closest = np.argmin(sq, axis=1)
             assignment[points] = closest
-            upper[points] = np.sqrt(sq[row, closest] + margin)
+            upper = np.sqrt(sq[row, closest] + margin)
             sq[row, closest] = np.inf
             second = sq[row, np.argmin(sq, axis=1)]  # argmin and a gather beat min over a short axis
-            lower[points] = np.sqrt(np.maximum(second - margin, 0.0))
+            lower = np.sqrt(np.maximum(second - margin, 0.0))
+            key[points] = travel + (lower - upper) / 2.0 - np.sqrt(margin)
         counts = np.bincount(assignment, minlength=k)
         sums = np.stack([np.bincount(assignment, weights=c, minlength=k) for c in columns], axis=1)
         filled = counts > 0
@@ -234,37 +240,29 @@ def lloyd_iterations(
         new_centroids[filled] = sums[filled] / counts[filled, None]
         empty = np.flatnonzero(~filled)
         if empty.size:
-            nearest = _assigned_distances(X, centroids, assignment, reassign=False)
+            # every row already holds its argmin, so reassigning changes none
+            nearest = _assigned_distances(X, centroids, assignment)
             for j in empty:
                 far = int(np.argmax(nearest))
                 new_centroids[j] = X[far]
                 nearest[far] = 0.0  # claimed; don't hand the same point to another empty cluster
-        moved = np.linalg.norm(new_centroids - centroids, axis=1)
-        movement = float(np.max(moved))
+        movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if movement < TOL:
             break
-        upper += moved[assignment]
-        # a point's other centroids moved at most the largest movement, or at
-        # most the second largest for the members of the centroid that moved most
-        top = int(np.argmax(moved))
-        others = np.full(k, movement)
-        others[top] = np.max(np.delete(moved, top), initial=0.0)
-        lower -= others[assignment]
-    inertia = float(_assigned_distances(X, centroids, assignment, reassign=True).sum())
+        travel += movement
+    inertia = float(_assigned_distances(X, centroids, assignment).sum())
     return centroids, assignment, inertia
 
 
-def _assigned_distances(X: np.ndarray, centroids: np.ndarray, assignment: np.ndarray,
-                        reassign: bool) -> np.ndarray:
-    """Each row's squared distance to its assigned centroid, computed in row
-    blocks; with ``reassign``, each row is first assigned, in place, to the
-    argmin of its row of ``_squared_distances``."""
+def _assigned_distances(X: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Assign each row, in place, to the argmin of its row of
+    ``_squared_distances``, computed in row blocks, and return each row's
+    squared distance to that centroid."""
     nearest = np.empty(X.shape[0])
     for block in _row_blocks(X.shape[0]):
         sq = _squared_distances(X[block], centroids)
-        if reassign:
-            assignment[block] = np.argmin(sq, axis=1)
+        assignment[block] = np.argmin(sq, axis=1)
         nearest[block] = sq[np.arange(sq.shape[0]), assignment[block]]
     return nearest
 

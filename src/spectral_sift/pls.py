@@ -2,10 +2,9 @@
 
 The factorization deflates the X'Y cross-product matrix (never X itself), so
 weight vectors apply to the original data and X-scores come out mutually
-orthogonal. Regression coefficients are assembled as b = W (P'W)^-1 Q'.
+orthogonal.
 
-The fit takes X and Y as given: the caller centers or autoscales them first,
-and predictions are in the same units.
+The fit takes X and Y as given: the caller centers or autoscales them first.
 """
 
 from __future__ import annotations
@@ -13,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-#: condition-number guard for inverting P'W
-MAX_CONDITION = 1e12
-
 
 class DegenerateDataError(ValueError):
     """Cross-product matrix exhausted before reaching the requested factors."""
@@ -32,10 +27,6 @@ class PlsModel:
     @property
     def a(self) -> int:
         return self.weights.shape[1]
-
-    @property
-    def n_vars(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -125,27 +116,3 @@ def fit_simpls(X: np.ndarray, Y: np.ndarray, a: int) -> PlsModel:
         S = S - v[:, None] @ (v[None, :] @ S)
 
     return PlsModel(weights=W, x_loadings=P, y_loadings=Q, x_scores=T)
-
-
-def regression_coefficients(model: PlsModel) -> np.ndarray:
-    """b = W (P'W)^-1 Q', mapping X to Y.
-
-    P'W is solved, not pseudo-inverted; a condition number beyond the guard
-    means redundant latent variables and is reported instead of smoothed over.
-    """
-    M = model.x_loadings.T @ model.weights
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise np.linalg.LinAlgError(
-            f"P'W is singular (condition {cond:.3e}); latent variables are redundant"
-        )
-    return model.weights @ np.linalg.solve(M, model.y_loadings.T)
-
-
-def predict(model: PlsModel, X_new: np.ndarray) -> np.ndarray:
-    """Responses (rows, responses) for new rows via the regression-coefficient
-    path, in the units the model was fitted in."""
-    X_new = np.asarray(X_new, dtype=np.float64)
-    if X_new.ndim != 2 or X_new.shape[1] != model.n_vars:
-        raise ValueError(f"expected {model.n_vars} columns, got shape {X_new.shape}")
-    return X_new @ regression_coefficients(model)

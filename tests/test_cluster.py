@@ -197,8 +197,8 @@ class TestBoundedLloyd:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 300])
     def test_one_column_far_centroid_jump(self, max_iter):
-        # the far centroid's first move (35) drives every other point's lower
-        # bound far below zero, while 0.9 leaves cluster 0 for cluster 1
+        # the far centroid's first move (35) takes the summed movement far
+        # past every point's key, while 0.9 leaves cluster 0 for cluster 1
         X = np.array([[-0.5], [0.5], [0.9], [1.05], [1.2], [60.0], [70.0]])
         start = np.array([[0.0], [2.0], [100.0]])
         got = assert_matches_reference(X, start, max_iter=max_iter)
@@ -210,6 +210,11 @@ class TestBoundedLloyd:
         rng = np.random.default_rng(60 + seed)
         X, _ = blobs(rng, rng.uniform(-10, 10, size=(5, 1)), n_per=40, sigma=1.5)
         assert_matches_reference(X, kmeanspp_init(X, 5, seed=seed))
+
+    def test_all_rows_equal_gives_a_zero_margin(self):
+        # every norm is 0, so the rounding margin is 0 and so is every key;
+        # a 0/0 in the key would warn, and the suite makes warnings errors
+        assert_matches_reference(np.zeros((5, 2)), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("max_iter", [1, 2, 300])
     def test_exact_bisector_ties_go_to_the_lower_index(self, max_iter):
@@ -261,6 +266,24 @@ class TestBoundedLloyd:
         rng = np.random.default_rng(70 + seed)
         X, _ = blobs(rng, rng.uniform(-10, 10, size=(4, 2)), n_per=30, sigma=2.0)
         assert_matches_reference(X, kmeanspp_init(X, 4, seed=seed), max_iter=max_iter)
+
+
+def test_settled_rows_are_skipped(monkeypatch):
+    # a loop that recomputes every row on every pass is exact too, but no
+    # faster than plain Lloyd; on overlapping blobs most rows settle
+    rows = []
+    squared_distances = cluster._squared_distances
+
+    def spy(X, centroids):
+        rows.append(X.shape[0])
+        return squared_distances(X, centroids)
+
+    monkeypatch.setattr(cluster, "_squared_distances", spy)
+    rng = np.random.default_rng(0)
+    X, _ = blobs(rng, [(0, 0), (10, 0), (0, 10), (10, 10)], n_per=500, sigma=4.0)
+    assert X.shape[0] <= cluster.BLOCK_ROWS  # one call per pass
+    assert_matches_reference(X, X[:4])
+    assert min(rows) < X.shape[0] / 10, rows
 
 
 class TestBlockedLloyd(TestBoundedLloyd):

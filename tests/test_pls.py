@@ -1,4 +1,5 @@
-"""SIMPLS factorization, regression coefficients, prediction, DA encoding."""
+"""SIMPLS factorization, DA encoding, and the regression-coefficient and
+prediction oracle of ``pls_oracle``."""
 
 from dataclasses import fields
 from typing import NamedTuple
@@ -12,10 +13,10 @@ from spectral_sift.pls import (
     decode_da,
     encode_da,
     fit_simpls,
-    predict,
-    regression_coefficients,
 )
 from spectral_sift.preprocess import ScaleModel, apply_scale, fit_scale
+
+from pls_oracle import predict, regression_coefficients
 
 
 class Autoscaled(NamedTuple):

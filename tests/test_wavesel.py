@@ -1,13 +1,16 @@
 """Band selection: exclusion, correlation init, greedy forward search,
 covariance-procedure rounds, and round reordering."""
 
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectral_sift import wavesel
-from spectral_sift.pls import DegenerateDataError, fit_simpls, predict
+from spectral_sift.pls import DegenerateDataError, fit_simpls
 from spectral_sift.preprocess import apply_scale, fit_scale
 from spectral_sift.wavesel import (
     TIE_RTOL,
@@ -18,6 +21,8 @@ from spectral_sift.wavesel import (
     r2_forward_select,
     reorder_rounds,
 )
+
+from pls_oracle import predict
 
 # ---------------------------------------------------------------------------
 # independent inner model for the greedy oracle: NIPALS PLS1 with deflation,
@@ -542,3 +547,14 @@ class TestSelectionReport:
         assert doc["selected_nm"] == [550.0, 400.0]
         assert doc["excluded"] == [5]
         assert "rounds" not in doc
+
+
+def test_benchmark_near_tie_rtol_is_tie_rtol(monkeypatch):
+    # bench/workloads.py keeps its own copy of the tie tolerance, and its
+    # near_tie check means "decided by the tie rule" only while they agree
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.NEAR_TIE_RTOL == TIE_RTOL
