@@ -44,6 +44,20 @@ for workflow in kmeans kfpls; do
   spectral-sift inspect --model $workflow/model.json > $workflow/inspect.txt
   grep -q "^workflow: $workflow$" $workflow/inspect.txt
 done
+# fit runs on one BLAS thread whatever OpenBLAS is set to, so 1 and 2 threads
+# write the bytes of the run above (on macOS numpy has no OpenBLAS, and the
+# variable changes nothing)
+for workflow in kmeans kfpls; do
+  for threads in 1 2; do
+    OPENBLAS_NUM_THREADS=$threads spectral-sift fit --config $workflow.json --out $workflow-blas$threads > /dev/null
+  done
+  names="model.json diagnostics.json"
+  if [ $workflow = kfpls ]; then names="$names kf_loss_trace.csv"; fi
+  for name in $names; do
+    cmp $workflow/$name $workflow-blas1/$name
+    cmp $workflow/$name $workflow-blas2/$name
+  done
+done
 # a scene whose three classes share one flat spectrum, without noise: every
 # sampled spectrum is the same, so a kfpls fit is an input error, exit 1 with
 # one line on stderr and no traceback, whether the lengthscale is derived from

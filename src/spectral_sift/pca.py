@@ -90,7 +90,6 @@ def pca_from_cross_product(cross: np.ndarray, n: int, k: int | None = None) -> P
     loadings = vecs[:, ::-1][:, :k].copy()
     # deterministic sign: largest-|entry| of each loading column positive
     flip = np.sign(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(k)])
-    flip[flip == 0] = 1.0
     loadings *= flip
     ratio = lam[:k] / total if total > 0 else np.zeros(k)
     return PcaModel(loadings=loadings, explained_variance_ratio=ratio)

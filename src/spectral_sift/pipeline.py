@@ -21,6 +21,10 @@ reads the tiles five times, :func:`_fit_kmeans_path`), or the few pixels it
 gathers (Kernel Flows samples, band selection's bee and mite rows). Apply
 classifies tiles on a thread pool. Rows and mask labels are in row-major
 scan order, so a per-pixel result reshapes to the image grid.
+
+Fit and band selection run on one OpenBLAS thread
+(:func:`_blas_threads_held`), so for one BLAS build their output bytes
+depend on neither the CPU count nor the caller's OpenBLAS thread setting.
 """
 
 from __future__ import annotations
@@ -270,6 +274,56 @@ def _discriminant_rows(labels: np.ndarray, mite_label: int, bee_label: int) -> t
     return selector, y
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)``: the thread-count functions of the OpenBLAS library that
+    numpy's wheel ships in ``numpy.libs``, or None when there is none: numpy
+    built on MKL, Accelerate or a system BLAS."""
+    symbols = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+               ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+               ("openblas_get_num_threads", "openblas_set_num_threads"))
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                       .glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it: dlopen returns that handle
+        for get_name, set_name in symbols:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _blas_threads_held(count: int) -> Iterator[None]:
+    """Hold numpy's OpenBLAS to at most ``count`` threads while the block, or
+    each call of a function it decorates, runs, and put the previous count
+    back after it, also when it raises.
+
+    :func:`fit_pipeline` and :func:`run_band_selection` run held to 1: how
+    OpenBLAS splits a product sets its last bits, so for one BLAS build their
+    outputs depend on neither the CPU count nor the caller's setting.
+    :func:`apply_pipeline` holds CPUs // workers.
+
+    The count is process-wide: OpenBLAS's per-thread setting is not honoured
+    by every build (in scipy-openblas 0.3.31 it changed the main thread's
+    count too), so calls running at once in one process share it. Does
+    nothing without OpenBLAS or when the count is at most ``count``, as in a
+    hold nested in another.
+    """
+    blas = _openblas_threads()
+    before = blas[0]() if blas is not None else 0
+    if before <= count:
+        yield
+        return
+    set_ = blas[1]
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 #: float64 cells of the row tiles in memory at once. A fit reads one tile at
 #: a time: its pixels × the columns in use. Apply counts the widest per-pixel
 #: row of one tile, summed over the worker threads: a kfpls tile holds one
@@ -277,11 +331,13 @@ def _discriminant_rows(labels: np.ndarray, mite_label: int, bee_label: int) -> t
 #: ``kernel.BLOCK_CELLS``; a kmeans tile holds its scaled spectra and scores.
 #: Tile size cannot keep a tile's products on one BLAS thread: OpenBLAS
 #: threads a product from about 2.6e5 multiply-adds, so even 4 pixels against
-#: 654 support spectra of 204 bands are threaded. ``apply_pipeline`` holds
-#: the BLAS thread count instead (:func:`_blas_threads_held`). Apply's tile
-#: rows and BLAS threads follow from the CPU count and set the last bits of a
-#: pixel's scores, so masks are byte-identical for a given CPU count and BLAS
-#: only (see :func:`apply_pipeline`); a fit's tile rows do not depend on it.
+#: 654 support spectra of 204 bands are threaded, so the BLAS thread count is
+#: held instead (:func:`_blas_threads_held`). A fit's tile rows follow from
+#: the columns alone and it runs on one BLAS thread, so for one BLAS build
+#: its bits depend on neither the CPU count nor the caller's OpenBLAS
+#: setting. Apply's tile rows and BLAS threads follow from the CPU count and
+#: set the last bits of a pixel's scores, so masks are byte-identical for a
+#: given CPU count and BLAS only (see :func:`apply_pipeline`).
 TILE_CELLS = 1 << 20
 
 
@@ -443,6 +499,7 @@ def _passes_clustering(cube: CubeFile, labels: np.ndarray, config: RunConfig,
         return None
 
 
+@_blas_threads_held(1)
 def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     """Run the configured selector on the cube's bee and mite pixels; returns
     ``(report, bands_for_model, passing_fit)``. Reading those pixels checks
@@ -494,6 +551,7 @@ def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     return report, bands, passing_fit
 
 
+@_blas_threads_held(1)
 def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
     """Calibrate a full pipeline per the run configuration."""
     cube, mask = load_inputs(config)
@@ -554,49 +612,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_threads():
-    """``(get, set)``: the thread-count functions of the OpenBLAS library that
-    numpy's wheel ships in ``numpy.libs``, or None when there is none: numpy
-    built on MKL, Accelerate or a system BLAS."""
-    symbols = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-               ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-               ("openblas_get_num_threads", "openblas_set_num_threads"))
-    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
-                       .glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))  # numpy has loaded it: dlopen returns that handle
-        for get_name, set_name in symbols:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextmanager
-def _blas_threads_held(count: int) -> Iterator[None]:
-    """Hold numpy's OpenBLAS to at most ``count`` threads while the block runs,
-    and put the previous count back after it, also when it raises.
-
-    The count is process-wide: OpenBLAS's per-thread setting is not honoured
-    by every build (in scipy-openblas 0.3.31 it changed the main thread's
-    count too), so two applies running at once in one process would share
-    it. Does nothing without OpenBLAS or when the count is at most ``count``.
-    """
-    blas = _openblas_threads()
-    before = blas[0]() if blas is not None else 0
-    if before <= count:
-        yield
-        return
-    set_ = blas[1]
-    set_(count)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def _model_columns(model: PipelineModel, n_bands: int,

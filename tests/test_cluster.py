@@ -130,6 +130,20 @@ class TestKmeansppInit:
             centroids = kmeanspp_init(X, 2, seed=seed)
             assert set(centroids[:, 0]) == {0.0, 5.0}
 
+    def test_small_d2_total_still_samples(self):
+        # A power-of-two scale keeps the bits of every D^2 weight, so the
+        # same draws pick the same rows: seeding commutes with the scale, also
+        # where the scaled D^2 total is below 1. Only a total of 0 (every
+        # point on a centroid) may leave the D^2 law.
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(200, 2))
+        scale = 2.0 ** -10
+        d2_totals = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=(1, 2))
+        assert d2_totals.min() > 1 and d2_totals.max() * scale**2 < 1
+        for seed in range(5):
+            expected = kmeanspp_init(X, 5, seed=seed) * scale
+            np.testing.assert_array_equal(kmeanspp_init(X * scale, 5, seed=seed), expected)
+
 
 class TestLloyd:
     def test_k1_centroid_is_mean(self):

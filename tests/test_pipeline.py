@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from spectral_sift.pipeline import (
     EXIT_QUALITY,
     EXIT_USAGE,
     BandSelectionConfig,
+    ClusterConfig,
     InputsConfig,
     PipelineModel,
     RunConfig,
@@ -720,18 +721,28 @@ def test_nan_in_last_row_exits_1_without_masks(fitted, bil_copy, tmp_path, monke
     assert not (tmp_path / "out" / "class_mask.raw").exists()
 
 
-@pytest.fixture
-def openblas_at_two():
-    """numpy's OpenBLAS set to 2 threads, so that 2 workers hold it to 1
-    whatever the machine; yields its get function and restores the count."""
+@contextmanager
+def openblas_set_to(count):
+    """numpy's OpenBLAS set to ``count`` threads while the block runs; yields
+    its get function and restores the count. Skips without OpenBLAS."""
     blas = pipeline._openblas_threads()
     if blas is None:
         pytest.skip("numpy is not linked to OpenBLAS")
     get, set_ = blas
     before = get()
-    set_(2)
-    yield get
-    set_(before)
+    set_(count)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+@pytest.fixture
+def openblas_at_two():
+    """numpy's OpenBLAS set to 2 threads, so that 2 workers hold it to 1
+    whatever the machine."""
+    with openblas_set_to(2) as get:
+        yield get
 
 
 @pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
@@ -770,6 +781,83 @@ def test_blas_threads_restored_after_a_failed_tile(fitted, bil_copy, tmp_path, m
     with pytest.raises(EnviFormatError, match="NaN"):
         apply_pipeline(model, cube)
     assert set(seen) == {1}  # the tiles before the failing one ran held
+    assert openblas_at_two() == 2
+
+
+# fit and band selection run on one BLAS thread, whatever the caller set
+
+def fit_output_bytes(config, out):
+    """The bytes fit writes for ``config``: model.json, diagnostics.json and
+    the KF trace (None on the kmeans path)."""
+    model, diagnostics = fit_pipeline(config)
+    trace = diagnostics.pop("_kf_trace", None)
+    model.save(out / "model.json")
+    return ((out / "model.json").read_bytes(), modelio.dumps(diagnostics),
+            None if trace is None else trace.tobytes())
+
+
+def spy_blas_threads(monkeypatch, get):
+    """Record OpenBLAS's thread count at each tile a fit reads."""
+    seen, read_tile = [], pipeline._read_tile
+
+    def record(*args, **kwargs):
+        seen.append(get())
+        return read_tile(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_read_tile", record)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["kfpls-tiny", "kmeans-s-like"])
+def test_fit_bytes_do_not_depend_on_the_blas_threads(case, scene, tmp_path, monkeypatch):
+    # OpenBLAS splits a product by its thread count, and the split sets the
+    # last bits: unheld, both fits write other bytes at 1 and at 3 threads
+    if case == "kfpls-tiny":  # at 20 pixels a class the unheld bytes did not move
+        config = scene_config(scene[0], workflow="kfpls", samples_per_class=60,
+                              kf=KfConfig(iterations=1, subsamplings_per_iter=4))
+    else:
+        s_like_scene(tmp_path)
+        config = scene_config(tmp_path)
+    written = {}
+    for threads in (1, 3):
+        out = tmp_path / str(threads)
+        out.mkdir()
+        with openblas_set_to(threads) as get:
+            before, seen = get(), spy_blas_threads(monkeypatch, get)
+            written[threads] = fit_output_bytes(config, out)
+            assert seen and set(seen) == {1}
+            assert get() == before
+    assert written[3] == written[1]
+
+
+@pytest.mark.parametrize("command", ["covproc-select", "r2-select"])
+def test_band_selection_does_not_depend_on_the_blas_threads(command, scene, monkeypatch):
+    root, mask = scene
+    config = RunConfig.from_dict(FIT_COMMANDS[command][1])
+    cube = open_envi(root / "cube.hdr")
+    reports = {}
+    for threads in (1, 3):
+        with openblas_set_to(threads) as get:
+            seen = spy_blas_threads(monkeypatch, get)
+            report, bands, _ = pipeline.run_band_selection(cube, mask.labels.ravel(), config)
+            reports[threads] = (modelio.dumps(report.to_dict()), bands)
+            assert seen and set(seen) == {1}
+    assert reports[3] == reports[1]
+
+
+def test_blas_threads_restored_after_a_failed_fit(fitted, scene, monkeypatch, openblas_at_two):
+    root, mask = scene
+    seen = spy_blas_threads(monkeypatch, openblas_at_two)
+    k_max = fitted[4]["final_k"] - 1  # one below the k that passes
+    with pytest.raises(cl.EscalationError):
+        fit_pipeline(scene_config(root, cluster=ClusterConfig(k0=2, k_max=k_max)))
+    # the stop test's failed prefixes, in a band selection of its own
+    bands = BandSelectionConfig(method="covproc", n_tail=4, rounds=3, stop_by_clustering=True)
+    with pytest.raises(cl.EscalationError):
+        pipeline.run_band_selection(open_envi(root / "cube.hdr"), mask.labels.ravel(),
+                                    RunConfig(cluster=ClusterConfig(k0=2, k_max=2),
+                                              band_selection=bands))
+    assert seen and set(seen) == {1}  # the tiles before the failure ran held
     assert openblas_at_two() == 2
 
 
@@ -1025,8 +1113,9 @@ def test_fit_memory_grows_far_less_than_the_pixels(command, tmp_path, monkeypatc
 
 def s_like_scene(root):
     """128 x 128 px x 204 bands, six 20 x 14 bees with a 3 x 3 mite each, one
-    bee per cell of a 32-pixel grid, written f8 BIP: made like the benchmark's
-    training scene S. Returns the opened cube and its labels."""
+    bee per cell of a 32-pixel grid, written f8 BIP with its mask and palette
+    (the inputs of :func:`scene_config`): made like the benchmark's training
+    scene S. Returns the opened cube and its labels."""
     blobs = []
     for row, col in [(0, 0), (0, 64), (32, 32), (64, 96), (96, 0), (96, 64)]:
         blobs.append(BlobSpec(1, row + 5, col + 9, 20, 14, shape="ellipse"))
@@ -1036,6 +1125,8 @@ def s_like_scene(root):
                      shadow=ShadowSpec(strength=0.4, axis="col"), occlusion="order")
     cube, mask = synth_scene(spec, seed=0)
     write_envi(cube, root / "cube.hdr", root / "cube.raw", interleave="bip", dtype="f8")
+    write_label_mask_envi(mask, root / "mask.hdr", root / "mask.raw")
+    (root / "palette.json").write_text(json.dumps({str(k): v for k, v in mask.palette.items()}))
     return open_envi(root / "cube.hdr"), mask.labels.ravel()
 
 

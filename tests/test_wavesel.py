@@ -549,6 +549,17 @@ class TestSelectionReport:
         assert "rounds" not in doc
 
 
+@pytest.mark.parametrize("best", [1e3, 1e-3, -1e3])
+def test_near_tie_is_relative_to_the_best(best):
+    # a value TIE_RTOL/2 of |best| below the best ties with it and, coming
+    # first, wins; one 2 TIE_RTOL of |best| below does not, whatever |best|
+    inside = best - 0.5 * TIE_RTOL * abs(best)
+    outside = best - 2.0 * TIE_RTOL * abs(best)
+    assert outside < inside < best
+    assert wavesel._first_near_max(np.array([np.nan, outside, inside, best])) == 2
+    assert wavesel._first_near_max(np.array([outside, best, inside])) == 1
+
+
 def test_benchmark_near_tie_rtol_is_tie_rtol(monkeypatch):
     # bench/workloads.py keeps its own copy of the tie tolerance, and its
     # near_tie check means "decided by the tie rule" only while they agree
