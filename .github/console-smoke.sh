@@ -58,6 +58,29 @@ for workflow in kmeans kfpls; do
     cmp $workflow/$name $workflow-blas2/$name
   done
 done
+# apply's tile rows do not depend on the CPU count and its workers run on one
+# BLAS thread, so 1 and 2 threads, and a run pinned to one CPU where taskset
+# exists, write the bytes of the unpinned run above
+first_cpu=$(python -c "import os; print(min(os.sched_getaffinity(0)) if hasattr(os, 'sched_getaffinity') else '')")
+for workflow in kmeans kfpls; do
+  names="class_mask.raw counts.json"
+  if [ $workflow = kmeans ]; then names="$names cluster_mask.raw"; fi
+  runs="blas1 blas2"
+  for threads in 1 2; do
+    OPENBLAS_NUM_THREADS=$threads spectral-sift apply --model $workflow/model.json \
+      --cube scene/cube.hdr --out $workflow/applied-blas$threads > /dev/null
+  done
+  if command -v taskset > /dev/null && [ -n "$first_cpu" ]; then
+    taskset -c "$first_cpu" spectral-sift apply --model $workflow/model.json \
+      --cube scene/cube.hdr --out $workflow/applied-cpu1 > /dev/null
+    runs="$runs cpu1"
+  fi
+  for run in $runs; do
+    for name in $names; do
+      cmp $workflow/applied/$name $workflow/applied-$run/$name
+    done
+  done
+done
 # a scene whose three classes share one flat spectrum, without noise: every
 # sampled spectrum is the same, so a kfpls fit is an input error, exit 1 with
 # one line on stderr and no traceback, whether the lengthscale is derived from

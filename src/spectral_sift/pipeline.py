@@ -19,12 +19,15 @@ fit walks the tiles once per statistic in one reused buffer and keeps only
 per-pixel results: the scores of the gated components (the kmeans path
 reads the tiles five times, :func:`_fit_kmeans_path`), or the few pixels it
 gathers (Kernel Flows samples, band selection's bee and mite rows). Apply
-classifies tiles on a thread pool. Rows and mask labels are in row-major
-scan order, so a per-pixel result reshapes to the image grid.
+classifies tiles on a thread pool, one tile per worker. Rows and mask labels
+are in row-major scan order, so a per-pixel result reshapes to the image
+grid.
 
-Fit and band selection run on one OpenBLAS thread
-(:func:`_blas_threads_held`), so for one BLAS build their output bytes
-depend on neither the CPU count nor the caller's OpenBLAS thread setting.
+Every tile holds at most ``TILE_CELLS`` cells (at least one row), its rows
+set by the cube's columns and the width in use alone, and fit, band
+selection and apply run on one OpenBLAS thread (:func:`_blas_threads_held`),
+so for one BLAS build their output bytes depend on neither the CPU count
+nor the caller's OpenBLAS thread setting.
 """
 
 from __future__ import annotations
@@ -295,50 +298,51 @@ def _openblas_threads():
 
 
 @contextmanager
-def _blas_threads_held(count: int) -> Iterator[None]:
-    """Hold numpy's OpenBLAS to at most ``count`` threads while the block, or
-    each call of a function it decorates, runs, and put the previous count
-    back after it, also when it raises.
+def _blas_threads_held() -> Iterator[None]:
+    """Hold numpy's OpenBLAS to one thread while the block, or each call of a
+    function it decorates, runs, and put the previous count back after it,
+    also when it raises.
 
-    :func:`fit_pipeline` and :func:`run_band_selection` run held to 1: how
-    OpenBLAS splits a product sets its last bits, so for one BLAS build their
-    outputs depend on neither the CPU count nor the caller's setting.
-    :func:`apply_pipeline` holds CPUs // workers.
+    :func:`fit_pipeline`, :func:`run_band_selection` and the tile workers of
+    :func:`apply_pipeline` run held: how OpenBLAS splits a product sets its
+    last bits, so for one BLAS build their outputs depend on neither the CPU
+    count nor the caller's setting. Apply's workers, one per usable CPU, use
+    the cores that OpenBLAS's own threads would.
 
     The count is process-wide: OpenBLAS's per-thread setting is not honoured
     by every build (in scipy-openblas 0.3.31 it changed the main thread's
     count too), so calls running at once in one process share it. Does
-    nothing without OpenBLAS or when the count is at most ``count``, as in a
-    hold nested in another.
+    nothing without OpenBLAS or when the count is already 1, as in a hold
+    nested in another.
     """
     blas = _openblas_threads()
     before = blas[0]() if blas is not None else 0
-    if before <= count:
+    if before <= 1:
         yield
         return
     set_ = blas[1]
-    set_(count)
+    set_(1)
     try:
         yield
     finally:
         set_(before)
 
 
-#: float64 cells of the row tiles in memory at once. A fit reads one tile at
-#: a time: its pixels × the columns in use. Apply counts the widest per-pixel
-#: row of one tile, summed over the worker threads: a kfpls tile holds one
-#: such array, its (pixels × support) cross-kernel, plus temporaries of
-#: ``kernel.BLOCK_CELLS``; a kmeans tile holds its scaled spectra and scores.
-#: Tile size cannot keep a tile's products on one BLAS thread: OpenBLAS
-#: threads a product from about 2.6e5 multiply-adds, so even 4 pixels against
-#: 654 support spectra of 204 bands are threaded, so the BLAS thread count is
-#: held instead (:func:`_blas_threads_held`). A fit's tile rows follow from
-#: the columns alone and it runs on one BLAS thread, so for one BLAS build
-#: its bits depend on neither the CPU count nor the caller's OpenBLAS
-#: setting. Apply's tile rows and BLAS threads follow from the CPU count and
-#: set the last bits of a pixel's scores, so masks are byte-identical for a
-#: given CPU count and BLAS only (see :func:`apply_pipeline`).
-TILE_CELLS = 1 << 20
+#: float64 cells of one row tile (1 MiB, the size of ``envi.CHUNK_BYTES``):
+#: a tile holds at most this many cells of its widest per-pixel row (at
+#: least one row), so its rows follow from the cube's columns and that width
+#: alone. A fit reads one tile at a time: its pixels × the columns in use.
+#: Apply's width is its classifier's widest per-pixel array: a kfpls tile's
+#: (pixels × support) cross-kernel, with temporaries of
+#: ``kernel.BLOCK_CELLS``, or a kmeans tile's spectra, scaled in place. It
+#: classifies one tile per worker, so its tiles in flight hold workers ×
+#: ``TILE_CELLS`` cells. OpenBLAS still threads a tile's products (from
+#: about 2.6e5 multiply-adds: even 4 pixels against 654 support spectra of
+#: 204 bands), so every command holds it to one thread
+#: (:func:`_blas_threads_held`). With both fixed, the bits of fit, band
+#: selection and apply depend on neither the CPU count nor the caller's
+#: OpenBLAS setting, for one BLAS build.
+TILE_CELLS = 1 << 17
 
 
 def _read_tile(cube: HyperCube | CubeFile, r0: int, rows: int, columns: list[int] | None,
@@ -499,7 +503,7 @@ def _passes_clustering(cube: CubeFile, labels: np.ndarray, config: RunConfig,
         return None
 
 
-@_blas_threads_held(1)
+@_blas_threads_held()
 def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     """Run the configured selector on the cube's bee and mite pixels; returns
     ``(report, bands_for_model, passing_fit)``. Reading those pixels checks
@@ -551,7 +555,7 @@ def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     return report, bands, passing_fit
 
 
-@_blas_threads_held(1)
+@_blas_threads_held()
 def fit_pipeline(config: RunConfig) -> tuple[PipelineModel, dict]:
     """Calibrate a full pipeline per the run configuration."""
     cube, mask = load_inputs(config)
@@ -636,8 +640,8 @@ def _model_columns(model: PipelineModel, n_bands: int,
 
 def _pixel_classifier(model: PipelineModel):
     """``(classify, width, palette)``: ``classify`` maps a pixels-by-bands float64
-    matrix to uint8 mask ids and uint8 cluster ids (None on the kernel path);
-    ``width`` is its widest per-pixel row."""
+    matrix, which it may overwrite, to uint8 mask ids and uint8 cluster ids
+    (None on the kernel path); ``width`` is its widest per-pixel row."""
     if model.workflow == "kmeans":
         if (model.scale is None or model.pca is None or model.selection is None
                 or model.cluster is None):
@@ -656,7 +660,7 @@ def _pixel_classifier(model: PipelineModel):
         palette = {model.mite_label: "mite", model.bee_label: "bee", other_label: "other"}
 
         def classify_kmeans(X: np.ndarray):
-            scores = pc.project(model.pca, pp.apply_scale(model.scale, X))
+            scores = pc.project(model.pca, pp.apply_scale(model.scale, X, out=X))
             clusters, _ = cl.assign(model.cluster, scores[:, model.selection.selected])
             return id_of_cluster[clusters], clusters.astype(np.uint8)
 
@@ -679,30 +683,28 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | CubeFile) -> ApplyRes
 
     The band count and wavelength grid are checked once; then row tiles are
     classified on a thread pool with one worker per usable CPU (at most one
-    per tile). Rows per tile are chosen so that the widest per-pixel arrays
-    of all tiles in flight hold at most ``TILE_CELLS`` float64 cells, so peak
-    memory depends on neither the cube's size nor the CPU count. Each tile
+    per tile). A tile's widest per-pixel array holds at most ``TILE_CELLS``
+    float64 cells (at least one row), so the tiles in flight hold at most
+    workers × ``TILE_CELLS`` cells, whatever the cube's size. Each tile
     converts only the model's columns to float64, checks them for NaN/Inf
     and writes its rows of the preallocated masks; the counts are taken from
     the finished masks.
 
-    While the pool runs, OpenBLAS is held to CPUs // workers threads (1 when
-    every CPU has a worker): each worker's products would otherwise start
-    OpenBLAS's own threads, and the workers and those threads would contend
-    for the same cores. The previous count is put back when the pool is
-    done, also after a failed or interrupted tile.
+    While the pool runs, OpenBLAS is held to one thread
+    (:func:`_blas_threads_held`): the workers take the cores that its own
+    threads would, and each worker's products are not split. The previous
+    count is put back when the pool is done, also after a failed or
+    interrupted tile.
 
-    Masks are byte-identical from run to run for a given CPU count and BLAS.
-    The CPU count sets the tile rows and the BLAS threads, and those set the
-    shape of each tile's products and how OpenBLAS splits them, hence the
-    last bits of the scores: on another machine, a pixel within rounding of
-    a class boundary may get another id.
+    Scores and masks are byte-identical for any CPU count, one BLAS build:
+    tile rows follow from the cube's columns and the model's width alone,
+    and every product runs on one BLAS thread, so a pixel's scores have the
+    same bits whichever worker classifies its tile.
     """
     columns = _model_columns(model, cube.bands, cube.wavelengths_nm)
     classify, width, palette = _pixel_classifier(model)
     rows, cols = cube.rows, cube.cols
-    cpus = _usable_cpus()
-    step = max(1, TILE_CELLS // (cpus * cols * width))
+    step = max(1, TILE_CELLS // (cols * width))
     class_labels = np.empty((rows, cols), dtype=np.uint8)
     cluster_ids = np.empty((rows, cols), dtype=np.uint8) if model.workflow == "kmeans" else None
 
@@ -716,9 +718,8 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | CubeFile) -> ApplyRes
         if cluster_ids is not None:
             cluster_ids[r0:r0 + step] = clusters[:n].reshape(-1, cols)
 
-    workers = min(cpus, -(-rows // step))
-    with _blas_threads_held(cpus // workers):
-        pool = ThreadPoolExecutor(workers)
+    with _blas_threads_held():
+        pool = ThreadPoolExecutor(min(_usable_cpus(), -(-rows // step)))
         try:
             for _ in pool.map(classify_tile, range(0, rows, step)):
                 pass

@@ -177,10 +177,11 @@ def _infer_data_path(header_path: Path) -> Path:
 
 #: stored bytes of a cube file that :meth:`CubeFile.read_rows` reads at once
 #: (at least one row), into one buffer that the call reuses for all its
-#: chunks. Small next to a float64 tile of fit or apply (``TILE_CELLS``
-#: cells, 8 MiB), so the payload in memory is one chunk per reading thread;
-#: not much smaller: one-row chunks made a kmeans apply of a 256 x 256 f4 BIL
-#: cube take 0.14 s in place of 0.08 s (two workers on 2 vCPUs).
+#: chunks, and at most one tile's rows as stored. The size of a float64
+#: tile of fit or apply (``TILE_CELLS`` cells, 1 MiB), so the payload in
+#: memory is one chunk per reading thread; not much smaller: one-row chunks
+#: made a kmeans apply of a 256 x 256 f4 BIL cube take 0.14 s in place of
+#: 0.08 s (two workers on 2 vCPUs).
 CHUNK_BYTES = 1 << 20
 
 

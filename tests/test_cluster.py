@@ -28,14 +28,15 @@ def blobs(rng, centers, n_per, sigma):
     return X, membership
 
 
-def lloyd_reference(X, centroids, max_iter=300, tol=1e-6):
+def lloyd_reference(X, centroids, max_iter=300, tol=1e-6, distances=_squared_distances):
     """Lloyd with a per-cluster loop: each mean adds its members one row at a
     time in row order, and each empty cluster, in index order, takes the
-    farthest point not yet claimed."""
+    farthest point not yet claimed. Every pass computes ``distances`` of
+    every row."""
     X = np.asarray(X, dtype=float)
     centroids = np.array(centroids, dtype=float)
     for _ in range(max_iter):
-        sq = _squared_distances(X, centroids)
+        sq = distances(X, centroids)
         assignment = np.argmin(sq, axis=1)
         nearest = sq[np.arange(len(X)), assignment]
         new = centroids.copy()
@@ -54,7 +55,7 @@ def lloyd_reference(X, centroids, max_iter=300, tol=1e-6):
         centroids = new
         if movement < tol:
             break
-    sq = _squared_distances(X, centroids)
+    sq = distances(X, centroids)
     assignment = np.argmin(sq, axis=1)
     return centroids, assignment, float(sq[np.arange(len(X)), assignment].sum())
 
@@ -298,6 +299,65 @@ def test_settled_rows_are_skipped(monkeypatch):
     assert X.shape[0] <= cluster.BLOCK_ROWS  # one call per pass
     assert_matches_reference(X, X[:4])
     assert min(rows) < X.shape[0] / 10, rows
+
+
+def spy_distance_rows(monkeypatch, distances=None):
+    """Record the rows of every ``_squared_distances`` call of Lloyd's loop,
+    computed by ``distances`` (the real function when None)."""
+    calls = []
+    distances = distances or cluster._squared_distances
+
+    def spy(X, centroids):
+        calls.append(X.copy())
+        return distances(X, centroids)
+
+    monkeypatch.setattr(cluster, "_squared_distances", spy)
+    return calls
+
+
+def test_lone_stale_row_is_computed_among_two(monkeypatch):
+    # after the first update only the point at 5.1, between the two groups,
+    # is near enough to both centroids to be recomputed; a row computed alone
+    # is a matrix-vector product, whose last bits can differ, so it is
+    # computed twice, as two rows
+    X = np.array([[-0.2], [0.0], [0.2], [9.8], [10.0], [10.2], [5.1]])
+    calls = spy_distance_rows(monkeypatch)
+    assert_matches_reference(X, [[0.5], [9.5]])
+    assert min(len(rows) for rows in calls) >= 2
+    assert any(len(rows) == 2 and rows[0] == rows[1] == 5.1 for rows in calls)
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+def test_skips_hold_with_every_entry_off_by_up_to_the_margin(scale, monkeypatch):
+    # The settle key only assumes that each computed squared distance is
+    # within the margin m = MARGIN * reach**2 of the exact one. Make every
+    # entry off by up to 0.9 m, as a fixed function of its row and centroid,
+    # and the loop must still match plain Lloyd on those same distances, at
+    # every data scale. MARGIN is raised to 2**-8 so that errors of the
+    # margin's size decide ordinary near-ties. A margin that scaled as
+    # reach**3 gave other ids than plain Lloyd in 4 of these 16 designs at
+    # scale 1e-2 (too small below reach 1), and skipped no row at 1e2.
+    monkeypatch.setattr(cluster, "MARGIN", 2.0**-8)
+    fewest = []
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        k = 2 + seed % 4
+        X = scale * blobs(rng, rng.uniform(-1, 1, size=(k, 2)), n_per=40, sigma=0.2)[0]
+        error = 0.9 * cluster.MARGIN * 4 * np.max(np.sum(X**2, axis=1))  # reach >= 2 |x|
+
+        def off_by_error(A, centroids):
+            fraction = np.mod((A[:, :1] * 7919.0 + centroids[:, 0] * 104729.0) / scale, 1.0)
+            return np.maximum(_squared_distances(A, centroids) + error * (2 * fraction - 1), 0.0)
+
+        start = X[rng.choice(X.shape[0], k, replace=False)]
+        calls = spy_distance_rows(monkeypatch, off_by_error)
+        got = lloyd_iterations(X, start)
+        want = lloyd_reference(X, start, distances=off_by_error)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        fewest.append(min(len(rows) for rows in calls) / X.shape[0])
+    assert min(fewest) < 0.5, fewest  # settled rows were skipped
 
 
 class TestBlockedLloyd(TestBoundedLloyd):

@@ -559,10 +559,11 @@ def test_synth_scene_file_with_unknown_key_exits_1(tmp_path, caplog):
 
 
 def tile_settings(monkeypatch, model, cube, rows_per_tile, workers):
-    """Make apply run ``workers`` threads on tiles of ``rows_per_tile`` rows."""
+    """Make apply run ``workers`` threads on tiles of ``rows_per_tile`` rows:
+    the tile rows follow from ``TILE_CELLS`` alone, the workers from the CPUs."""
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
     width = pipeline._pixel_classifier(model)[1]
-    monkeypatch.setattr(pipeline, "TILE_CELLS", rows_per_tile * workers * cube.cols * width)
+    monkeypatch.setattr(pipeline, "TILE_CELLS", rows_per_tile * cube.cols * width)
 
 
 def spy_tiles(monkeypatch, model, record=lambda X: X.shape[0]):
@@ -646,6 +647,54 @@ def test_apply_without_cpu_affinity_gives_the_same_masks(fixture, request, bil_c
             assert result.cluster_ids.tobytes() == results[0].cluster_ids.tobytes()
 
 
+def random_kfpls_model(rng, bands):
+    """A kfpls model on 654 random support spectra of ``bands`` bands, the
+    support size of the benchmark's kfpls model."""
+    support = rng.uniform(0.05, 0.8, size=(654, bands))
+    kernel = kn.fit_kernel_pls(support, np.repeat([0, 1, 3], 218),
+                               kn.KernelSpec("matern52", 3.0), 4)
+    return PipelineModel(workflow="kfpls", palette={0: "background", 1: "bee", 3: "mite"},
+                         mite_label=3, bee_label=1, original_bands=bands,
+                         wavelengths_nm=np.linspace(400.0, 1000.0, bands), kernel=kernel)
+
+
+@pytest.mark.parametrize("workflow", ["kmeans", "kfpls"])
+def test_apply_scores_do_not_depend_on_the_cpu_count(workflow, fitted, monkeypatch):
+    # With tile rows taken from the CPU count, this cube's kfpls scores (30 x
+    # 100 pixels against 654 support spectra of 204 bands) differed from the
+    # 1-CPU scores in 28 pixels at 2 CPUs and 2991 at 3 and 4: a product's
+    # last bits follow its row count. Every pixel's scores must keep their bits.
+    rng = np.random.default_rng(0)
+    model = fitted[3] if workflow == "kmeans" else random_kfpls_model(rng, 204)
+    bands = model.wavelengths_nm.size
+    cube = HyperCube(data=rng.uniform(0.05, 0.8, size=(30, 100, bands)),
+                     wavelengths_nm=model.wavelengths_nm)
+    seen = []
+    module, name = (pc, "project") if workflow == "kmeans" else (kn, "classify")
+    original = getattr(module, name)
+
+    def spy(m, X):
+        out = original(m, X)
+        seen.append((X.copy(), out if workflow == "kmeans" else out[1]))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    scores, results = {}, {}
+    for cpus in (1, 2, 3, 4):
+        seen.clear()
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        results[cpus] = apply_pipeline(model, cube)
+        X = np.concatenate([tile for tile, _ in seen])
+        _, first = np.unique(X, axis=0, return_index=True)  # pixel order, whatever the tiles
+        assert first.size == cube.rows * cube.cols
+        scores[cpus] = np.concatenate([s for _, s in seen])[first]
+    for cpus in (2, 3, 4):
+        assert scores[cpus].tobytes() == scores[1].tobytes()
+        assert results[cpus].class_labels.tobytes() == results[1].class_labels.tobytes()
+        if workflow == "kmeans":
+            assert results[cpus].cluster_ids.tobytes() == results[1].cluster_ids.tobytes()
+
+
 @pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
 def test_one_pixel_tile_is_classified_among_two(fixture, request, scene, monkeypatch):
     # one column and an odd row count: 2-row tiles leave a last tile of one pixel
@@ -689,6 +738,30 @@ def test_apply_memory_does_not_grow_with_rows(fixture, request, tmp_path, monkey
     # comparison; a tile's chunk buffer is counted too, but holds CHUNK_BYTES at most
     mask_bytes = heights[1] * cols * (3 if model.workflow == "kmeans" else 2)
     assert peaks[heights[1]] <= 1.25 * peaks[heights[0]] + mask_bytes, peaks
+
+
+def test_kmeans_apply_scales_each_tile_in_place(tmp_path, monkeypatch):
+    # 64 bands against 4 scores a pixel: a tile that is scaled into a copy
+    # holds two tiles at once, one scaled in place about one, plus the 64 KiB
+    # buffer of numpy's broadcast subtraction (1/8 of this tile): here they
+    # peaked at 2.2 and 1.3 tiles. An f8 BIP payload read in every band goes
+    # straight into the tile, so no read buffer is counted.
+    root = stacked_scene(tmp_path / "scene", 2, 64)
+    model, _ = fit_pipeline(scene_config(root, pca=pipeline.PcaConfig(components=4)))
+    write_envi(read_envi(root / "cube.hdr"), tmp_path / "bip.hdr", tmp_path / "bip.raw",
+               interleave="bip", dtype="f8")
+    cube = open_envi(tmp_path / "bip.hdr")
+    tile_settings(monkeypatch, model, cube, 32, 1)
+    apply_pipeline(model, cube)  # imports and first calls
+    tracemalloc.start()
+    try:
+        apply_pipeline(model, cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile_bytes = 32 * cube.cols * cube.bands * 8
+    mask_bytes = cube.rows * cube.cols * 3  # class ids, cluster ids, one count comparison
+    assert peak <= 1.5 * tile_bytes + mask_bytes, peak / tile_bytes
 
 
 def bil_copy_in(bil_copy, tmp_path):
@@ -753,13 +826,13 @@ def test_blas_threads_held_per_worker_keep_the_masks(fixture, request, bil_copy,
     cube = open_envi(bil_copy / "bil.hdr")
     seen = spy_tiles(monkeypatch, model, lambda X: openblas_at_two())
     results = []
-    # (CPUs, rows per tile, the count a tile should see): 2 CPUs and one tile leave
-    # BLAS its 2 threads, 2 workers get 1 each, and so does a lone CPU's worker
-    for cpus, rows_per_tile, held in [(2, cube.rows, 2), (2, 20, 1), (1, 7, 1)]:
+    # (CPUs, rows per tile): every tile sees one BLAS thread, also the lone
+    # tile of 2 CPUs, whose second CPU has no worker
+    for cpus, rows_per_tile in [(2, cube.rows), (2, 20), (1, 7), (3, 1)]:
         seen.clear()
         tile_settings(monkeypatch, model, cube, rows_per_tile, cpus)
         results.append(apply_pipeline(model, cube))
-        assert seen and set(seen) == {held}
+        assert seen and set(seen) == {1}
         assert openblas_at_two() == 2
     with monkeypatch.context() as patch:  # without OpenBLAS (MKL, Accelerate) nothing is held
         patch.setattr(pipeline, "_openblas_threads", lambda: None)
