@@ -31,7 +31,7 @@ cat > kmeans.json <<'JSON'
             "palette": "scene/palette.json"}}
 JSON
 cat > kfpls.json <<'JSON'
-{"workflow": "kfpls", "samples_per_class": 20,
+{"workflow": "kfpls", "samples_per_class": 100,
  "kf": {"iterations": 1, "subsamplings_per_iter": 4},
  "inputs": {"cube_header": "scene/cube.hdr", "mask": "scene/mask.hdr",
             "palette": "scene/palette.json"}}
@@ -60,7 +60,10 @@ for workflow in kmeans kfpls; do
 done
 # apply's tile rows do not depend on the CPU count and its workers run on one
 # BLAS thread, so 1 and 2 threads, and a run pinned to one CPU where taskset
-# exists, write the bytes of the unpinned run above
+# exists, write the bytes of the unpinned run above. The kfpls model's 218
+# support spectra give three 16-row tiles: unpinned on two or more CPUs,
+# helper threads share them with the calling thread; pinned, the calling
+# thread classifies all three alone.
 first_cpu=$(python -c "import os; print(min(os.sched_getaffinity(0)) if hasattr(os, 'sched_getaffinity') else '')")
 for workflow in kmeans kfpls; do
   names="class_mask.raw counts.json"

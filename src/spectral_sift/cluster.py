@@ -132,12 +132,12 @@ def _finish_squared_distances(sq: np.ndarray, x_sq: np.ndarray, c_sq: np.ndarray
     return np.maximum(sq, 0.0, out=sq)
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of ``BLOCK_ROWS`` rows that cover ``range(n)`` in order. A
-    last block of one row joins the block before it: numpy computes a single
-    row as a matrix-vector product, whose last bits can differ from the
-    matrix product's."""
-    starts = list(range(0, n, BLOCK_ROWS))
+def _row_blocks(n: int, rows: int | None = None) -> list[slice]:
+    """Slices of ``rows`` rows (``BLOCK_ROWS`` by default) that cover
+    ``range(n)`` in order. A last block of one row joins the block before it:
+    numpy computes a single row as a matrix-vector product, whose last bits
+    can differ from the matrix product's."""
+    starts = list(range(0, n, rows or BLOCK_ROWS))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]

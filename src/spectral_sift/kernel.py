@@ -29,10 +29,10 @@ from one copy of its upper triangle, released before the descent; kernels
 are computed in row blocks; a Gram matrix is centered in place by the fit
 that takes it; and the final Gram matrix overwrites the distances.
 
-Prediction holds one (new rows × support) array: the distance product is
-taken once on all rows, and the passes after it run in place on row blocks
-that fit a core's L2 cache (:data:`BLOCK_CELLS`), with the same functions
-and the same bits as the Gram path.
+Prediction runs in row chunks of about :data:`BLOCK_CELLS` cross-kernel
+cells (:func:`classify`), which fit a core's L2 cache: each chunk's distance
+product and the passes after it run in place on one (chunk × support)
+array, with the same functions and the same bits as the Gram path.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import MARGIN, _cross_product, _finish_squared_distances
+from .cluster import MARGIN, _cross_product, _finish_squared_distances, _row_blocks
 from .pls import DegenerateDataError, decode_da, dominant_eigenvector, encode_da
 
 log = logging.getLogger(__name__)
@@ -58,14 +58,16 @@ LENGTHSCALE_BOUNDS = (1e-4, 1e4)
 #: tries per Kernel Flows batch at drawing one that contains every class
 BATCH_DRAWS = 200
 
-#: float64 cells per block of cross-kernel rows in :func:`predict_indicators`
-#: (512 KiB). Each pass after the product runs block by block, so its operands
-#: stay in a core's L2 cache instead of streaming a tile-sized array from L3
-#: or memory about fifteen times (loop blocking: Lam, Rothberg & Wolf, ASPLOS
-#: 1991). Sized on the 256×256 M cube of the benchmark against 654 support
-#: spectra (matern52), 768-pixel tiles on 2 threads with one BLAS thread each
-#: (2 vCPU, medians of 7): 508 ms in blocks of 100 rows, 537 and 515 ms in
-#: blocks of 50 and 200, 550 ms in blocks of 400 (2 MB) and 568 ms unblocked.
+#: float64 cells per chunk of cross-kernel rows in :func:`classify` (512 KiB):
+#: a chunk of ``max(2, BLOCK_CELLS // support)`` rows goes through the product
+#: and every pass after it, so its operands stay in a core's L2 cache instead
+#: of streaming a tile-sized array from L3 or memory about fifteen times
+#: (loop blocking: Lam, Rothberg & Wolf, ASPLOS 1991), and a classified tile
+#: holds a few chunks whatever its row width or support count. Sized on the
+#: 256×256 M cube of the benchmark against 654 support spectra (matern52, 2
+#: threads on 2 vCPU, medians of 7): the passes after the product took 508 ms
+#: in blocks of 100 rows, 537 and 515 ms in blocks of 50 and 200, 550 ms in
+#: blocks of 400 (2 MB) and 568 ms on whole 768-pixel tiles.
 BLOCK_CELLS = 1 << 16
 
 
@@ -351,10 +353,9 @@ def predict_indicators(model: KernelPlsModel, X_new: np.ndarray) -> np.ndarray:
     ``center_kernel(kernel_matrix(spec, X_new, support), stats) @ dual_coef
     + y_means``, bit for bit, holding one (new rows × support) array: the
     product of :func:`cdist` is taken once, on all rows, and every later pass
-    (norms, margin, square root, kernel, centering) runs on blocks of at most
-    ``BLOCK_CELLS`` of its cells in place. Those passes work entry by entry
-    or row by row, and the two products keep their shapes, so the blocks
-    change no bit.
+    (norms, margin, square root, kernel, centering) runs on it in place.
+    Callers bound that array by the rows they pass: :func:`classify` passes
+    chunks of about ``BLOCK_CELLS`` cells.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.support.shape[1]:
@@ -363,21 +364,29 @@ def predict_indicators(model: KernelPlsModel, X_new: np.ndarray) -> np.ndarray:
         )
     x_sq = np.sum(X_new**2, axis=1)
     s_sq, s_reach = model._support_norms
-    reach = _largest_norm(x_sq) + s_reach
-    K = _cross_product(X_new, model.support)
-    rows = max(1, BLOCK_CELLS // K.shape[1])
-    for r0 in range(0, K.shape[0], rows):
-        block = K[r0:r0 + rows]
-        _distances_from_squares(_finish_squared_distances(block, x_sq[r0:r0 + rows], s_sq),
-                                reach)
-        distance_kernel(model.kernel, block, out=block)
-        center_kernel(block, model.center_stats, out=block)
+    K = _finish_squared_distances(_cross_product(X_new, model.support), x_sq, s_sq)
+    _distances_from_squares(K, _largest_norm(x_sq) + s_reach)
+    distance_kernel(model.kernel, K, out=K)
+    center_kernel(K, model.center_stats, out=K)
     return K @ model.dual_coef + model.y_means
 
 
 def classify(model: KernelPlsModel, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class for each new spectrum plus the raw indicator scores."""
-    scores = predict_indicators(model, X_new)
+    """Class for each new spectrum plus the raw indicator scores.
+
+    The scores are :func:`predict_indicators` on chunks of ``max(2,
+    BLOCK_CELLS // n_support)`` rows, each written to one preallocated
+    (rows × classes) array; a last chunk of one row joins the chunk before
+    it (:func:`cluster._row_blocks`). So no (rows × support) cross-kernel is
+    held, only a chunk's: about ``BLOCK_CELLS`` cells, or two rows of a
+    wider support. A chunk's scores are those of the whole-chunk chain, bit
+    for bit; against one product on all rows they can move in the last bits,
+    as OpenBLAS rounds a row by the product's row count.
+    """
+    X_new = np.asarray(X_new, dtype=np.float64)
+    scores = np.empty((X_new.shape[0], model.dual_coef.shape[1]))
+    for rows in _row_blocks(X_new.shape[0], max(2, BLOCK_CELLS // model.n_support)):
+        scores[rows] = predict_indicators(model, X_new[rows])
     return decode_da(model.classes, scores), scores
 
 

@@ -14,6 +14,7 @@ list of numbers (a scene's wavelengths) also decodes into an array field.
 from __future__ import annotations
 
 import base64
+import binascii
 import dataclasses
 import json
 import types
@@ -42,7 +43,11 @@ def encode_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(doc: dict) -> np.ndarray:
-    raw = base64.b64decode(doc["data"])
+    """The float64 array of :func:`encode_array`'s ``doc``, writable. The
+    base64 text is decoded as it is, without the ASCII ``bytes`` copy that
+    ``base64.b64decode`` makes of a ``str`` (1.4 MB for 654 support spectra
+    of 204 bands). Malformed data raises ValueError or TypeError."""
+    raw = binascii.a2b_base64(doc["data"])
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return arr.reshape(doc["shape"])
 

@@ -19,7 +19,8 @@ fit walks the tiles once per statistic in one reused buffer and keeps only
 per-pixel results: the scores of the gated components (the kmeans path
 reads the tiles five times, :func:`_fit_kmeans_path`), or the few pixels it
 gathers (Kernel Flows samples, band selection's bee and mite rows). Apply
-classifies tiles on a thread pool, one tile per worker. Rows and mask labels
+classifies tiles on one worker per usable CPU, the calling thread among
+them; a kfpls tile's cross-kernel is taken in chunks. Rows and mask labels
 are in row-major scan order, so a per-pixel result reshapes to the image
 grid.
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import threading
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -332,11 +334,13 @@ def _blas_threads_held() -> Iterator[None]:
 #: a tile holds at most this many cells of its widest per-pixel row (at
 #: least one row), so its rows follow from the cube's columns and that width
 #: alone. A fit reads one tile at a time: its pixels × the columns in use.
-#: Apply's width is its classifier's widest per-pixel array: a kfpls tile's
-#: (pixels × support) cross-kernel, with temporaries of
-#: ``kernel.BLOCK_CELLS``, or a kmeans tile's spectra, scaled in place. It
-#: classifies one tile per worker, so its tiles in flight hold workers ×
-#: ``TILE_CELLS`` cells. OpenBLAS still threads a tile's products (from
+#: Apply's width is a kmeans tile's spectra, scaled in place, or a kfpls
+#: model's support count (one row on the benchmark's M cube; the band count
+#: gave two and a higher peak), though a kfpls tile holds only its spectra
+#: and one ``kernel.BLOCK_CELLS`` chunk of cross-kernel at a time
+#: (``kernel.classify``). So the tiles in flight hold workers × ``TILE_CELLS``
+#: cells, plus a few blocks per kfpls worker.
+#: OpenBLAS still threads a tile's products (from
 #: about 2.6e5 multiply-adds: even 4 pixels against 654 support spectra of
 #: 204 bands), so every command holds it to one thread
 #: (:func:`_blas_threads_held`). With both fixed, the bits of fit, band
@@ -641,7 +645,8 @@ def _model_columns(model: PipelineModel, n_bands: int,
 def _pixel_classifier(model: PipelineModel):
     """``(classify, width, palette)``: ``classify`` maps a pixels-by-bands float64
     matrix, which it may overwrite, to uint8 mask ids and uint8 cluster ids
-    (None on the kernel path); ``width`` is its widest per-pixel row."""
+    (None on the kernel path); ``width``, the cells per pixel that
+    :data:`TILE_CELLS` counts, sets the tile rows."""
     if model.workflow == "kmeans":
         if (model.scale is None or model.pca is None or model.selection is None
                 or model.cluster is None):
@@ -681,20 +686,21 @@ def _pixel_classifier(model: PipelineModel):
 def apply_pipeline(model: PipelineModel, cube: HyperCube | CubeFile) -> ApplyResult:
     """Classify a new cube with stored calibration statistics only.
 
-    The band count and wavelength grid are checked once; then row tiles are
-    classified on a thread pool with one worker per usable CPU (at most one
-    per tile). A tile's widest per-pixel array holds at most ``TILE_CELLS``
-    float64 cells (at least one row), so the tiles in flight hold at most
-    workers × ``TILE_CELLS`` cells, whatever the cube's size. Each tile
-    converts only the model's columns to float64, checks them for NaN/Inf
-    and writes its rows of the preallocated masks; the counts are taken from
-    the finished masks.
+    The band count and wavelength grid are checked once; then row tiles,
+    taken one at a time from one shared sequence, are classified by one
+    worker per usable CPU (at most one per tile): the calling thread, whose
+    tiles reuse the main heap where a new thread gets its own malloc arena,
+    and a pool of the others, so one CPU starts no thread. The tiles in
+    flight hold at most workers × ``TILE_CELLS`` cells (see there), whatever
+    the cube's size. Each tile converts only the model's columns to float64,
+    checks them for NaN/Inf and writes its rows of the preallocated masks;
+    the counts are taken from the finished masks.
 
-    While the pool runs, OpenBLAS is held to one thread
+    While the workers run, OpenBLAS is held to one thread
     (:func:`_blas_threads_held`): the workers take the cores that its own
-    threads would, and each worker's products are not split. The previous
-    count is put back when the pool is done, also after a failed or
-    interrupted tile.
+    threads would, and each worker's products are not split. A failed tile
+    or an interrupt stops every worker after its tile; it is raised once all
+    have stopped, and the previous count is put back.
 
     Scores and masks are byte-identical for any CPU count, one BLAS build:
     tile rows follow from the cube's columns and the model's width alone,
@@ -718,13 +724,32 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | CubeFile) -> ApplyRes
         if cluster_ids is not None:
             cluster_ids[r0:r0 + step] = clusters[:n].reshape(-1, cols)
 
-    with _blas_threads_held():
-        pool = ThreadPoolExecutor(min(_usable_cpus(), -(-rows // step)))
+    starts = iter(range(0, rows, step))
+    claim, stop = threading.Lock(), threading.Event()
+
+    def work() -> None:
+        """Classify tiles until none is left or a worker has stopped; then
+        stop the others, as after a failed tile."""
         try:
-            for _ in pool.map(classify_tile, range(0, rows, step)):
-                pass
-        finally:  # on a failure or an interrupt, tiles not yet started are dropped
-            pool.shutdown(cancel_futures=True)
+            while not stop.is_set():
+                with claim:
+                    r0 = next(starts, None)
+                if r0 is None:
+                    return
+                classify_tile(r0)
+        finally:
+            stop.set()
+
+    helpers = min(_usable_cpus(), -(-rows // step)) - 1
+    # the pool's exit waits for the helpers, so the count is restored after them
+    with _blas_threads_held(), ThreadPoolExecutor(max(1, helpers)) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        try:
+            work()
+            for future in futures:
+                future.result()
+        finally:  # also on an interrupt while waiting: no helper starts another tile
+            stop.set()
 
     counts = {name: int(np.count_nonzero(class_labels == label))
               for label, name in sorted(palette.items())}

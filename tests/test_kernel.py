@@ -377,7 +377,7 @@ def plain_indicators(model, X):
 
 class TestBlockedPrediction:
     N_SUPPORT = 300
-    BLOCK = kernel.BLOCK_CELLS // N_SUPPORT  # rows per block
+    BLOCK = kernel.BLOCK_CELLS // N_SUPPORT  # rows per chunk of classify
 
     @pytest.mark.parametrize("family", KERNEL_FAMILIES)
     @pytest.mark.parametrize("rows", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
@@ -416,6 +416,53 @@ class TestBlockedPrediction:
         # the product's scaled operand, 4 blocks, and per-row scores, norms and ids
         allowed = cross_kernel + X.nbytes + 4 * 8 * kernel.BLOCK_CELLS + 64 * rows + (1 << 16)
         assert peak <= allowed, (peak, cross_kernel)
+
+
+class TestChunkedClassify:
+    N_SUPPORT = 300
+    CHUNK = kernel.BLOCK_CELLS // N_SUPPORT  # rows per chunk
+
+    @staticmethod
+    def chunk_sizes(monkeypatch):
+        """The row count of every call ``classify`` makes to ``predict_indicators``."""
+        sizes, original = [], kernel.predict_indicators
+
+        def spy(model, X):
+            sizes.append(X.shape[0])
+            return original(model, X)
+
+        monkeypatch.setattr(kernel, "predict_indicators", spy)
+        return sizes
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("chunks", [[2], [CHUNK - 1], [CHUNK], [CHUNK + 1],
+                                        [CHUNK, CHUNK, CHUNK + 1]],
+                             ids=["2", "chunk-1", "chunk", "chunk+1", "3chunk+1"])
+    def test_scores_are_the_chain_on_each_chunk_bit_for_bit(self, family, chunks, monkeypatch):
+        # a lone last row joins the chunk before it: chunk + 1 rows are one chunk
+        rows = sum(chunks)
+        rng = np.random.default_rng(rows)
+        model = random_coefficient_model(rng, family, self.N_SUPPORT, 6)
+        X = rng.uniform(0.05, 0.8, size=(rows, 6))
+        X[rows // 2] = model.support[7]  # at distance exactly 0: the margin's zeroing
+        sizes = self.chunk_sizes(monkeypatch)
+        predicted, scores = classify(model, X)
+        assert sizes == chunks
+        bounds = np.cumsum([0] + chunks)
+        expected = np.concatenate([plain_indicators(model, X[a:b])
+                                   for a, b in zip(bounds[:-1], bounds[1:])])
+        assert scores.tobytes() == expected.tobytes()
+        assert predicted.tobytes() == pls.decode_da(model.classes, expected).tobytes()
+
+    def test_a_support_wider_than_a_chunk_takes_two_rows_a_chunk(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        model = random_coefficient_model(rng, "matern52", kernel.BLOCK_CELLS // 2 + 1, 2)
+        X = rng.uniform(0.05, 0.8, size=(5, 2))
+        sizes = self.chunk_sizes(monkeypatch)
+        _, scores = classify(model, X)
+        assert sizes == [2, 3]
+        expected = np.concatenate([plain_indicators(model, X[:2]), plain_indicators(model, X[2:])])
+        assert scores.tobytes() == expected.tobytes()
 
 
 class TestKernelPls:

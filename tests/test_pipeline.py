@@ -10,6 +10,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -468,6 +470,27 @@ def test_model_file_resaves_byte_identically(fixture, request, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda data: "\u00e9" + data[1:], "only ASCII"),
+    (lambda data: data[:-2], "padding"),
+    (lambda data: base64.b64encode(base64.b64decode(data)[:-4]).decode(), "multiple"),
+    (lambda data: 12345, "not 'int'"),
+], ids=["non-ascii", "bad-padding", "partial-float", "not-a-string"])
+def test_malformed_model_array_exits_1_naming_the_key(corrupt, error, scene, fitted_kfpls,
+                                                      tmp_path, caplog):
+    doc = json.loads(fitted_kfpls[0].read_text())
+    support = doc["kernel"]["support"]
+    assert len(support["data"]) % 4 == 0 and not support["data"].endswith("=")
+    support["data"] = corrupt(support["data"])
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["apply", "--model", str(tmp_path / "model.json"),
+                         "--cube", str(scene[0] / "cube.hdr"), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "kernel.support is not an array" in caplog.text and error in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("version", [2, 3, 4])
 def test_old_format_model_rejected_by_apply(version, fitted, tmp_path, caplog):
     root = fitted[0]
@@ -628,6 +651,33 @@ def test_band_subset_row_tiles_give_identical_masks(fitted_bands, workers, bil_c
 
 
 @pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
+def test_apply_on_one_cpu_starts_no_thread(fixture, request, bil_copy, monkeypatch):
+    value = request.getfixturevalue(fixture)
+    model = value[3] if fixture == "fitted" else value[1]
+    cube = open_envi(bil_copy / "bil.hdr")
+    started, start = [], threading.Thread.start
+
+    def spy_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    workers = spy_tiles(monkeypatch, model, lambda X: threading.current_thread())
+    results = {}
+    for cpus in (1, 2, 3):
+        started.clear()
+        workers.clear()
+        tile_settings(monkeypatch, model, cube, 3, cpus)
+        results[cpus] = apply_pipeline(model, cube)
+        assert len(started) <= cpus - 1  # none on one CPU
+        assert set(workers) <= {threading.current_thread(), *started}
+    for cpus in (2, 3):
+        assert results[cpus].class_labels.tobytes() == results[1].class_labels.tobytes()
+        if results[1].cluster_ids is not None:
+            assert results[cpus].cluster_ids.tobytes() == results[1].cluster_ids.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
 def test_apply_without_cpu_affinity_gives_the_same_masks(fixture, request, bil_copy,
                                                          monkeypatch):
     # os.sched_getaffinity exists on Linux only; elsewhere apply counts the CPUs
@@ -647,11 +697,11 @@ def test_apply_without_cpu_affinity_gives_the_same_masks(fixture, request, bil_c
             assert result.cluster_ids.tobytes() == results[0].cluster_ids.tobytes()
 
 
-def random_kfpls_model(rng, bands):
-    """A kfpls model on 654 random support spectra of ``bands`` bands, the
-    support size of the benchmark's kfpls model."""
-    support = rng.uniform(0.05, 0.8, size=(654, bands))
-    kernel = kn.fit_kernel_pls(support, np.repeat([0, 1, 3], 218),
+def random_kfpls_model(rng, bands, n_support=654):
+    """A kfpls model on ``n_support`` random support spectra (a multiple of 3)
+    of ``bands`` bands; 654 is the support size of the benchmark's kfpls model."""
+    support = rng.uniform(0.05, 0.8, size=(n_support, bands))
+    kernel = kn.fit_kernel_pls(support, np.repeat([0, 1, 3], n_support // 3),
                                kn.KernelSpec("matern52", 3.0), 4)
     return PipelineModel(workflow="kfpls", palette={0: "background", 1: "bee", 3: "mite"},
                          mite_label=3, bee_label=1, original_bands=bands,
@@ -738,6 +788,30 @@ def test_apply_memory_does_not_grow_with_rows(fixture, request, tmp_path, monkey
     # comparison; a tile's chunk buffer is counted too, but holds CHUNK_BYTES at most
     mask_bytes = heights[1] * cols * (3 if model.workflow == "kmeans" else 2)
     assert peaks[heights[1]] <= 1.25 * peaks[heights[0]] + mask_bytes, peaks
+
+
+def test_kfpls_apply_memory_does_not_grow_with_the_support(tmp_path, monkeypatch):
+    # a tile is at least one row: with one (tile x support) cross-kernel per
+    # tile, 0.6 MB for this 256-pixel row at 300 support spectra and 2.5 MB at
+    # 1200, the peak rose from 1.7 to 3.5 MB here
+    rng = np.random.default_rng(3)
+    bands = 8
+    cube = HyperCube(data=rng.uniform(0.05, 0.8, size=(4, 256, bands)),
+                     wavelengths_nm=np.linspace(400.0, 1000.0, bands))
+    write_envi(cube, tmp_path / "cube.hdr", tmp_path / "cube.raw", interleave="bil")
+    cube = open_envi(tmp_path / "cube.hdr")
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    peaks = {}
+    for n_support in (300, 1200):
+        model = random_kfpls_model(rng, bands, n_support)
+        apply_pipeline(model, cube)  # first calls; the model keeps its support's norms
+        tracemalloc.start()
+        try:
+            apply_pipeline(model, cube)
+            peaks[n_support] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1200] <= 1.25 * peaks[300], peaks
 
 
 def test_kmeans_apply_scales_each_tile_in_place(tmp_path, monkeypatch):
@@ -855,6 +929,35 @@ def test_blas_threads_restored_after_a_failed_tile(fitted, bil_copy, tmp_path, m
         apply_pipeline(model, cube)
     assert set(seen) == {1}  # the tiles before the failing one ran held
     assert openblas_at_two() == 2
+    # one-row tiles on 2 CPUs: the calling thread and one helper each take a
+    # tile, and the tile of the thread named reads a NaN. The other thread
+    # finishes its tile after that one failed, and neither starts another.
+    cube = open_envi(bil_copy / "bil.hdr")
+    read_rows, calling = type(cube).read_rows, threading.current_thread()
+    for failing in ("calling thread", "helper"):
+        started, both_claimed, failed = [], threading.Barrier(2, timeout=10), threading.Event()
+
+        def spy_read_rows(self, r0, columns, X):
+            started.append((r0, threading.current_thread()))
+            read_rows(self, r0, columns, X)
+            if len(started) > 2:
+                return
+            both_claimed.wait()
+            if (threading.current_thread() is calling) == (failing == "calling thread"):
+                X[0, 0] = np.nan
+                failed.set()
+            else:
+                assert failed.wait(10)
+                time.sleep(0.2)  # the failing thread raises meanwhile
+
+        monkeypatch.setattr(type(cube), "read_rows", spy_read_rows)
+        seen.clear()
+        with pytest.raises(EnviFormatError, match="NaN"):
+            apply_pipeline(model, cube)
+        assert sorted(r0 for r0, _ in started) == [0, 1]
+        assert calling in {thread for _, thread in started}
+        assert seen == [1]  # the other thread's tile ran held
+        assert openblas_at_two() == 2
 
 
 # fit and band selection run on one BLAS thread, whatever the caller set

@@ -11,6 +11,7 @@ from spectral_sift.pls import (
     DaEncoding,
     PlsModel,
     decode_da,
+    dominant_eigenvector,
     encode_da,
     fit_simpls,
 )
@@ -95,8 +96,29 @@ class TestFitSimpls:
         Q, _ = np.linalg.qr(raw - raw.mean(axis=0))
         from spectral_sift.pls import DegenerateDataError
 
-        with pytest.raises(DegenerateDataError, match="exhausted"):
-            fit_simpls(Q, Q[:, 2], a=2)
+        # in any units of Y: the exhausted factor's score norm scales with Y, as
+        # its bound must (a bound of 1e-12 max(||X|| / max(1, ||Y||), 1) missed
+        # it at 1e6)
+        for units in (1.0, 1e-6, 1e6):
+            with pytest.raises(DegenerateDataError, match="exhausted at factor 2"):
+                fit_simpls(Q, units * Q[:, 2], a=2)
+
+    def test_factors_do_not_depend_on_the_eigenvector_sign_lapack_picks(self, monkeypatch):
+        # an eigensolver may return either sign of the dominant eigenvector;
+        # with its largest entry made positive, every build fits one factor sign
+        rng = np.random.default_rng(8)
+        X, Y = random_problem(rng, n=30, p=6, q=2, noise=1.0)
+        A = rng.normal(size=(6, 6))
+        M = A @ A.T
+        q = dominant_eigenvector(M)
+        np.testing.assert_allclose(M @ q, np.linalg.eigvalsh(M)[-1] * q, rtol=1e-12, atol=1e-12)
+        model = fit_simpls(X, Y, a=3)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: (lambda w, v: (w, -v))(*eigh(M)))
+        assert dominant_eigenvector(M).tobytes() == q.tobytes()
+        flipped = fit_simpls(X, Y, a=3)
+        for f in fields(PlsModel):
+            assert getattr(flipped, f.name).tobytes() == getattr(model, f.name).tobytes()
 
     def test_score_orthogonality(self):
         rng = np.random.default_rng(3)

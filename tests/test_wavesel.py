@@ -262,8 +262,8 @@ def random_design(rng, n=60, p=12):
     return X, X @ rng.normal(size=p) + rng.normal(size=n)
 
 
-def duplicated_band_design(rng):
-    X, _ = random_design(rng)
+def duplicated_band_design(rng, n=60):
+    X, _ = random_design(rng, n=n)
     X[:, 7] = X[:, 2]
     return X, 3.0 * X[:, 2] + X[:, 5] + 0.2 * rng.normal(size=X.shape[0])
 
@@ -292,6 +292,9 @@ def orthogonal_tie_design(seed):
 ORACLE_DESIGNS = {
     "random": lambda: random_design(np.random.default_rng(20)),
     "duplicated-band": lambda: duplicated_band_design(np.random.default_rng(21)),
+    # the exhausted factor's score norm grows with the rows, as its bound must:
+    # a bound of 1e-12 max(||X|| / max(1, ||y||), 1) missed it here
+    "duplicated-band-600": lambda: duplicated_band_design(np.random.default_rng(21), n=600),
     "linear-combination": lambda: linear_combination_design(np.random.default_rng(22)),
     "constant-band": lambda: constant_band_design(np.random.default_rng(23)),
     "n-below-p": lambda: wide_design(np.random.default_rng(24)),
@@ -429,8 +432,12 @@ class TestCovproc:
         # y orthogonal to every column: the one-factor fit cannot start
         q_full, _ = np.linalg.qr(np.hstack([X, rng.normal(size=(30, 1))]))
         y = q_full[:, 5] - q_full[:, 5].mean()
-        with pytest.raises((DegenerateDataError, ValueError)):
-            covproc_select(X, y, rounds=1)
+        # in any units of y: the score of rounding-level covariances scales with
+        # y, as its bound must (a bound of 1e-12 max(||X|| / max(1, ||y||), 1)
+        # missed it at 1e6)
+        for units in (1.0, 1e-6, 1e6):
+            with pytest.raises(DegenerateDataError, match="round 1: .* give no score"):
+                covproc_select(X, units * y, rounds=1)
 
     @staticmethod
     def simpls_order(X, y, usable):
