@@ -169,9 +169,10 @@ for method in covproc r2-stop; do
   test $status -eq 2
   test ! -e $method-k2/selection_report.json
 done
-# fit and apply both workflows again from two float32 copies: BIL, the layout
-# of a camera frame, and big-endian BSQ, whose row tiles are read one band at a
-# time. Both hold the same values, so both give the same model and masks.
+# fit and apply both workflows, and select bands with r2 and with covproc,
+# again from two float32 copies: BIL, the layout of a camera frame, and
+# big-endian BSQ, whose row tiles are read one band at a time. Both hold the
+# same values, so both give the same model, masks and selection reports.
 mkdir bil bsq
 python - <<'PY'
 from spectral_sift.specdata import read_envi, write_envi
@@ -196,10 +197,17 @@ for copy in bil bsq; do
     spectral-sift fit --config $copy/$workflow.json --out $copy/$workflow
     spectral-sift apply --model $copy/$workflow/model.json --cube $copy/cube.hdr --out $copy/$workflow/applied
   done
+  for method in r2 covproc; do
+    sed "s#scene/cube.hdr#$copy/cube.hdr#" $method.json > $copy/$method.json
+    spectral-sift select-bands --config $copy/$method.json --out $copy/$method > /dev/null
+  done
 done
 for workflow in kmeans kfpls; do
   cmp bil/$workflow/model.json bsq/$workflow/model.json
   cmp bil/$workflow/applied/class_mask.raw bsq/$workflow/applied/class_mask.raw
+done
+for method in r2 covproc; do
+  cmp bil/$method/selection_report.json bsq/$method/selection_report.json
 done
 # diagnostics.json is standard JSON (no Infinity or NaN), and the KF trace has
 # one row per configured iteration

@@ -17,12 +17,12 @@ use (a band subset is a sorted column list) and checked for NaN/Inf. Apply
 also takes a :class:`HyperCube`, whose own ``read_rows`` gives its tiles. A
 fit walks the tiles once per statistic in one reused buffer and keeps only
 per-pixel results: the scores of the gated components (the kmeans path
-reads the tiles five times, :func:`_fit_kmeans_path`), or the few pixels it
-gathers (Kernel Flows samples, band selection's bee and mite rows). Apply
-classifies tiles on one worker per usable CPU, the calling thread among
-them; a kfpls tile's cross-kernel is taken in chunks. Rows and mask labels
-are in row-major scan order, so a per-pixel result reshapes to the image
-grid.
+reads the tiles five times, :func:`_fit_kmeans_path`) or the Kernel Flows
+samples. Band selection keeps none: three passes sum one autoscaled
+cross-product of the bee and mite rows. Apply classifies tiles on one
+worker per usable CPU, the calling thread among them; a kfpls tile's
+cross-kernel is taken in chunks. Rows and mask labels are in row-major scan
+order, so a per-pixel result reshapes to the image grid.
 
 Every tile holds at most ``TILE_CELLS`` cells (at least one row), its rows
 set by the cube's columns and the width in use alone, and fit, band
@@ -125,6 +125,8 @@ class BandSelectionConfig:
     stop_by_clustering: bool = False
 
     def __post_init__(self) -> None:
+        if self.init_m < 0:
+            raise ConfigError(f"init_m must be >= 0, got {self.init_m}")
         if self.method == "r2" and self.target_count <= self.init_m:
             raise ConfigError(f"target_count must exceed init_m ({self.init_m}) for r2, "
                               f"got {self.target_count}")
@@ -402,6 +404,18 @@ def _gather_pixels(cube: CubeFile, columns: list[int] | None,
     return out
 
 
+def _bee_mite_tiles(tiles: _RowTiles, selector: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
+    """New [X | y] tiles: each tile's rows ``selector`` (a mask over the pixels)
+    and their entries of ``y``; a tile without a selected row is skipped."""
+    start = filled = 0
+    for X in tiles:
+        keep = selector[start:start + X.shape[0]]
+        start, count = start + X.shape[0], np.count_nonzero(keep)
+        if count:
+            yield np.column_stack((X[keep], y[filled:filled + count]))
+            filled += count
+
+
 def _kept_scores(tiles: _RowTiles, scale: pp.ScaleModel, loadings: np.ndarray,
                  pixels: np.ndarray | None, components: np.ndarray | None) -> np.ndarray:
     """One pass over the tiles: each tile is autoscaled and projected on every
@@ -438,15 +452,12 @@ def _fit_kmeans_path(cube: CubeFile, columns: list[int] | None,
     holds of the cube: the tile buffer goes before it starts."""
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
     tiles = _RowTiles(cube, columns)
-    scale = pp.fit_scale_tiles(lambda: tiles)
-    cross = np.zeros((tiles.width, tiles.width))
-    for X in tiles:
-        cross += X.T @ pp.apply_scale(scale, X, out=X)
+    scale, cross = pp.scaled_cross_product(lambda: tiles)
     pca_model = pc.pca_from_cross_product(cross, labels.size, config.pca.components)
     rho = pc.correlate_scores(_kept_scores(tiles, scale, pca_model.loadings, selector, None), y)
     selection = pc.select_components(rho, top_n=config.pca.top_n, threshold=config.pca.threshold)
     scores = _kept_scores(tiles, scale, pca_model.loadings, None, selection.selected)
-    del tiles, X  # the last tile is a view of the buffer
+    del tiles  # and with it the tile buffer
     cluster_model, diag = cl.fit_supervised(
         scores, labels, config.labels.mite, config.labels.bee,
         k0=config.cluster.k0, k_max=config.cluster.k_max, seed=config.seed,
@@ -510,8 +521,9 @@ def _passes_clustering(cube: CubeFile, labels: np.ndarray, config: RunConfig,
 @_blas_threads_held()
 def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     """Run the configured selector on the cube's bee and mite pixels; returns
-    ``(report, bands_for_model, passing_fit)``. Reading those pixels checks
-    the whole payload for NaN/Inf.
+    ``(report, bands_for_model, passing_fit)``. The selectors read the
+    autoscaled cross-product of those pixels' [spectra | bee indicator],
+    summed over the row tiles, whose reads check the payload for NaN/Inf.
 
     The selector only ranks bands. With ``stop_by_clustering`` one rule then
     cuts either list: its prefixes are tested in order, from ``first`` bands
@@ -523,19 +535,20 @@ def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     """
     bands_cfg = config.band_selection
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
-    Xbm = _gather_pixels(cube, None, np.flatnonzero(selector))
+    _, cross = pp.scaled_cross_product(
+        functools.partial(_bee_mite_tiles, _RowTiles(cube, None), selector, y))
     excluded = ws.exclude_tail(cube.bands, bands_cfg.n_tail)
 
     if bands_cfg.method == "r2":
-        init = ws.init_by_correlation(Xbm, y, m=bands_cfg.init_m, exclude=excluded)
+        init = ws.init_by_correlation(cross, m=bands_cfg.init_m, exclude=excluded)
         report = ws.r2_forward_select(
-            Xbm, y, target_count=bands_cfg.target_count, init=init, lv=bands_cfg.lv,
+            cross, target_count=bands_cfg.target_count, init=init, lv=bands_cfg.lv,
             exclude=excluded, wavelengths_nm=cube.wavelengths_nm,
         )
         bands, listed, first = list(report.selected), "r2 band list", len(init) + 1
     elif bands_cfg.method == "covproc":
         report = ws.covproc_select(
-            Xbm, y, rounds=bands_cfg.rounds, exclude=excluded, wavelengths_nm=cube.wavelengths_nm,
+            cross, rounds=bands_cfg.rounds, exclude=excluded, wavelengths_nm=cube.wavelengths_nm,
         )
         order = bands_cfg.round_order or tuple(r.index for r in report.rounds)
         bands, listed, first = ws.reorder_rounds(report, order), "reordered band list", 1

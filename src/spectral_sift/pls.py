@@ -71,7 +71,9 @@ def fit_simpls(X: np.ndarray, Y: np.ndarray, a: int) -> PlsModel:
 
     Each factor maximizes the covariance between its X-score and the
     remaining Y structure, subject to orthogonality with earlier X-scores.
-    A 1-D Y is one response column.
+    A 1-D Y is one response column. A score norm of at most 1e-12 ||X||^2
+    ||Y|| (Frobenius norms; the scale of a rounding-level score X X'Y v)
+    raises :class:`DegenerateDataError`.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -91,13 +93,13 @@ def fit_simpls(X: np.ndarray, Y: np.ndarray, a: int) -> PlsModel:
     Q = np.empty((Y.shape[1], a))
     T = np.empty((n, a))
     V = np.zeros((p, a))  # orthonormal basis of past X-loadings, for deflating S
-    scale_ref = float(np.linalg.norm(X)) * max(1.0, float(np.linalg.norm(Y)))
+    bound = 1e-12 * float(np.linalg.norm(X)) ** 2 * float(np.linalg.norm(Y))
 
     for i in range(a):
         r = S @ dominant_eigenvector(S.T @ S)
         t = X @ r
         normt = float(np.linalg.norm(t))
-        if normt <= 1e-12 * max(scale_ref, 1.0):
+        if normt <= bound:
             raise DegenerateDataError(
                 f"cross-product matrix exhausted at factor {i + 1} of {a} "
                 "(rank-deficient or constant data)"

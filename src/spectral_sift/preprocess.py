@@ -63,6 +63,17 @@ def fit_scale_tiles(tiles: Callable[[], Iterable[np.ndarray]]) -> ScaleModel:
     return ScaleModel(means=means, stds=stds, flagged=flagged)
 
 
+def scaled_cross_product(
+        tiles: Callable[[], Iterable[np.ndarray]]) -> tuple[ScaleModel, np.ndarray]:
+    """:func:`fit_scale_tiles` of a matrix read in row tiles, then a third pass
+    that scales each tile in place and sums the tiles' XₛᵀXₛ."""
+    scale = fit_scale_tiles(tiles)
+    cross = np.zeros((scale.means.size, scale.means.size))
+    for X in tiles():
+        cross += X.T @ apply_scale(scale, X, out=X)
+    return scale, cross
+
+
 def fit_scale(X: np.ndarray) -> ScaleModel:
     """Fit per-column mean/std statistics on a calibration matrix."""
     X = np.asarray(X, dtype=np.float64)

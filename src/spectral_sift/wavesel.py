@@ -1,17 +1,21 @@
-"""Wavelength (band) selection on top of PLS.
+"""Wavelength (band) selection on top of PLS, from one cross-product.
 
-Two selectors: a greedy forward search that adds whichever band raises the
-training R^2 most, and a covariance-procedure search that works in rounds of
-sorted band/response covariances with an alpha = |y't| / (t't) prefix
-criterion and X deflation between rounds.
+Both selectors read Z'Z for Z = [X | y], the bee and mite spectra with the
+response as a last column, every column autoscaled
+(:func:`preprocess.scaled_cross_product`). Its blocks C = X'X, s = X'y and
+y'y hold all they need, so neither touches a pixel: the kernel form of PLS
+(Lindgren, Geladi & Wold, J. Chemometrics 7 (1993) 45; Dayal & MacGregor,
+J. Chemometrics 11 (1997) 73).
 
-The forward search reads the rows only to form its cross-products: SIMPLS
-needs only X'X and X'y, and autoscaling is per column, so every candidate
-band set is fitted from its block of the autoscaled C = X'X and s = X'y. The
-scores are orthonormal, so the training R^2 is sum(q^2) / y'y, with no
-regression coefficients. A factor whose score norm vanishes is dead: the
-set's cross-product is exhausted (collinear or constant bands), and the set
-keeps only the factors before it, as a refit with fewer factors would.
+The greedy forward search adds whichever band raises the training R^2 most,
+fitting every candidate band set by SIMPLS on its blocks of C and s; the
+scores are orthonormal, so R^2 = sum(q^2) / y'y. The covariance procedure
+works in rounds of band/response covariances c = X'y sorted by |c|, with an
+alpha = |y't| / (t't) prefix criterion and X deflation between rounds, all
+done on C and c. A score of norm at most 1e-12 trace(C) sqrt(y'y), the scale
+of a rounding-level X X'y (as in :func:`pls.fit_simpls`), means the
+cross-product is exhausted (collinear or constant bands, or X deflated
+away).
 
 Both selectors honor an up-front excluded set (the unstable detector tail)
 and break every tie toward the lower band index (the smaller prefix), where
@@ -26,10 +30,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pca import correlate_scores
 from .pls import DegenerateDataError
 from .pls import fit_simpls  # noqa: F401  bench/spans.py traces wavesel.fit_simpls by name
-from .preprocess import apply_scale, fit_scale
 
 METHOD_R2 = "r2_forward"
 METHOD_COVPROC = "covproc"
@@ -115,17 +117,15 @@ def _first_near_max(values: np.ndarray) -> int:
     return int(np.flatnonzero(best - values <= TIE_RTOL * abs(best))[0])
 
 
-def init_by_correlation(
-    X: np.ndarray, y: np.ndarray, m: int, exclude: Iterable[int] = ()
-) -> list[int]:
-    """Top-m usable bands by |Pearson correlation| with the response
-    (:func:`pca.correlate_scores` on the band columns), ties toward the
-    lower band."""
-    X = np.asarray(X, dtype=np.float64)
-    usable = _usable(X.shape[1], exclude)
+def init_by_correlation(cross: np.ndarray, m: int, exclude: Iterable[int] = ()) -> list[int]:
+    """Top-m usable bands by |Pearson correlation| with the response, from the
+    autoscaled cross-product of [X | y]: |s_j| / sqrt(C_jj y'y), 0 where C_jj
+    is 0 (a constant band). Ties go toward the lower band."""
+    usable = _usable(cross.shape[0] - 1, exclude)
     if m >= len(usable):
         raise ValueError(f"m={m} must be below the {len(usable)} usable bands")
-    rho = correlate_scores(X[:, usable], y)
+    norms = np.sqrt(cross.diagonal()[usable] * cross[-1, -1])
+    rho = np.divide(np.abs(cross[usable, -1]), norms, out=np.zeros(norms.size), where=norms > 0)
     order = np.argsort(-rho, kind="stable")
     return [usable[i] for i in order[:m]]
 
@@ -134,11 +134,11 @@ def _simpls_r2(C: np.ndarray, s: np.ndarray, yy: float, a: int) -> np.ndarray:
     """Training R^2 of single-response SIMPLS with up to ``a`` factors for k
     autoscaled column sets, from their cross-products C = X'X (k, c, c) and
     s = X'y (k, c) and yy = y'y: t't = r'C r, q = s'r, R^2 = sum(q^2) / yy.
-    A score norm within ``fit_simpls``'s 1e-12 bound ends the set's factors.
+    A score norm within 1e-12 trace(C) sqrt(yy) ends the set's factors, as a
+    refit with fewer factors would.
     """
     k = s.shape[0]
-    norm_x = np.sqrt(np.trace(C, axis1=1, axis2=2))
-    bound = 1e-12 * np.maximum(norm_x * max(1.0, np.sqrt(yy)), 1.0)
+    bound = 1e-12 * np.trace(C, axis1=1, axis2=2) * np.sqrt(yy)
     S = s.copy()
     basis: list[np.ndarray] = []  # orthonormal past x-loadings, for deflating S
     alive = np.ones(k, dtype=bool)
@@ -158,37 +158,29 @@ def _simpls_r2(C: np.ndarray, s: np.ndarray, yy: float, a: int) -> np.ndarray:
     return explained / yy
 
 
-def r2_forward_select(
-    X: np.ndarray,
-    y: np.ndarray,
-    target_count: int,
-    init: Sequence[int] = (),
-    lv: int = DEFAULT_FORWARD_LV,
-    exclude: Iterable[int] = (),
-    wavelengths_nm: np.ndarray | None = None,
-) -> SelectionReport:
-    """Greedy forward band selection by training R^2.
+def r2_forward_select(cross: np.ndarray, target_count: int, init: Sequence[int] = (),
+                      lv: int = DEFAULT_FORWARD_LV, exclude: Iterable[int] = (),
+                      wavelengths_nm: np.ndarray | None = None) -> SelectionReport:
+    """Greedy forward band selection by training R^2, from the autoscaled
+    cross-product of [X | y].
 
-    Every step scores a PLS model (min(lv, |selection|) latent variables) on
-    the selection plus each unselected usable band and permanently adds the
-    best one; among bands whose R^2 is within ``TIE_RTOL`` of the best, the
-    lowest wins. X and y are autoscaled once, and all of a step's
-    candidates are fitted in one batched SIMPLS on their blocks of C = X'X
-    and s = X'y. A band set whose cross-product with y vanishes scores
-    R^2 = 0. X and y must be finite, and ``target_count`` above the init
-    size. A step depends on the bands before it alone, so each prefix of
-    the report is the search stopped there.
+    Every step scores a PLS model (min(lv, |selection|) latent variables,
+    less any found dead, as those past the rows' rank are) on the selection
+    plus each unselected usable band and permanently adds the best one;
+    among bands whose R^2 is within ``TIE_RTOL`` of the best, the lowest
+    wins. All of a step's candidates are fitted in one batched SIMPLS on
+    their blocks of C = X'X and s = X'y. A band set whose cross-product with
+    y vanishes scores R^2 = 0. The cross-product must be finite, and
+    ``target_count`` above the init size. A step depends on the bands
+    before it alone, so each prefix of the report is the search stopped
+    there.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.shape[0] != y.size:
-        raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} entries")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("X and y must be finite (no NaN or Inf)")
+    if not np.isfinite(cross).all():
+        raise ValueError("the cross-product must be finite (no NaN or Inf)")
     if lv < 1:
         raise ValueError(f"lv must be >= 1, got {lv}")
     excluded = sorted(set(exclude))
-    usable = _usable(X.shape[1], excluded)
+    usable = _usable(cross.shape[0] - 1, excluded)
     selected = [int(i) for i in init]
     if len(set(selected)) != len(selected):
         raise ValueError("init bands must be unique")
@@ -197,18 +189,15 @@ def r2_forward_select(
     if not len(selected) < target_count <= len(usable):
         raise ValueError(f"target_count must be in [{len(selected) + 1}, {len(usable)}], "
                          f"got {target_count}")
-    if float(np.sum((y - y.mean()) ** 2)) == 0:
+    C, s, yy = cross[:-1, :-1], cross[:-1, -1], float(cross[-1, -1])
+    if yy == 0:
         raise ValueError("response has zero variance")
-
-    Xs = apply_scale(fit_scale(X), X)
-    ys = apply_scale(fit_scale(y[:, None]), y[:, None])[:, 0]
-    C, s, yy = Xs.T @ Xs, Xs.T @ ys, float(ys @ ys)
 
     trace: list[float] = []
     while len(selected) < target_count:
         remaining = [b for b in usable if b not in selected]
         cols = np.array([selected + [b] for b in remaining])  # (candidates, |selection| + 1)
-        a = min(lv, cols.shape[1], X.shape[0] - 1)
+        a = min(lv, cols.shape[1])
         r2 = _simpls_r2(C[cols[:, :, None], cols[:, None, :]], s[cols], yy, a)
         i = _first_near_max(r2)  # remaining ascends, so the lowest tied band wins
         selected.append(remaining[i])
@@ -220,58 +209,42 @@ def r2_forward_select(
     )
 
 
-def covproc_select(
-    X: np.ndarray,
-    y: np.ndarray,
-    rounds: int,
-    exclude: Iterable[int] = (),
-    wavelengths_nm: np.ndarray | None = None,
-) -> SelectionReport:
-    """Covariance-procedure selection in rounds, deflating X between rounds.
+def covproc_select(cross: np.ndarray, rounds: int, exclude: Iterable[int] = (),
+                   wavelengths_nm: np.ndarray | None = None) -> SelectionReport:
+    """Covariance-procedure selection in rounds, from the autoscaled
+    cross-product of [X | y], deflating X between rounds.
 
-    The usable bands of X are autoscaled and y centered once, here, as
-    :func:`r2_forward_select` does; the deflated X is not rescaled. Each
-    round takes the band/response covariances c = y'X once, sorts the bands
-    by |c|, grows a sparse weight vector whose entries are those covariances,
-    and keeps the shortest prefix whose alpha = |y't| / (t't), with t = X w,
-    is within ``TIE_RTOL`` of the round's largest alpha. A round whose full
-    score X c has a norm of at most 1e-12 max(||X|| max(1, ||y||), 1) (y
-    orthogonal to every band, or X deflated away) raises
-    :class:`DegenerateDataError`.
+    Each round sorts the usable bands by |c| for c = X'y, takes each prefix's
+    covariances as its weights w, and keeps the shortest prefix whose alpha
+    = |y't| / (t't), t = X w, is within ``TIE_RTOL`` of the largest: y't is
+    the prefix's sum of c^2 and t't = w'C w. Deflating X by t takes C to
+    C - (Cw)(Cw)' / (w'Cw) and c to c - alpha Cw. A round whose full score
+    X c has a norm of at most 1e-12 trace(C) sqrt(y'y) of the undeflated C
+    raises :class:`DegenerateDataError`.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.shape[0] != y.size:
-        raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} entries")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     excluded = sorted(set(exclude))
-    usable = _usable(X.shape[1], excluded)
-    X = X[:, usable]  # a copy: excluded bands take no part, and it is deflated in place
-    apply_scale(fit_scale(X), X, out=X)
-    y = y - y.mean()
-    norm_y = max(1.0, float(np.linalg.norm(y)))
+    usable = _usable(cross.shape[0] - 1, excluded)
+    C, c = cross[np.ix_(usable, usable)], cross[usable, -1]  # copies, deflated in place
+    bound = 1e-12 * float(np.trace(C)) * float(np.sqrt(cross[-1, -1]))
 
     round_traces: list[RoundTrace] = []
     for r in range(1, rounds + 1):
-        c = y @ X
         order = np.argsort(-np.abs(c), kind="stable")
-        alphas = np.full(order.size, np.nan)
-        scores = np.zeros(X.shape[0])
-        for i, j in enumerate(order):
-            scores += X[:, j] * c[j]
-            tt = float(scores @ scores)
-            if tt > 0:
-                alphas[i] = abs(float(y @ scores)) / tt
-        # the last prefix holds every usable band, so its score is X c
-        if np.linalg.norm(scores) <= 1e-12 * max(np.linalg.norm(X) * norm_y, 1.0):
+        co = c[order]
+        yt = np.cumsum(co * co)
+        tt = np.cumsum(np.cumsum(C[np.ix_(order, order)] * np.outer(co, co), axis=0),
+                       axis=1).diagonal()
+        alphas = np.divide(yt, tt, out=np.full(tt.size, np.nan), where=tt > 0)
+        # the last prefix holds every usable band: its t't is c'Cc, which can round below 0
+        if np.sqrt(max(tt[-1], 0.0)) <= bound:
             raise DegenerateDataError(f"round {r}: the band/response covariances give no score")
         n = _first_near_max(alphas)  # smallest prefix among near-maximal alphas
         kept = order[: n + 1]
-        w_r = np.zeros(X.shape[1])
-        w_r[kept] = c[kept]
-        t = X @ w_r
-        X -= np.outer(t, X.T @ t / float(t @ t))
+        Cw = C[:, kept] @ c[kept]
+        c -= alphas[n] * Cw
+        C -= np.outer(Cw, Cw / tt[n])
         round_traces.append(RoundTrace(r, [usable[j] for j in kept], alphas, n + 1))
 
     return SelectionReport(

@@ -524,6 +524,8 @@ def test_old_format_model_rejected_by_apply(version, fitted, tmp_path, caplog):
     ({"band_selection": {"method": "r2", "init_m": 4, "target_count": 2,
                          "stop_by_clustering": True}},
      "band_selection: target_count must exceed init_m (4) for r2, got 2"),
+    ({"band_selection": {"method": "r2", "init_m": -1, "target_count": 4}},
+     "band_selection: init_m must be >= 0, got -1"),
 ])
 def test_malformed_config_exits_1_naming_the_key(doc, key, tmp_path, caplog):
     (tmp_path / "run.json").write_text(json.dumps(doc))
@@ -1255,11 +1257,14 @@ def stacked_scene(root, blocks, bands):
     return root
 
 
-@pytest.mark.parametrize("command", ["kmeans-fit", "covproc-select"])
+@pytest.mark.parametrize("command", ["kmeans-fit", "covproc-select", "r2-select"])
 def test_fit_memory_grows_far_less_than_the_pixels(command, tmp_path, monkeypatch):
     # per added pixel the fit keeps its selected components' scores and a few
-    # labels, and band selection its bee and mite spectra: far less than the
-    # pixel's 204 bands
+    # labels: far less than the pixel's 204 bands. Band selection reads one
+    # (bands + 1)^2 cross-product of the bee and mite spectra, so it holds
+    # less than one spectrum per added bee or mite pixel. When it gathered
+    # those spectra and the selector copied them, it grew by 2.8 (covproc)
+    # and 4.0 (r2) spectra per added bee or mite pixel here.
     bands, heights = 204, (2, 8)
     roots = {blocks: stacked_scene(tmp_path / str(blocks), blocks, bands) for blocks in heights}
     monkeypatch.setattr(pipeline, "TILE_CELLS", 4 * 32 * bands)  # 4-row tiles
@@ -1283,8 +1288,17 @@ def test_fit_memory_grows_far_less_than_the_pixels(command, tmp_path, monkeypatc
             peaks[blocks] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    added_pixels = (heights[1] - heights[0]) * 32 * 32
-    assert peaks[heights[1]] - peaks[heights[0]] < 0.5 * added_pixels * bands * 8, peaks
+    growth = peaks[heights[1]] - peaks[heights[0]]
+    if name == "fit":
+        added_pixels = (heights[1] - heights[0]) * 32 * 32
+        assert growth < 0.5 * added_pixels * bands * 8, peaks
+    else:
+        labels = configs[heights[0]].labels
+        insects = [labels.bee, labels.mite]
+        bee_mite = {blocks: np.count_nonzero(np.isin(pipeline.load_inputs(config)[1].labels,
+                                                     insects))
+                    for blocks, config in configs.items()}
+        assert growth < (bee_mite[heights[1]] - bee_mite[heights[0]]) * bands * 8, peaks
 
 
 def s_like_scene(root):

@@ -96,12 +96,17 @@ class TestFitSimpls:
         Q, _ = np.linalg.qr(raw - raw.mean(axis=0))
         from spectral_sift.pls import DegenerateDataError
 
-        # in any units of Y: the exhausted factor's score norm scales with Y, as
-        # its bound must (a bound of 1e-12 max(||X|| / max(1, ||Y||), 1) missed
-        # it at 1e6)
-        for units in (1.0, 1e-6, 1e6):
-            with pytest.raises(DegenerateDataError, match="exhausted at factor 2"):
-                fit_simpls(Q, units * Q[:, 2], a=2)
+        # in any units of X and Y: the exhausted factor's score norm scales with
+        # ||X||^2 ||Y||, as its bound must (a bound of 1e-12 max(||X|| / max(1,
+        # ||Y||), 1) missed it at Y in units of 1e6; one of 1e-12 max(||X||
+        # max(1, ||Y||), 1) raised on the live first factor at X in units of
+        # 1e-6, and missed the exhausted second one at 1e5)
+        for scale in (1e-8, 1e-6, 1.0, 1e5, 1e8):
+            for units in (1.0, 1e-6, 1e6):
+                X, y = scale * Q, units * Q[:, 2]
+                assert fit_simpls(X, y, a=1).a == 1
+                with pytest.raises(DegenerateDataError, match="exhausted at factor 2"):
+                    fit_simpls(X, y, a=2)
 
     def test_factors_do_not_depend_on_the_eigenvector_sign_lapack_picks(self, monkeypatch):
         # an eigensolver may return either sign of the dominant eigenvector;

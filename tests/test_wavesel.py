@@ -11,7 +11,7 @@ import pytest
 
 from spectral_sift import wavesel
 from spectral_sift.pls import DegenerateDataError, fit_simpls
-from spectral_sift.preprocess import apply_scale, fit_scale
+from spectral_sift.preprocess import apply_scale, fit_scale, scaled_cross_product
 from spectral_sift.wavesel import (
     TIE_RTOL,
     SelectionReport,
@@ -22,7 +22,14 @@ from spectral_sift.wavesel import (
     reorder_rounds,
 )
 
-from pls_oracle import predict
+from pls_oracle import covproc_select_x_form, predict
+
+
+def cross_product(X, y):
+    """The autoscaled cross-product of [X | y] that band selection reads,
+    summed from one tile."""
+    Z = np.column_stack((X, y))
+    return scaled_cross_product(lambda: (Z.copy(),))[1]
 
 # ---------------------------------------------------------------------------
 # independent inner model for the greedy oracle: NIPALS PLS1 with deflation,
@@ -145,13 +152,13 @@ class TestInitByCorrelation:
         X = rng.normal(size=(60, 10))
         y = rng.integers(0, 2, size=60).astype(float)
         X[:, 7] = y
-        assert init_by_correlation(X, y, m=3)[0] == 7
+        assert init_by_correlation(cross_product(X, y), m=3)[0] == 7
 
     def test_returns_m_distinct(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(30, 12))
         y = rng.integers(0, 2, size=30).astype(float)
-        picked = init_by_correlation(X, y, m=3)
+        picked = init_by_correlation(cross_product(X, y), m=3)
         assert len(picked) == 3 and len(set(picked)) == 3
 
     def test_matches_bruteforce_ranking(self):
@@ -160,14 +167,14 @@ class TestInitByCorrelation:
         y = (X[:, 1] + 0.3 * rng.normal(size=50) > 0).astype(float)
         rhos = [abs(np.corrcoef(X[:, j], y)[0, 1]) for j in range(9)]
         oracle = sorted(range(9), key=lambda j: (-rhos[j], j))[:4]
-        assert init_by_correlation(X, y, m=4) == oracle
+        assert init_by_correlation(cross_product(X, y), m=4) == oracle
 
     def test_respects_exclusion(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 6))
         y = rng.integers(0, 2, size=40).astype(float)
         X[:, 5] = y
-        picked = init_by_correlation(X, y, m=2, exclude={5})
+        picked = init_by_correlation(cross_product(X, y), m=2, exclude={5})
         assert 5 not in picked
 
     def test_m_too_large_rejected(self):
@@ -175,7 +182,7 @@ class TestInitByCorrelation:
         X = rng.normal(size=(20, 4))
         y = rng.integers(0, 2, size=20).astype(float)
         with pytest.raises(ValueError, match="usable"):
-            init_by_correlation(X, y, m=4)
+            init_by_correlation(cross_product(X, y), m=4)
 
 
 class TestR2Forward:
@@ -183,7 +190,7 @@ class TestR2Forward:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 8))
         y = X[:, 5].copy()
-        report = r2_forward_select(X, y, target_count=1)
+        report = r2_forward_select(cross_product(X, y), target_count=1)
         assert report.selected == [5]
         assert report.trace[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -197,7 +204,7 @@ class TestR2Forward:
             y = X[:, 2] + X[:, 9]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                report = r2_forward_select(X, y, target_count=2)
+                report = r2_forward_select(cross_product(X, y), target_count=2)
             assert report.selected == [2, 9], seed
             # exhaustive 2-subset oracle agrees that this pair is the best
             best_pair, best_r2 = None, -np.inf
@@ -218,7 +225,7 @@ class TestR2Forward:
             beta = np.zeros(p)
             beta[rng.choice(p, size=4, replace=False)] = rng.normal(size=4)
             y = X @ beta + 0.3 * rng.normal(size=n)
-            report = r2_forward_select(X, y, target_count=6)
+            report = r2_forward_select(cross_product(X, y), target_count=6)
             oracle_sel, oracle_picks = oracle_greedy(X, y, target=6)
             assert report.selected == oracle_sel
             np.testing.assert_allclose(
@@ -229,21 +236,21 @@ class TestR2Forward:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(50, 10))
         y = X @ rng.normal(size=10) + rng.normal(size=50)
-        report = r2_forward_select(X, y, target_count=5)
+        report = r2_forward_select(cross_product(X, y), target_count=5)
         assert np.all(np.diff(report.trace) >= -1e-12)
 
     def test_exclusion_honored(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(40, 8))
         y = X[:, 6].copy()
-        report = r2_forward_select(X, y, target_count=3, exclude={6})
+        report = r2_forward_select(cross_product(X, y), target_count=3, exclude={6})
         assert 6 not in report.selected
 
     def test_init_respected_and_counted(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(40, 8))
         y = X @ rng.normal(size=8)
-        report = r2_forward_select(X, y, target_count=4, init=[1, 3])
+        report = r2_forward_select(cross_product(X, y), target_count=4, init=[1, 3])
         assert report.selected[:2] == [1, 3]
         assert len(report.selected) == 4
 
@@ -251,10 +258,11 @@ class TestR2Forward:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 10))
         y = X @ rng.normal(size=10)
+        cross = cross_product(X, y)
         for target_count in (1, 2):
             with pytest.raises(ValueError, match=r"target_count must be in \[3, 10\]"):
-                r2_forward_select(X, y, target_count=target_count, init=[1, 3])
-        assert r2_forward_select(X, y, target_count=3, init=[1, 3]).selected[:2] == [1, 3]
+                r2_forward_select(cross, target_count=target_count, init=[1, 3])
+        assert r2_forward_select(cross, target_count=3, init=[1, 3]).selected[:2] == [1, 3]
 
 
 def random_design(rng, n=60, p=12):
@@ -298,6 +306,9 @@ ORACLE_DESIGNS = {
     "linear-combination": lambda: linear_combination_design(np.random.default_rng(22)),
     "constant-band": lambda: constant_band_design(np.random.default_rng(23)),
     "n-below-p": lambda: wide_design(np.random.default_rng(24)),
+    # 5 rows hold 4 factors at most: the oracle caps the factors at n - 1, and
+    # r2 must find the ones past them dead
+    "rows-below-lv": lambda: random_design(np.random.default_rng(28), n=5),
     "orthogonal-tie-6": lambda: orthogonal_tie_design(6),
     "orthogonal-tie-4": lambda: orthogonal_tie_design(4),
 }
@@ -315,7 +326,7 @@ class TestR2AgainstRefitOracle:
             return first_near_max(values)
 
         monkeypatch.setattr(wavesel, "_first_near_max", record)
-        report = r2_forward_select(X, y, target_count=8, init=[1])
+        report = r2_forward_select(cross_product(X, y), target_count=8, init=[1])
         oracle_sel, steps = reference_r2_steps(X, y, target_count=8, init=[1])
         assert report.selected == oracle_sel
         assert len(seen) == len(steps) == 7
@@ -323,20 +334,38 @@ class TestR2AgainstRefitOracle:
             np.testing.assert_allclose(r2, oracle_r2, rtol=1e-9)
         np.testing.assert_allclose(report.trace, [r2.max() for r2 in seen], rtol=1e-12)
 
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    def test_picks_do_not_depend_on_the_row_count(self, design):
+        # k-fold repeated rows multiply the cross-product by about k: the R^2 of
+        # each step must not move, so a dead factor's bound must grow as its
+        # rounding-level score does, with trace(C) sqrt(y'y) (a bound of 1e-12
+        # max(||X|| max(1, ||y||), 1) kept dead factors and changed the picks
+        # of 5 of these designs at k = 1e8, and of a sixth at 1e12)
+        X, y = ORACLE_DESIGNS[design]()
+        cross = cross_product(X, y)
+        report = r2_forward_select(cross, target_count=8, init=[1])
+        for k in (1e4, 1e8, 1e12):
+            scaled = r2_forward_select(k * cross, target_count=8, init=[1])
+            assert scaled.selected == report.selected, k
+            np.testing.assert_allclose(scaled.trace, report.trace, rtol=1e-9)
+
     def test_non_finite_input_rejected(self):
+        # a NaN or Inf in X or y makes the cross-product's column NaN
         X, y = random_design(np.random.default_rng(25))
         X[3, 4] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            r2_forward_select(X, y, target_count=2)
+            r2_forward_select(cross_product(X, y), target_count=2)
         X[3, 4] = 0.0
         y[0] = np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf while centering
+            cross = cross_product(X, y)
         with pytest.raises(ValueError, match="finite"):
-            r2_forward_select(X, y, target_count=2)
+            r2_forward_select(cross, target_count=2)
 
     def test_no_latent_variables_rejected(self):
         X, y = random_design(np.random.default_rng(26))
         with pytest.raises(ValueError, match="lv"):
-            r2_forward_select(X, y, target_count=2, lv=0)
+            r2_forward_select(cross_product(X, y), target_count=2, lv=0)
 
 
 class TestCovproc:
@@ -344,7 +373,7 @@ class TestCovproc:
         rng = np.random.default_rng(12)
         X = scaled_orthogonal_design(rng, n=45, p=7)
         y = 2.0 * X[:, 3]
-        report = covproc_select(X, y, rounds=1)
+        report = covproc_select(cross_product(X, y), rounds=1)
         assert report.rounds[0].variables == [3]
         assert report.rounds[0].chosen_n == 1
         # enumeration oracle: recompute alpha for every prefix directly; with
@@ -371,7 +400,7 @@ class TestCovproc:
             X = apply_scale(scale, raw)
             raw_y = X @ rng.normal(size=p) + 0.5 * rng.normal(size=n) + 3.0
             y = raw_y - raw_y.mean()
-            report = covproc_select(raw, raw_y, rounds=3)
+            report = covproc_select(cross_product(raw, raw_y), rounds=3)
             Xd = X.copy()
             for rnd in report.rounds:
                 w_full = Xd.T @ y
@@ -400,7 +429,7 @@ class TestCovproc:
         X = apply_scale(scale, raw)
         y = X @ rng.normal(size=8)
         y = y - y.mean()
-        report = covproc_select(raw, y, rounds=2)
+        report = covproc_select(cross_product(raw, y), rounds=2)
         # recompute round-1 score on the original matrix, then deflate
         w_r = np.zeros(8)
         for band in report.rounds[0].variables:
@@ -421,7 +450,7 @@ class TestCovproc:
         X = apply_scale(fit_scale(raw), raw)
         y = X[:, 5] + 0.1 * rng.normal(size=40)
         y = y - y.mean()
-        report = covproc_select(X, y, rounds=2, exclude={5})
+        report = covproc_select(cross_product(X, y), rounds=2, exclude={5})
         assert 5 not in report.selected
         for rnd in report.rounds:
             assert 5 not in rnd.variables
@@ -437,7 +466,13 @@ class TestCovproc:
         # missed it at 1e6)
         for units in (1.0, 1e-6, 1e6):
             with pytest.raises(DegenerateDataError, match="round 1: .* give no score"):
-                covproc_select(X, units * y, rounds=1)
+                covproc_select(cross_product(X, units * y), rounds=1)
+        # and at any row count: k-fold repeated rows multiply the cross-product
+        # by about k, and that score by k^1.5, as trace(C) sqrt(y'y) grows (a
+        # bound of 1e-12 max(||X|| max(1, ||y||), 1) missed it at k = 1e8)
+        for k in (1e4, 1e8, 1e12):
+            with pytest.raises(DegenerateDataError, match="round 1: .* give no score"):
+                covproc_select(k * cross_product(X, y), rounds=1)
 
     @staticmethod
     def simpls_order(X, y, usable):
@@ -466,7 +501,7 @@ class TestCovproc:
                 y = (y > np.median(y)).astype(float)  # a bee/mite indicator
             exclude = set(rng.choice(p, size=p // 3, replace=False).tolist())
             rounds = min(3, p - len(exclude))
-            report = covproc_select(raw, y, rounds=rounds, exclude=exclude)
+            report = covproc_select(cross_product(raw, y), rounds=rounds, exclude=exclude)
             usable = [b for b in range(p) if b not in exclude]
             self.check_rounds_against_simpls(raw, y, report, usable)
 
@@ -482,20 +517,62 @@ class TestCovproc:
         noise = rng.integers(-1, 2, size=n).astype(float)
         noise[0] -= noise.sum()  # sums to 0, so y - mean(y) stays an integer vector
         y = 3.0 * raw[:, 2] + noise + 7.0
-        report = covproc_select(raw, y, rounds=1)
+        report = covproc_select(cross_product(raw, y), rounds=1)
         order = self.simpls_order(apply_scale(fit_scale(raw), raw), y - y.mean(), list(range(p)))
         assert order[:2] == [2, 6]
         assert report.rounds[0].variables[0] == 2
         self.check_rounds_against_simpls(raw, y, report, list(range(p)))
 
-    @pytest.mark.parametrize("p", [3, 4, 6, 10, 20])
-    def test_more_rounds_than_bands_exhaust_at_round_p_plus_1(self, p):
+    @pytest.mark.parametrize("p, repeats", [
+        *(pytest.param(p, 1, id=str(p)) for p in (3, 4, 6, 10, 20)),
+        # 300 000 rows: the exhausted round's c'Cc rounds to about 0, either
+        # side of it, and a square root of a value below 0 is NaN, which no
+        # bound catches
+        pytest.param(3, 10_000, id="3-rows-x10000"),
+    ])
+    def test_more_rounds_than_bands_exhaust_at_round_p_plus_1(self, p, repeats):
         # each round deflates X by one rank, so after p rounds nothing is left
         rng = np.random.default_rng(p)
         X, y = rng.normal(size=(30, p)), rng.normal(size=30)
-        assert len(covproc_select(X, y, rounds=p).rounds) == p
+        cross = cross_product(np.tile(X, (repeats, 1)), np.tile(y, repeats))
+        assert len(covproc_select(cross, rounds=p).rounds) == p
         with pytest.raises(DegenerateDataError, match=f"round {p + 1}:"):
-            covproc_select(X, y, rounds=p + 1)
+            covproc_select(cross, rounds=p + 1)
+
+    @pytest.mark.parametrize("p", [3, 4, 20])
+    def test_exhaustion_does_not_depend_on_the_row_count(self, p):
+        # k-fold repeated rows multiply the cross-product by about k; the rounds
+        # and their exhaustion stay (a bound of 1e-12 max(||X|| max(1, ||y||),
+        # 1) missed round p + 1 at k = 1e8 for p = 4 and 20, at 1e12 for 3)
+        rng = np.random.default_rng(p)
+        X, y = rng.normal(size=(30, p)), rng.normal(size=30)
+        cross = cross_product(X, y)
+        report = covproc_select(cross, rounds=p)
+        for k in (1e4, 1e8, 1e12):
+            scaled = covproc_select(k * cross, rounds=p)
+            assert [r.variables for r in scaled.rounds] == [r.variables for r in report.rounds]
+            np.testing.assert_allclose(scaled.trace, np.array(report.trace) / k, rtol=1e-9)
+            with pytest.raises(DegenerateDataError, match=f"round {p + 1}:"):
+                covproc_select(k * cross, rounds=p + 1)
+
+    def test_rounds_match_the_x_form_oracle(self):
+        # the rounds on the cross-product are the rounds on X that deflate X
+        rng = np.random.default_rng(27)
+        for trial in range(30):
+            n, p = int(rng.integers(20, 80)), int(rng.integers(3, 25))
+            raw = rng.normal(size=(n, p)) @ (np.eye(p) + 0.5 * rng.normal(size=(p, p)))
+            y = raw @ rng.normal(size=p) + rng.normal(size=n)
+            if trial % 2:
+                y = (y > np.median(y)).astype(float)  # a bee/mite indicator
+            exclude = set(rng.choice(p, size=p // 3, replace=False).tolist())
+            rounds = min(4, p - len(exclude))
+            report = covproc_select(cross_product(raw, y), rounds=rounds, exclude=exclude)
+            oracle = covproc_select_x_form(raw, y, rounds=rounds, exclude=exclude)
+            assert report.selected == oracle.selected
+            for rnd, expected in zip(report.rounds, oracle.rounds, strict=True):
+                assert (rnd.variables, rnd.chosen_n) == (expected.variables, expected.chosen_n)
+                np.testing.assert_allclose(rnd.alphas, expected.alphas, rtol=1e-9)
+            np.testing.assert_allclose(report.trace, oracle.trace, rtol=1e-9)
 
 
 class TestReorderRounds:
