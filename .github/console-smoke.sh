@@ -173,12 +173,23 @@ done
 # again from two float32 copies: BIL, the layout of a camera frame, and
 # big-endian BSQ, whose row tiles are read one band at a time. Both hold the
 # same values, so both give the same model, masks and selection reports.
-mkdir bil bsq
+# The scene stacked 8 times down the rows (320 x 36 px) is written in both
+# layouts too: its 13 bands take two row tiles, which fit and band selection
+# merge into one set of statistics.
+mkdir bil bsq tall
 python - <<'PY'
-from spectral_sift.specdata import read_envi, write_envi
+import numpy as np
+from spectral_sift.specdata import (HyperCube, LabelMask, read_envi, read_label_mask,
+                                    write_envi, write_label_mask_envi)
 cube = read_envi("scene/cube.hdr")
 write_envi(cube, "bil/cube.hdr", "bil/cube.raw", interleave="bil", dtype="f4")
 write_envi(cube, "bsq/cube.hdr", "bsq/cube.raw", interleave="bsq", dtype="f4", byte_order=1)
+tall = HyperCube(data=np.concatenate([cube.data] * 8), wavelengths_nm=cube.wavelengths_nm)
+write_envi(tall, "tall/bil.hdr", "tall/bil.raw", interleave="bil", dtype="f4")
+write_envi(tall, "tall/bsq.hdr", "tall/bsq.raw", interleave="bsq", dtype="f4", byte_order=1)
+mask = read_label_mask("scene/mask.hdr")
+write_label_mask_envi(LabelMask(labels=np.concatenate([mask.labels] * 8), palette=mask.palette),
+                      "tall/mask.hdr", "tall/mask.raw")
 PY
 # both copies read back whole as the f8 scene cast through float32, and the
 # ENVI mask reads as its PGM twin
@@ -209,6 +220,14 @@ done
 for method in r2 covproc; do
   cmp bil/$method/selection_report.json bsq/$method/selection_report.json
 done
+for copy in bil bsq; do
+  sed "s#scene/cube.hdr#tall/$copy.hdr#; s#scene/mask.hdr#tall/mask.hdr#" kmeans.json > tall/$copy-kmeans.json
+  spectral-sift fit --config tall/$copy-kmeans.json --out tall/$copy-kmeans > /dev/null
+  sed "s#scene/cube.hdr#tall/$copy.hdr#; s#scene/mask.hdr#tall/mask.hdr#" covproc.json > tall/$copy-covproc.json
+  spectral-sift select-bands --config tall/$copy-covproc.json --out tall/$copy-covproc > /dev/null
+done
+cmp tall/bil-kmeans/model.json tall/bsq-kmeans/model.json
+cmp tall/bil-covproc/selection_report.json tall/bsq-covproc/selection_report.json
 # diagnostics.json is standard JSON (no Infinity or NaN), and the KF trace has
 # one row per configured iteration
 python - <<'PY'

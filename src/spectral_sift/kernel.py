@@ -139,8 +139,6 @@ def distance_kernel(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = No
     plain expressions in the comments, entry by entry, so the values keep
     every bit whatever the blocks.
     """
-    if r.size <= BLOCK_CELLS:
-        return _distance_kernel_block(spec, r, out)
     if out is None:
         out = np.empty_like(r)
     rows = max(1, BLOCK_CELLS // r.shape[1])

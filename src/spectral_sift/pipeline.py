@@ -15,14 +15,14 @@ selection and apply open the file (:class:`CubeFile`, from
 converted to a row-major float64 pixels-by-bands matrix of the columns in
 use (a band subset is a sorted column list) and checked for NaN/Inf. Apply
 also takes a :class:`HyperCube`, whose own ``read_rows`` gives its tiles. A
-fit walks the tiles once per statistic in one reused buffer and keeps only
-per-pixel results: the scores of the gated components (the kmeans path
-reads the tiles five times, :func:`_fit_kmeans_path`) or the Kernel Flows
-samples. Band selection keeps none: three passes sum one autoscaled
-cross-product of the bee and mite rows. Apply classifies tiles on one
-worker per usable CPU, the calling thread among them; a kfpls tile's
-cross-kernel is taken in chunks. Rows and mask labels are in row-major scan
-order, so a per-pixel result reshapes to the image grid.
+fit walks the tiles in one reused buffer and keeps only per-pixel results:
+the scores of the gated components (the kmeans path reads the tiles three
+times, :func:`_fit_kmeans_path`) or the Kernel Flows samples. Band
+selection keeps none: one pass sums the autoscaled cross-product of the bee
+and mite rows (:func:`preprocess.scaled_cross_product`). Apply classifies
+tiles on one worker per usable CPU, the calling thread among them; a kfpls
+tile's cross-kernel is taken in chunks. Rows and mask labels are in
+row-major scan order, so a per-pixel result reshapes to the image grid.
 
 Every tile holds at most ``TILE_CELLS`` cells (at least one row), its rows
 set by the cube's columns and the width in use alone, and fit, band
@@ -369,7 +369,8 @@ def _read_tile(cube: HyperCube | CubeFile, r0: int, rows: int, columns: list[int
 
 
 class _RowTiles:
-    """The row tiles of a fit, top to bottom, each read again on every pass.
+    """The row tiles of a fit, top to bottom, each read again on every pass:
+    once for band selection, three times for the kmeans path.
 
     Iterating yields each tile as :func:`_read_tile` gives it, in one buffer
     that every tile of every pass reuses: a tile holds until the next one is
@@ -444,15 +445,16 @@ def _kept_scores(tiles: _RowTiles, scale: pp.ScaleModel, loadings: np.ndarray,
 def _fit_kmeans_path(cube: CubeFile, columns: list[int] | None,
                      labels: np.ndarray, config: RunConfig):
     """Autoscale, PCA, component gate and escalation on the cube's columns
-    (every band when None), in five passes over the row tiles: column means,
-    standard deviations, the autoscaled cross-product XᵀX, the scores of
-    every component at the bee and mite pixels alone (the gate's
-    correlations), and the scores of the selected components at every pixel.
+    (every band when None), in three passes over the row tiles: the column
+    means, standard deviations and autoscaled cross-product XₛᵀXₛ in one
+    (:func:`preprocess.scaled_cross_product`), the scores of every component
+    at the bee and mite pixels alone (the gate's correlations), and the
+    scores of the selected components at every pixel.
     Only the last are kept whole, and they are all that the escalation
     holds of the cube: the tile buffer goes before it starts."""
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
     tiles = _RowTiles(cube, columns)
-    scale, cross = pp.scaled_cross_product(lambda: tiles)
+    scale, cross = pp.scaled_cross_product(tiles)
     pca_model = pc.pca_from_cross_product(cross, labels.size, config.pca.components)
     rho = pc.correlate_scores(_kept_scores(tiles, scale, pca_model.loadings, selector, None), y)
     selection = pc.select_components(rho, top_n=config.pca.top_n, threshold=config.pca.threshold)
@@ -511,11 +513,13 @@ def _fit_kfpls_path(cube: CubeFile, columns: list[int] | None,
 def _passes_clustering(cube: CubeFile, labels: np.ndarray, config: RunConfig,
                        bands: list[int]):
     """The kmeans path's result on those columns of the cube (sorted and
-    unique, as a model's band subset), or None when it fails there."""
+    unique, as a model's band subset), or None when it fails there. A payload
+    that cannot be read (:class:`EnviFormatError`) fails the whole test."""
     try:
         return _fit_kmeans_path(cube, sorted(set(bands)), labels, config)
-    except (cl.EscalationError, ValueError):
-        return None
+    except (cl.EscalationError, ValueError) as error:
+        if isinstance(error, EnviFormatError):
+            raise
 
 
 @_blas_threads_held()
@@ -523,7 +527,8 @@ def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     """Run the configured selector on the cube's bee and mite pixels; returns
     ``(report, bands_for_model, passing_fit)``. The selectors read the
     autoscaled cross-product of those pixels' [spectra | bee indicator],
-    summed over the row tiles, whose reads check the payload for NaN/Inf.
+    summed in one pass over the row tiles, whose reads check the payload for
+    NaN/Inf.
 
     The selector only ranks bands. With ``stop_by_clustering`` one rule then
     cuts either list: its prefixes are tested in order, from ``first`` bands
@@ -535,8 +540,7 @@ def run_band_selection(cube: CubeFile, labels: np.ndarray, config: RunConfig):
     """
     bands_cfg = config.band_selection
     selector, y = _discriminant_rows(labels, config.labels.mite, config.labels.bee)
-    _, cross = pp.scaled_cross_product(
-        functools.partial(_bee_mite_tiles, _RowTiles(cube, None), selector, y))
+    _, cross = pp.scaled_cross_product(_bee_mite_tiles(_RowTiles(cube, None), selector, y))
     excluded = ws.exclude_tail(cube.bands, bands_cfg.n_tail)
 
     if bands_cfg.method == "r2":

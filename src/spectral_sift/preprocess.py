@@ -3,11 +3,17 @@
 Standard deviations use the n-1 (sample) denominator. Bands whose std falls
 below ``EPSILON`` are flagged and pass through centered but unscaled, so a
 constant band cannot blow up the transform.
+
+The statistics and the autoscaled cross-product come from one pass over a
+matrix's row tiles (:func:`scaled_cross_product`), merged pairwise as by
+Chan, Golub and LeVeque ("Algorithms for computing the sample variance",
+Am. Stat. 37, 1983). They agree with numpy's whole-matrix mean and
+``std(ddof=1)`` to about 1e-14 of the std, not bit for bit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,55 +29,37 @@ class ScaleModel:
     flagged: np.ndarray  # bands whose raw std was < EPSILON (std replaced by 1)
 
 
-def carried_sum(tiles: Iterable[np.ndarray]) -> tuple[np.ndarray | None, int]:
-    """Column sums and row count of a matrix fed in 2-D row tiles, top to bottom.
+def scaled_cross_product(tiles: Iterable[np.ndarray]) -> tuple[ScaleModel, np.ndarray]:
+    """Autoscaling statistics of a matrix fed in 2-D row tiles, and the
+    cross-product XₛᵀXₛ of its autoscaled rows, from one pass over the tiles,
+    which it overwrites.
 
-    numpy sums a C-ordered matrix over axis 0 one row after another, so
-    adding the running sum into each later tile's first row (the tile is
-    overwritten) and reducing the tile continues that sequence: with two or
-    more columns the total has the bits of ``X.sum(axis=0)`` on the whole
-    matrix, whatever the tile rows. (A single column is summed pairwise; its
-    total keeps those bits only when it comes in one tile.)
+    Every tile is shifted by the first tile's column means, so that a column
+    far from zero loses no digits, and centered on its own means; its XᵀX
+    then joins the running one by Chan's update, M += XᵀX + δδᵀ·n_a·n_b/n,
+    with δ the tile's mean less the running mean. The stds come from M's
+    diagonal, and M is divided by stdsᵢ·stdsⱼ (a flagged column's std is 1).
     """
-    total, rows = None, 0
-    for tile in tiles:
-        if total is not None:
-            tile[0] += total
-        total = tile.sum(axis=0)
-        rows += tile.shape[0]
-    return total, rows
-
-
-def fit_scale_tiles(tiles: Callable[[], Iterable[np.ndarray]]) -> ScaleModel:
-    """Per-column mean/std statistics of a matrix read in row tiles.
-
-    ``tiles()`` yields the matrix's row tiles top to bottom as C-ordered
-    float64 arrays that this function overwrites; it is called twice, for
-    the means and then for the sums of squared deviations. Both are
-    :func:`carried_sum` totals, so the statistics have the bits of
-    ``X.mean(axis=0)`` and ``X.std(axis=0, ddof=1)`` on the whole matrix.
-    """
-    sums, n = carried_sum(tiles())
+    n, shift = 0, None
+    for X in tiles:
+        if shift is None:
+            shift = X.mean(axis=0)
+            mean, cross = np.zeros_like(shift), np.zeros((shift.size, shift.size))
+        X -= shift
+        m, tile_mean = X.shape[0], X.mean(axis=0)
+        X -= tile_mean
+        cross += X.T @ X
+        delta = tile_mean - mean
+        cross += np.outer(delta, delta * (n * m / (n + m)))
+        n += m
+        mean += delta * (m / n)
     if n < 2:
         raise ValueError("autoscaling needs at least 2 rows")
-    means = sums / n
-    squares, _ = carried_sum(np.square(np.subtract(tile, means, out=tile), out=tile)
-                             for tile in tiles())
-    stds = np.sqrt(squares / (n - 1))
+    stds = np.sqrt(np.diag(cross) / (n - 1))
     flagged = stds < EPSILON
     stds = np.where(flagged, 1.0, stds)
-    return ScaleModel(means=means, stds=stds, flagged=flagged)
-
-
-def scaled_cross_product(
-        tiles: Callable[[], Iterable[np.ndarray]]) -> tuple[ScaleModel, np.ndarray]:
-    """:func:`fit_scale_tiles` of a matrix read in row tiles, then a third pass
-    that scales each tile in place and sums the tiles' XₛᵀXₛ."""
-    scale = fit_scale_tiles(tiles)
-    cross = np.zeros((scale.means.size, scale.means.size))
-    for X in tiles():
-        cross += X.T @ apply_scale(scale, X, out=X)
-    return scale, cross
+    cross /= np.outer(stds, stds)
+    return ScaleModel(means=shift + mean, stds=stds, flagged=flagged), cross
 
 
 def fit_scale(X: np.ndarray) -> ScaleModel:
@@ -79,7 +67,7 @@ def fit_scale(X: np.ndarray) -> ScaleModel:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={X.ndim}")
-    return fit_scale_tiles(lambda: (X.copy(),))
+    return scaled_cross_product((X.copy(),))[0]
 
 
 def apply_scale(model: ScaleModel, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -90,4 +78,3 @@ def apply_scale(model: ScaleModel, X: np.ndarray, out: np.ndarray | None = None)
         raise ValueError(f"expected a 2-D matrix with {model.means.size} columns, got shape {X.shape}")
     out = np.subtract(X, model.means, out=out)
     return np.divide(out, model.stds, out=out)
-

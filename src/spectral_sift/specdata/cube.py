@@ -4,8 +4,9 @@ A :class:`HyperCube` holds a whole cube in memory, in (row, col, band) order
 as float64. Scene synthesis makes one, the ENVI writer writes one, and
 ``read_envi`` loads one for tests and scripts. Every cube read, whole or in
 row tiles, goes through a ``read_rows``: ``read_envi`` reads every row of a
-:class:`~spectral_sift.specdata.envi.CubeFile` at once, and fit and apply
-read row tiles of a cube file, or of a cube in memory, the same way.
+:class:`~spectral_sift.specdata.envi.CubeFile` at once; fit and band
+selection read row tiles of a cube file, and apply reads them from a cube
+file or from a cube in memory.
 Wavelengths are band centers in nanometres and must be strictly increasing.
 """
 

@@ -26,6 +26,7 @@ from spectral_sift import modelio
 from spectral_sift import pipeline
 from spectral_sift import pca as pc
 from spectral_sift import preprocess as pp
+from spectral_sift import wavesel as ws
 from spectral_sift.kernel import KfConfig
 from spectral_sift.pipeline import (
     EXIT_OK,
@@ -42,7 +43,9 @@ from spectral_sift.pipeline import (
 from spectral_sift.specdata import (
     BlobSpec,
     ClassSpec,
+    CubeFile,
     EnviFormatError,
+    LabelMask,
     SceneSpec,
     HyperCube,
     ShadowSpec,
@@ -172,6 +175,35 @@ def test_saved_kfpls_model_reproduces_in_memory_apply(scene, fitted_kfpls):
     assert result.counts == expected.counts
     assert result.palette == expected.palette
     assert set(np.unique(result.class_labels)) == {0, 1, 3}
+
+
+@pytest.mark.parametrize("fixture", ["fitted", "fitted_kfpls"])
+def test_apply_writes_the_masks_palette_and_counts(fixture, request, scene, tmp_path, capsys):
+    root = scene[0]
+    value = request.getfixturevalue(fixture)
+    path, model = (value[0] / "model.json", value[3]) if fixture == "fitted" else value[:2]
+    expected = apply_pipeline(model, read_envi(root / "cube.hdr"))
+    out = tmp_path / "out"
+    code = cli.main(["apply", "--model", str(path), "--cube", str(root / "cube.hdr"),
+                     "--out", str(out)])
+    assert code == EXIT_OK
+    for suffix in ("hdr", "pgm"):
+        np.testing.assert_array_equal(read_label_mask(out / f"class_mask.{suffix}").labels,
+                                      expected.class_labels)
+        if expected.cluster_ids is None:
+            assert not (out / f"cluster_mask.{suffix}").exists()
+        else:
+            np.testing.assert_array_equal(read_label_mask(out / f"cluster_mask.{suffix}").labels,
+                                          expected.cluster_ids)
+    palette = json.loads((out / "palette.json").read_text())
+    assert {int(key): name for key, name in palette.items()} == expected.palette
+    counts = json.loads((out / "counts.json").read_text())
+    assert counts == {"counts": expected.counts, "pixels": expected.class_labels.size}
+    assert json.loads(capsys.readouterr().out) == counts  # the summary on stdout
+    assert sum(expected.counts.values()) == expected.class_labels.size
+    if fixture == "fitted_kfpls":  # the kfpls classes keep the names of the fit's palette file
+        names = json.loads((root / "palette.json").read_text())
+        assert sorted(expected.counts) == sorted(names.values())
 
 
 @pytest.fixture(scope="module", params=[("r2", "kmeans"), ("covproc", "kmeans"), ("r2", "kfpls")],
@@ -491,6 +523,42 @@ def test_malformed_model_array_exits_1_naming_the_key(corrupt, error, scene, fit
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case, message", [
+    ("json-list", "must hold a JSON object"),
+    ("kmeans-without-cluster", "model file lacks the clustering-path components"),
+    ("kfpls-without-kernel", "model file lacks the kernel-path components"),
+])
+def test_model_file_without_its_components_exits_1(case, message, fitted, fitted_kfpls,
+                                                   tmp_path, caplog):
+    if case == "json-list":
+        doc = [json.loads((fitted[0] / "model.json").read_text())]
+    else:
+        kmeans = case.startswith("kmeans")
+        doc = json.loads((fitted[0] / "model.json" if kmeans else fitted_kfpls[0]).read_text())
+        doc["cluster" if kmeans else "kernel"] = None
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["apply", "--model", str(tmp_path / "model.json"),
+                         "--cube", str(fitted[0] / "cube.hdr"), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert message in caplog.text
+    assert not (tmp_path / "out" / "class_mask.raw").exists()
+
+
+def test_mask_of_another_grid_exits_1(scene, tmp_path, caplog):
+    root, mask = scene
+    write_label_mask_envi(LabelMask(labels=mask.labels[:-1], palette=mask.palette),
+                          tmp_path / "mask.hdr", tmp_path / "mask.raw")
+    inputs = {"cube_header": str(root / "cube.hdr"), "mask": str(tmp_path / "mask.hdr")}
+    (tmp_path / "run.json").write_text(json.dumps({"inputs": inputs}))
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["fit", "--config", str(tmp_path / "run.json"),
+                         "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "mask (39, 36) does not match cube (40, 36)" in caplog.text
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 @pytest.mark.parametrize("version", [2, 3, 4])
 def test_old_format_model_rejected_by_apply(version, fitted, tmp_path, caplog):
     root = fitted[0]
@@ -526,6 +594,10 @@ def test_old_format_model_rejected_by_apply(version, fitted, tmp_path, caplog):
      "band_selection: target_count must exceed init_m (4) for r2, got 2"),
     ({"band_selection": {"method": "r2", "init_m": -1, "target_count": 4}},
      "band_selection: init_m must be >= 0, got -1"),
+    ({"workflow": "svm"}, "workflow must be one of ('kmeans', 'kfpls'), got 'svm'"),
+    ({"band_selection": {"method": "lasso"}}, "band_selection.method must be one of"),
+    ({"labels": {"mite": 1, "bee": 1}}, "labels.mite and labels.bee must differ"),
+    ({"kernel": {"family": "linear"}}, "kernel.family must be one of"),
 ])
 def test_malformed_config_exits_1_naming_the_key(doc, key, tmp_path, caplog):
     (tmp_path / "run.json").write_text(json.dumps(doc))
@@ -1084,6 +1156,24 @@ def test_payload_shrunk_after_open_fails_the_kmeans_fit(scene, bil_copy, tmp_pat
         fit_pipeline(config)
 
 
+def test_payload_shrunk_during_the_stop_test_exits_1(scene, bil_copy, tmp_path, monkeypatch,
+                                                     caplog):
+    # the payload is halved after the cross-product pass, before the first prefix's fit
+    header = bil_copy_in(bil_copy, tmp_path)
+    select = ws.covproc_select
+
+    def shrink_then_select(*args, **kwargs):
+        with open(tmp_path / "cube.raw", "r+b") as fh:
+            fh.truncate(os.path.getsize(tmp_path / "cube.raw") // 2)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(ws, "covproc_select", shrink_then_select)
+    code = run_on_cube("covproc-select", header, scene[0], tmp_path / "out", caplog)
+    assert code == EXIT_USAGE
+    assert f"payload of {tmp_path / 'cube.raw'} ends before" in caplog.text
+    assert fit_outputs(tmp_path / "out") == []
+
+
 def test_apply_on_a_payload_shrunk_after_open_exits_1(fitted, bil_copy, tmp_path):
     # in a fresh process, so that a read that ended it by a signal fails the test only
     header = bil_copy_in(bil_copy, tmp_path)
@@ -1205,17 +1295,18 @@ def test_fit_does_not_depend_on_the_payload_layout(command, layouts, tmp_path):
 
 
 def test_one_row_tiles_match_the_whole_matrix(fitted, monkeypatch):
-    """Row tiles keep the autoscaling bits of the whole matrix and the
-    escalation; PCA loadings move within 1e-10 (a tiled cross-product)."""
+    """Row tiles keep the autoscaling of the whole matrix, within 1e-13 of
+    each band's std of numpy's, and the escalation; PCA loadings move within
+    1e-10 (a tiled cross-product)."""
     root, config, _, whole_model, whole = fitted
     X = flatten(read_envi(root / "cube.hdr"))
     monkeypatch.setattr(pipeline, "TILE_CELLS", 1)
     model, diagnostics = fit_pipeline(config)
     oracle = pp.fit_scale(X)
+    sigma = X.std(axis=0, ddof=1)
     for got in (model.scale, whole_model.scale):
-        np.testing.assert_array_equal(got.means, X.mean(axis=0))
-        np.testing.assert_array_equal(got.stds, X.std(axis=0, ddof=1))
-        np.testing.assert_array_equal(got.stds, oracle.stds)
+        np.testing.assert_array_less(np.abs(got.means - X.mean(axis=0)), 1e-13 * sigma)
+        np.testing.assert_array_less(np.abs(got.stds - sigma), 1e-13 * sigma)
     pca_model, _ = pc.fit_pca(pp.apply_scale(oracle, X))
     np.testing.assert_allclose(model.pca.loadings, pca_model.loadings, rtol=0, atol=1e-10)
     np.testing.assert_allclose(model.pca.explained_variance_ratio,
@@ -1237,6 +1328,32 @@ def test_one_row_tiles_keep_the_band_lists(command, scene, tmp_path, monkeypatch
         reports.append(json.loads((out / "selection_report.json").read_text()))
     assert reports[1]["bands_for_model"] == reports[0]["bands_for_model"]
     assert reports[1]["selected"] == reports[0]["selected"]
+
+
+def test_one_row_tiles_keep_the_kfpls_model(scene, fitted_kfpls, tmp_path, monkeypatch):
+    # each sampled pixel is gathered from its own tile
+    config = scene_config(scene[0], workflow="kfpls", samples_per_class=20,
+                          kf=KfConfig(iterations=1, subsamplings_per_iter=4))
+    monkeypatch.setattr(pipeline, "TILE_CELLS", 1)
+    model, _ = fit_pipeline(config)
+    model.save(tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == fitted_kfpls[0].read_bytes()
+
+
+@pytest.mark.parametrize("command, passes", [("kmeans-fit", 3), ("r2-select", 1)])
+def test_each_pass_reads_every_row_tile_once(command, passes, scene, tmp_path, monkeypatch):
+    # the kmeans path reads the statistics and cross-product, the gate's scores
+    # and the kept scores; band selection reads its cross-product alone
+    monkeypatch.setattr(pipeline, "TILE_CELLS", 7 * 36 * 24)  # 7-row tiles, 6 a pass
+    starts, read_rows = [], CubeFile.read_rows
+
+    def spy(cube, r0, *args):
+        starts.append(r0)
+        return read_rows(cube, r0, *args)
+
+    monkeypatch.setattr(CubeFile, "read_rows", spy)
+    assert run_on_cube(command, scene[0] / "cube.hdr", scene[0], tmp_path) == EXIT_OK
+    assert starts == list(range(0, 40, 7)) * passes
 
 
 def stacked_scene(root, blocks, bands):

@@ -1,14 +1,15 @@
 """Autoscaling: fit statistics, application, degenerate columns."""
 
+import math
+
 import numpy as np
 import pytest
 
 from spectral_sift.preprocess import (
     ScaleModel,
     apply_scale,
-    carried_sum,
     fit_scale,
-    fit_scale_tiles,
+    scaled_cross_product,
 )
 
 
@@ -85,46 +86,54 @@ def test_model_is_immutable():
 
 
 def row_tiles(X, rows):
-    """A re-readable source of fresh copies of X's row tiles of ``rows`` rows."""
-    return lambda: (X[r0:r0 + rows].copy() for r0 in range(0, X.shape[0], rows))
+    """Fresh copies of X's row tiles of ``rows`` rows, top to bottom."""
+    return (X[r0:r0 + rows].copy() for r0 in range(0, X.shape[0], rows))
+
+
+def assert_near_numpy(model, X):
+    """Means and stds within 1e-13 of each column's std of numpy's whole-matrix
+    ``mean`` and ``std(ddof=1)``: the one-pass merge keeps no bits of theirs."""
+    sigma = X.std(axis=0, ddof=1)
+    np.testing.assert_array_less(np.abs(model.means - X.mean(axis=0)), 1e-13 * sigma)
+    np.testing.assert_array_less(np.abs(model.stds - sigma), 1e-13 * sigma)
 
 
 @pytest.mark.parametrize("p", [2, 3, 24, 204])
 @pytest.mark.parametrize("rows", [1, 7, 40, 1000])
 def test_tiled_statistics_have_the_bits_of_the_whole_matrix(p, rows):
-    # numpy's own whole-matrix mean and std are the oracle, whatever the tiles
+    # numpy's whole-matrix mean, std and autoscaled cross-product are the
+    # oracle, to rounding, whatever the tiles
     rng = np.random.default_rng(p)
     X = rng.normal(size=(1203, p)) * rng.uniform(0.01, 100.0, size=p) + rng.normal(size=p)
-    model = fit_scale_tiles(row_tiles(X, rows))
-    np.testing.assert_array_equal(model.means, X.mean(axis=0))
-    np.testing.assert_array_equal(model.stds, X.std(axis=0, ddof=1))
-    whole = fit_scale(X)
-    np.testing.assert_array_equal(whole.means, model.means)
-    np.testing.assert_array_equal(whole.stds, model.stds)
+    model, cross = scaled_cross_product(row_tiles(X, rows))
+    assert_near_numpy(model, X)
+    Xs = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+    np.testing.assert_allclose(cross, Xs.T @ Xs, rtol=0, atol=1e-12 * X.shape[0])
+    assert_near_numpy(fit_scale(X), X)
 
 
 def test_one_column_keeps_its_bits_in_one_tile():
-    # a single column is summed pairwise: only one tile reproduces it
     X = np.random.default_rng(3).normal(size=(5000, 1))
-    model = fit_scale(X)
-    np.testing.assert_array_equal(model.means, X.mean(axis=0))
-    np.testing.assert_array_equal(model.stds, X.std(axis=0, ddof=1))
+    assert_near_numpy(fit_scale(X), X)
 
 
-def test_carried_sum_counts_rows_and_overwrites_only_later_first_rows():
-    X = np.arange(12.0).reshape(6, 2)
-    first, second = X[:4].copy(), X[4:].copy()
-    total, rows = carried_sum([first, second])
-    np.testing.assert_array_equal(total, X.sum(axis=0))
-    np.testing.assert_array_equal(first, X[:4])
-    assert rows == 6 and second[0].tolist() == (X[:5].sum(axis=0)).tolist()
+def test_tiles_far_from_zero_keep_the_std():
+    # a column of mean 1e6 and std 1e-3 in 7-row tiles: merged about zero, the
+    # tile means lose 9 of the std's digits to the mean's; shifted by the first
+    # tile's means they keep them. The oracle is a two-pass over exact sums.
+    x = 1e6 + 1e-3 * np.random.default_rng(5).normal(size=5000)
+    mean = math.fsum(x) / x.size
+    std = math.sqrt(math.fsum((x - mean) ** 2) / (x.size - 1))
+    model, _ = scaled_cross_product(row_tiles(x[:, None], 7))
+    assert abs(model.stds[0] - std) <= 1e-12 * std
+    assert abs(model.means[0] - mean) <= 1e-13 * std
 
 
 def test_tiled_statistics_need_two_rows_and_flag_constant_columns():
     with pytest.raises(ValueError, match="at least 2 rows"):
-        fit_scale_tiles(row_tiles(np.ones((1, 3)), 1))
+        scaled_cross_product(row_tiles(np.ones((1, 3)), 1))
     X = np.column_stack([np.full(9, 5.0), np.arange(9.0)])
-    model = fit_scale_tiles(row_tiles(X, 2))
+    model, _ = scaled_cross_product(row_tiles(X, 2))
     assert model.flagged.tolist() == [True, False] and model.stds[0] == 1.0
 
 

@@ -28,8 +28,7 @@ from pls_oracle import covproc_select_x_form, predict
 def cross_product(X, y):
     """The autoscaled cross-product of [X | y] that band selection reads,
     summed from one tile."""
-    Z = np.column_stack((X, y))
-    return scaled_cross_product(lambda: (Z.copy(),))[1]
+    return scaled_cross_product((np.column_stack((X, y)),))[1]
 
 # ---------------------------------------------------------------------------
 # independent inner model for the greedy oracle: NIPALS PLS1 with deflation,
