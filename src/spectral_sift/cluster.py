@@ -11,13 +11,18 @@ and no other labeled pixel may fall into one.
 
 Lloyd's loop keeps one settle key per point, after Hamerly's distance
 bounds: the total centroid travel up to which its nearest centroid provably
-stays put, rounding margin included. A point's row of squared distances is
-recomputed only once the travel reaches its key. Assignments,
-centroids and inertia are bit for bit those of a loop that recomputes every
+stays put, rounding margin included. A point's squared distances are
+recomputed only once the travel reaches its key. Assignments, centroids and
+inertia are bit for bit those of a loop that recomputes every
 point on every iteration; every point is recomputed when a cluster empties
 (the re-seed needs all distances) and once more at the end. Those full
-passes, and the first iteration's, run in row blocks of ``BLOCK_ROWS``, so
-no n × k distance matrix is ever held.
+passes, and the first iteration's, run in blocks of ``BLOCK_ROWS`` points,
+so no n × k distance matrix is ever held.
+
+A block holds its distances cluster-major, k × points (:func:`_distances`),
+so every reduction, broadcast and comparison of a pass runs along the
+points, not along the few centroids or score columns. K-means++ likewise
+sums its squared distances one score column at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ CLASS_MITE = "mite"
 CLASS_BEE = "bee"
 CLASS_OTHER = "other"
 
-#: Rounding margin of one entry of ``_squared_distances``, relative to
+#: Rounding margin of one squared distance ‖x‖² − 2x·c + ‖c‖², as
+#: :func:`_distances` and :func:`_finish_squared_distances` compute it, relative to
 #: reach² = (largest point norm + largest centroid norm)². With unit roundoff
 #: ε = 2⁻⁵³, the expanded formula ‖x‖² − 2x·c + ‖c‖² over d columns is within
 #: (d + 2)·ε·(‖x‖ + ‖c‖)² of the exact squared distance (Higham, "Accuracy and
@@ -45,17 +51,17 @@ CLASS_OTHER = "other"
 #: again for the few ε by which the square roots, a point's settle key and
 #: the summed centroid movements it is compared with can be off, over
 #: thousands of iterations. ``kernel.cdist`` is the second caller: it takes the
-#: square root of ``_squared_distances`` and sets entries within this margin of
+#: square root of those squared distances and sets entries within this margin of
 #: zero to exactly 0, so that equal rows are at distance 0.
 MARGIN = 2.0**-36
 
 #: Lloyd stops once no centroid moves by this much in an update
 TOL = 1e-6
 
-#: Rows per block of Lloyd's distance passes (at least 2): a block holds
-#: its rows' squared distances to every centroid, 768 KiB at k = 12, where
-#: a whole 512 × 512 frame would hold 25 MB. A last block of one row joins
-#: the block before it (:func:`_row_blocks`).
+#: Points per block of Lloyd's distance passes (at least 2): a block holds
+#: the k × 8192 squared distances of its points to every centroid, 768 KiB
+#: at k = 12, where a whole 512 × 512 frame would hold 25 MB. A last block
+#: of one point joins the block before it (:func:`_row_blocks`).
 BLOCK_ROWS = 1 << 13
 
 
@@ -98,19 +104,10 @@ class ClusterDiagnostics:
         return self.attempts[-1]
 
 
-def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of squared Euclidean distances, without sqrt round-trips.
-
-    ``max(‖x‖² − (2X)·Cᵀ + ‖c‖², 0)``: :func:`_cross_product`, finished in
-    its own array by :func:`_finish_squared_distances`. The values keep every
-    bit of the plain expression, without three n×k temporaries.
-    """
-    return _finish_squared_distances(_cross_product(X, centroids),
-                                     np.sum(X**2, axis=1), np.sum(centroids**2, axis=1))
-
-
 def _cross_product(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(−2X)·Cᵀ, the one matrix product of :func:`_squared_distances`.
+    """(−2X)·Cᵀ, the one matrix product of the (rows × centroids) squared
+    distances max(‖x‖² − (2X)·Cᵀ + ‖c‖², 0) that ``kernel`` computes with
+    :func:`_finish_squared_distances`.
 
     Scaling by −2 is exact, so it holds the bits of (2X)·Cᵀ negated. The
     factor stays inside the product: numpy computes ``X @ X.T`` as a
@@ -143,16 +140,57 @@ def _row_blocks(n: int, rows: int | None = None) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _distances(points: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(k, m) squared distances from the centroids to m points, cluster-major.
+
+    ``points`` is the d × m transpose of m rows of X (a view will do), and
+    ``x_sq`` their squared norms. Entry (j, i) keeps every bit of entry
+    (i, j) of the row-major :func:`_cross_product` of those rows, finished
+    by :func:`_finish_squared_distances`: the same products and sums, with
+    x² added before c² and a clamp at 0. −2C goes in as a
+    Fortran-ordered array: so laid out, OpenBLAS computes the product with
+    the bits of (−2X)·Cᵀ for any d ≤ 20, k ≥ 2 centroids and m ≥ 2 points,
+    where a C-ordered −2C changes the last bits of some points at d ≥ 16,
+    and at k = 12 with 257 points. One centroid or one point makes a
+    matrix-vector product, whose last bits can differ.
+    """
+    sq = np.asfortranarray(-2.0 * centroids) @ points
+    sq += x_sq
+    sq += np.sum(centroids**2, axis=1)[:, None]
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def _nearest_two(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column of ``sq`` (k × m, overwritten): the index of its smallest
+    entry, that entry and the next smallest (inf when k = 1).
+
+    Ties go to the lowest index, as with ``np.argmin``: each entry equal to
+    the column's minimum stands for its row index, every other for k plus
+    it, and the index is the least of those, in the smallest unsigned type
+    that holds 2k − 1.
+    """
+    k, m = sq.shape
+    best = sq.min(axis=0)
+    rank_type = np.min_scalar_type(2 * k - 1)
+    rank = (sq != best).astype(rank_type)
+    rank *= k
+    rank += np.arange(k, dtype=rank_type)[:, None]
+    closest = rank.min(axis=0).astype(np.intp)
+    sq[closest, np.arange(m)] = np.inf
+    return closest, best, sq.min(axis=0)
+
+
 def kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """D^2-weighted seeding: each next centroid favors far-away points.
 
     Raises ValueError when X has fewer than k distinct rows.
     """
     X = np.asarray(X, dtype=np.float64)
+    columns = np.ascontiguousarray(X.T)
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(X.shape[0])]
-    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    d2 = _summed_squares(columns, centroids[0])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -163,8 +201,22 @@ def kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
             centroids[i] = X[unused[0]]
         else:
             centroids[i] = X[rng.choice(X.shape[0], p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centroids[i]) ** 2, axis=1))
+        np.minimum(d2, _summed_squares(columns, centroids[i]), out=d2)
     return centroids
+
+
+def _summed_squares(columns: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each point's squared distance to ``c``, its d columns summed in order
+    into one n-vector. Below 8 columns these are the bits of
+    ``np.sum((X - c)**2, axis=1)``; from 8 on, numpy's pairwise row sum can
+    differ in the last bit."""
+    d2 = np.zeros(columns.shape[1])
+    diff = np.empty(columns.shape[1])
+    for column, v in zip(columns, c):
+        np.subtract(column, v, out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 def lloyd_iterations(
@@ -179,12 +231,12 @@ def lloyd_iterations(
     centroid. The loop ends when no centroid moves by ``TOL`` or after
     ``max_iter`` updates. Returns (centroids, assignment, inertia).
 
-    Every iteration assigns each point to the argmin of its row of
-    ``_squared_distances``, as a pass over all points would, but recomputes
-    only the rows whose argmin may have changed. The idea is Hamerly's
+    Every iteration assigns each point to its nearest centroid, the lowest
+    index on ties, as a pass over all points would, but recomputes only the
+    points whose nearest centroid may have changed. The idea is Hamerly's
     ("Making k-means even faster", SDM 2010), with his two bounds per point
     folded into one key. ``travel`` sums, over the updates so far, the largest
-    movement of any centroid. When a point's row is recomputed, with m =
+    movement of any centroid. When a point's distances are recomputed, with m =
     MARGIN·reach² (reach is the largest point norm plus the largest centroid
     norm), u = √(its centroid's entry + m) bounds its exact distance to its
     centroid from above and l = √max(next smallest entry − m, 0) bounds its
@@ -193,24 +245,28 @@ def lloyd_iterations(
     Until then every centroid has moved at most Δ = travel − (travel when
     the key was set) < (l − u)/2 − √m, so l − Δ − (u + Δ) > 2√m and
     (l − Δ)² − (u + Δ)² > 2√m·(l + u) >= 2√m·u >= 2m: its computed squared
-    distance to its centroid is still below every other entry of its row,
-    and the argmin cannot move. The full distance pass runs when a cluster
-    empties, since the re-seed needs every point's distance, and once at the
-    end for the returned assignment and inertia. Those passes and every
-    recomputation run in row blocks (:func:`_row_blocks`); each row's
-    squared distance to its centroid goes into one n-vector, and the
-    inertia is that vector's sum. Exactness rests on a row of
-    ``_squared_distances`` having the same bits whether it is computed among
-    all rows or among two or more of them.
+    distance to its centroid is still below its computed distance to every
+    other centroid, and its nearest centroid cannot move. The full distance
+    pass runs when a cluster empties, since the re-seed needs every point's
+    distance, and once at the end for the returned assignment and inertia.
+    Those passes and every recomputation run in blocks of points
+    (:func:`_row_blocks`), each a k × points matrix of :func:`_distances`
+    whose nearest two centroids per point come from :func:`_nearest_two`;
+    the points' squared norms are summed once per run. Each point's squared
+    distance to its centroid goes into one n-vector, and the inertia is that
+    vector's sum. Exactness rests on a point's distances having the same
+    bits whether they are computed among all points or among two or more of
+    them.
     """
     X = np.asarray(X, dtype=np.float64)
     centroids = np.array(centroids, dtype=np.float64)
     k = centroids.shape[0]
     # one bincount per column sums each cluster's members in row order
     columns = np.ascontiguousarray(X.T)
+    x_sq = np.sum(X**2, axis=1)
     # after the first update every centroid is a member mean or a row of X,
     # so no centroid norm exceeds the larger of the two maxima
-    x_norm = float(np.sqrt(np.max(np.sum(X**2, axis=1), initial=0.0)))
+    x_norm = float(np.sqrt(np.max(x_sq, initial=0.0)))
     c_norm = float(np.sqrt(np.max(np.sum(centroids**2, axis=1), initial=0.0)))
     margin = MARGIN * (x_norm + max(x_norm, c_norm)) ** 2
     assignment = np.zeros(X.shape[0], dtype=np.intp)
@@ -224,13 +280,10 @@ def lloyd_iterations(
             stale = np.repeat(stale, 2)
         for block in _row_blocks(stale.size):
             points = stale[block]
-            sq = _squared_distances(X.take(points, axis=0), centroids)
-            row = np.arange(points.size)
-            closest = np.argmin(sq, axis=1)
+            closest, best, second = _nearest_two(
+                _distances(X.take(points, axis=0).T, x_sq[points], centroids))
             assignment[points] = closest
-            upper = np.sqrt(sq[row, closest] + margin)
-            sq[row, closest] = np.inf
-            second = sq[row, np.argmin(sq, axis=1)]  # argmin and a gather beat min over a short axis
+            upper = np.sqrt(best + margin)
             lower = np.sqrt(np.maximum(second - margin, 0.0))
             key[points] = travel + (lower - upper) / 2.0 - np.sqrt(margin)
         counts = np.bincount(assignment, minlength=k)
@@ -240,8 +293,8 @@ def lloyd_iterations(
         new_centroids[filled] = sums[filled] / counts[filled, None]
         empty = np.flatnonzero(~filled)
         if empty.size:
-            # every row already holds its argmin, so reassigning changes none
-            nearest = _assigned_distances(X, centroids, assignment)
+            # every point already holds its nearest centroid, so reassigning changes none
+            nearest = _assigned_distances(X, x_sq, centroids, assignment)
             for j in empty:
                 far = int(np.argmax(nearest))
                 new_centroids[j] = X[far]
@@ -251,19 +304,20 @@ def lloyd_iterations(
         if movement < TOL:
             break
         travel += movement
-    inertia = float(_assigned_distances(X, centroids, assignment).sum())
+    inertia = float(_assigned_distances(X, x_sq, centroids, assignment).sum())
     return centroids, assignment, inertia
 
 
-def _assigned_distances(X: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Assign each row, in place, to the argmin of its row of
-    ``_squared_distances``, computed in row blocks, and return each row's
-    squared distance to that centroid."""
+def _assigned_distances(
+    X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, assignment: np.ndarray,
+) -> np.ndarray:
+    """Assign each row of X (squared norms ``x_sq``), in place, to its
+    nearest centroid, lowest index on ties, in blocks of :func:`_distances`,
+    and return each row's squared distance to that centroid."""
     nearest = np.empty(X.shape[0])
     for block in _row_blocks(X.shape[0]):
-        sq = _squared_distances(X[block], centroids)
-        assignment[block] = np.argmin(sq, axis=1)
-        nearest[block] = sq[np.arange(sq.shape[0]), assignment[block]]
+        assignment[block], nearest[block], _ = _nearest_two(
+            _distances(X[block].T, x_sq[block], centroids))
     return nearest
 
 
@@ -350,6 +404,7 @@ def assign(model: ClusterModel, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarr
         raise ValueError(
             f"expected {model.centroids.shape[1]} columns, got shape {X_new.shape}"
         )
-    clusters = np.argmin(_squared_distances(X_new, model.centroids), axis=1)
+    clusters = np.empty(X_new.shape[0], dtype=np.intp)
+    _assigned_distances(X_new, np.sum(X_new**2, axis=1), model.centroids, clusters)
     class_names = np.array([model.class_of_cluster[j] for j in range(model.k)])
     return clusters, class_names[clusters]

@@ -92,8 +92,9 @@ class KernelSpec:
 def cdist(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``XA`` and ``XB``.
 
-    The square root of ``cluster._squared_distances``: ‖a‖² − 2a·b + ‖b‖², one
-    matrix product. A squared entry at or below ``cluster.MARGIN``·reach²,
+    The square root of ‖a‖² − 2a·b + ‖b‖², one matrix product
+    (``cluster._cross_product``, then ``cluster._finish_squared_distances``).
+    A squared entry at or below ``cluster.MARGIN``·reach²,
     with reach the largest row norm of ``XA`` plus the largest of ``XB``, is
     within rounding of zero and set to exactly 0. Equal rows are then at
     distance 0 whichever arrays hold them, so every kernel is exactly 1 there.

@@ -775,9 +775,9 @@ def apply_pipeline(model: PipelineModel, cube: HyperCube | CubeFile) -> ApplyRes
 
 
 def write_apply_outputs(result: ApplyResult, out_dir: str | Path) -> dict:
-    """Emit masks (ENVI + PGM), palette sidecar, and counts; returns the summary."""
+    """Emit masks (ENVI + PGM), palette sidecar, and counts into the existing
+    directory ``out_dir``; returns the summary."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     class_mask = LabelMask(labels=result.class_labels, palette=result.palette)
     write_label_mask_envi(class_mask, out / "class_mask.hdr", out / "class_mask.raw")
     write_label_mask_pgm(class_mask, out / "class_mask.pgm")

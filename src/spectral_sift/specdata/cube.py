@@ -120,7 +120,11 @@ class LabelMask:
     def validate(self) -> None:
         if self.labels.ndim != 2:
             raise ValueError(f"mask labels must be 2-D, got ndim={self.labels.ndim}")
-        present = set(int(v) for v in np.unique(self.labels)) - {UNLABELED}
+        # a table of the 256 uint8 ids: np.unique's first call imports numpy.ma,
+        # and np.bincount would cast every label to a 64-bit count index
+        seen = np.zeros(256, dtype=bool)
+        seen[self.labels.ravel()] = True
+        present = set(np.flatnonzero(seen).tolist()) - {UNLABELED}
         missing = present - set(self.palette)
         if self.palette and missing:
             raise ValueError(f"labels {sorted(missing)} present in mask but absent from palette")

@@ -12,13 +12,18 @@ from spectral_sift.cluster import (
     CLASS_OTHER,
     ClusterModel,
     EscalationError,
-    _squared_distances,
+    _cross_product,
+    _distances,
+    _finish_squared_distances,
+    _nearest_two,
+    _summed_squares,
     assign,
     fit_supervised,
     kmeans_fit,
     kmeanspp_init,
     lloyd_iterations,
 )
+from spectral_sift.specdata import UNLABELED
 
 
 def blobs(rng, centers, n_per, sigma):
@@ -26,6 +31,13 @@ def blobs(rng, centers, n_per, sigma):
     X = np.vstack([c + sigma * rng.normal(size=(n_per, centers.shape[1])) for c in centers])
     membership = np.repeat(np.arange(len(centers)), n_per)
     return X, membership
+
+
+def _squared_distances(X, centroids):
+    """(n, k) squared distances, row-major, as ``kernel.cdist`` computes them:
+    the layout Lloyd's cluster-major blocks must match bit for bit."""
+    return _finish_squared_distances(_cross_product(X, centroids),
+                                     np.sum(X**2, axis=1), np.sum(centroids**2, axis=1))
 
 
 def lloyd_reference(X, centroids, max_iter=300, tol=1e-6, distances=_squared_distances):
@@ -93,7 +105,70 @@ class TestSquaredDistances:
             assert got.min() >= 0.0
 
 
+class TestClusterMajorDistances:
+    # With a C-ordered -2C, OpenBLAS changes the last bits of some entries:
+    # of points in a short tail at d >= 16 when the points are C-ordered, and
+    # at k = 12 with 257 points when they are a transposed view.
+    @pytest.mark.parametrize("k", [2, 3, 12])
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 20])
+    @pytest.mark.parametrize("m", [2, 3, 9, 257, 8193])
+    def test_every_bit_of_squared_distances_transposed(self, m, d, k):
+        rng = np.random.default_rng(m + d + k)
+        X = rng.uniform(-1, 1, size=(m, d)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1)) + 2.0
+        C = rng.uniform(-1, 1, size=(k, d))
+        C[0] = X[0]  # an entry within rounding of 0, clamped
+        want = np.ascontiguousarray(_squared_distances(X, C).T).tobytes()
+        x_sq = np.sum(X**2, axis=1)
+        for points in (X.T, np.ascontiguousarray(X.T)):
+            got = _distances(points, x_sq, C)
+            assert got.shape == (k, m) and got.flags.c_contiguous
+            assert got.tobytes() == want
+        # the same points gathered from a larger X, as Lloyd's recomputations take them
+        pool = np.vstack([rng.normal(size=(5, d)), X])
+        points = np.arange(5, 5 + m)
+        got = _distances(pool.take(points, axis=0).T, np.sum(pool**2, axis=1)[points], C)
+        assert got.tobytes() == want
+
+
+class TestNearestTwo:
+    @pytest.mark.parametrize("m", [2, 3, 8193])
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_matches_argmin_and_the_sorted_second(self, k, m):
+        rng = np.random.default_rng(100 * k + m)
+        sq = rng.uniform(0.0, 10.0, size=(k, m))
+        sq[:, 0] = 7.0  # a tie across the whole column
+        sq[:, 1] = 9.0  # ties among the entries above the minimum
+        sq[k - 1, 1] = 1.0
+        # small integers: ties at the minimum and above it, in any rows
+        sq[:, 2::2] = rng.integers(0, 3, size=(k, sq[:, 2::2].shape[1]))
+        closest, best, second = _nearest_two(sq.copy())
+        np.testing.assert_array_equal(closest, np.argmin(sq, axis=0))
+        assert best.tobytes() == sq.min(axis=0).tobytes()
+        assert second.tobytes() == np.sort(sq, axis=0)[1].tobytes()
+
+    def test_one_centroid_has_no_second(self):
+        closest, best, second = _nearest_two(np.array([[3.0, 0.0, 5.0]]))
+        np.testing.assert_array_equal(closest, [0, 0, 0])
+        np.testing.assert_array_equal(best, [3.0, 0.0, 5.0])
+        assert np.all(second == np.inf)
+
+
 class TestKmeansppInit:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12, 20])
+    def test_summed_squares_against_the_row_sum(self, d):
+        # below 8 columns numpy sums a row in column order, so the bits and
+        # every K-means++ draw are those of np.sum((X - c)**2, axis=1); from 8
+        # on its pairwise sum may differ in the last bit
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(1001, d)) * rng.choice([1e-3, 1.0, 1e3], size=(1001, 1))
+        c = X[3]
+        want = np.sum((X - c) ** 2, axis=1)
+        got = _summed_squares(np.ascontiguousarray(X.T), c)
+        if d < 8:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=d * np.finfo(float).eps, atol=0.0)
+
     def test_k_equals_n_gives_permutation(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(6, 3))
@@ -282,18 +357,27 @@ class TestBoundedLloyd:
         X, _ = blobs(rng, rng.uniform(-10, 10, size=(4, 2)), n_per=30, sigma=2.0)
         assert_matches_reference(X, kmeanspp_init(X, 4, seed=seed), max_iter=max_iter)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12, 20])
+    def test_every_score_width(self, d):
+        # the PCA gate keeps up to 20 components; 37 points per blob leave
+        # short tails in every block
+        rng = np.random.default_rng(90 + d)
+        k = 2 + d % 5
+        X, _ = blobs(rng, rng.uniform(-10, 10, size=(k, d)), n_per=37, sigma=4.0)
+        assert_matches_reference(X, kmeanspp_init(X, k, seed=d))
+
 
 def test_settled_rows_are_skipped(monkeypatch):
     # a loop that recomputes every row on every pass is exact too, but no
     # faster than plain Lloyd; on overlapping blobs most rows settle
     rows = []
-    squared_distances = cluster._squared_distances
+    distances = cluster._distances
 
-    def spy(X, centroids):
-        rows.append(X.shape[0])
-        return squared_distances(X, centroids)
+    def spy(points, x_sq, centroids):
+        rows.append(points.shape[1])
+        return distances(points, x_sq, centroids)
 
-    monkeypatch.setattr(cluster, "_squared_distances", spy)
+    monkeypatch.setattr(cluster, "_distances", spy)
     rng = np.random.default_rng(0)
     X, _ = blobs(rng, [(0, 0), (10, 0), (0, 10), (10, 10)], n_per=500, sigma=4.0)
     assert X.shape[0] <= cluster.BLOCK_ROWS  # one call per pass
@@ -302,16 +386,16 @@ def test_settled_rows_are_skipped(monkeypatch):
 
 
 def spy_distance_rows(monkeypatch, distances=None):
-    """Record the rows of every ``_squared_distances`` call of Lloyd's loop,
-    computed by ``distances`` (the real function when None)."""
+    """Record the points of every ``_distances`` call of Lloyd's loop, as
+    rows, computed by ``distances`` (the real function when None)."""
     calls = []
-    distances = distances or cluster._squared_distances
+    distances = distances or cluster._distances
 
-    def spy(X, centroids):
-        calls.append(X.copy())
-        return distances(X, centroids)
+    def spy(points, x_sq, centroids):
+        calls.append(points.T.copy())
+        return distances(points, x_sq, centroids)
 
-    monkeypatch.setattr(cluster, "_squared_distances", spy)
+    monkeypatch.setattr(cluster, "_distances", spy)
     return calls
 
 
@@ -349,8 +433,14 @@ def test_skips_hold_with_every_entry_off_by_up_to_the_margin(scale, monkeypatch)
             fraction = np.mod((A[:, :1] * 7919.0 + centroids[:, 0] * 104729.0) / scale, 1.0)
             return np.maximum(_squared_distances(A, centroids) + error * (2 * fraction - 1), 0.0)
 
+        def cluster_major_off_by_error(points, x_sq, centroids):
+            # off_by_error's entries, transposed: centroids down, points across
+            fraction = np.mod((points[:1] * 7919.0 + centroids[:, :1] * 104729.0) / scale, 1.0)
+            sq = _distances(points, x_sq, centroids)
+            return np.maximum(sq + error * (2 * fraction - 1), 0.0)
+
         start = X[rng.choice(X.shape[0], k, replace=False)]
-        calls = spy_distance_rows(monkeypatch, off_by_error)
+        calls = spy_distance_rows(monkeypatch, cluster_major_off_by_error)
         got = lloyd_iterations(X, start)
         want = lloyd_reference(X, start, distances=off_by_error)
         np.testing.assert_array_equal(got[0], want[0])
@@ -368,13 +458,13 @@ class TestBlockedLloyd(TestBoundedLloyd):
     def three_row_blocks(self, monkeypatch):
         monkeypatch.setattr(cluster, "BLOCK_ROWS", 3)
         rows = []
-        squared_distances = cluster._squared_distances
+        distances = cluster._distances
 
-        def spy(X, centroids):
-            rows.append(X.shape[0])
-            return squared_distances(X, centroids)
+        def spy(points, x_sq, centroids):
+            rows.append(points.shape[1])
+            return distances(points, x_sq, centroids)
 
-        monkeypatch.setattr(cluster, "_squared_distances", spy)
+        monkeypatch.setattr(cluster, "_distances", spy)
         yield
         assert all(2 <= n <= 4 for n in rows), rows  # no block of one row, none of 5
 
@@ -452,6 +542,16 @@ class TestFitSupervised:
         X = np.random.default_rng(8).normal(size=(20, 2))
         with pytest.raises(ValueError, match="both mite and bee"):
             fit_supervised(X, np.full(20, 3), mite_label=3, bee_label=1, k0=2, k_max=12, seed=0)
+
+    @pytest.mark.parametrize("present", [(1, 2), (3, 2)], ids=["no-mites", "no-bees"])
+    def test_labels_missing_a_class_rejected(self, present):
+        # bee = 1, mite = 3; 2 is another labeled class. Without the check a
+        # fit with no mite pixels passes at k0 with no mite cluster, and one
+        # with no bee pixels maps the mites' clusters with no false alarm.
+        X = np.random.default_rng(8).normal(size=(24, 2))
+        labels = np.resize(np.array([*present, UNLABELED]), 24)
+        with pytest.raises(ValueError, match="both mite and bee"):
+            fit_supervised(X, labels, mite_label=3, bee_label=1, k0=2, k_max=12, seed=0)
 
     def test_escalation_exhaustion_raises_with_diagnostics(self):
         # interleaved classes cannot be separated by few centroids

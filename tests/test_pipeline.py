@@ -1123,6 +1123,20 @@ def test_truncated_payload_exits_1_before_any_tile(fitted, bil_copy, tmp_path, m
     assert seen == [] and not (tmp_path / "out").exists()
 
 
+def test_file_in_the_way_of_the_output_exits_1_before_any_tile(fitted, tmp_path, monkeypatch,
+                                                                caplog):
+    # the CLI makes apply's output directory, and only it: a file in its place
+    # fails the command before the first tile is classified
+    (tmp_path / "out").write_text("not a directory")
+    seen = spy_tiles(monkeypatch, fitted[3])
+    with caplog.at_level(logging.ERROR, logger="spectral_sift"):
+        code = cli.main(["apply", "--model", str(fitted[0] / "model.json"),
+                         "--cube", str(fitted[0] / "cube.hdr"), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert str(tmp_path / "out") in caplog.text
+    assert seen == [] and (tmp_path / "out").read_text() == "not a directory"
+
+
 def shrunk_after_open(open_envi):
     """``open_envi`` that halves the payload once it has checked its size, as a
     file rewritten while it is read would be."""
