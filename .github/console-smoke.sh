@@ -36,9 +36,13 @@ cat > kfpls.json <<'JSON'
  "inputs": {"cube_header": "scene/cube.hdr", "mask": "scene/mask.hdr",
             "palette": "scene/palette.json"}}
 JSON
+# the baseline fit and apply run with no thread count set, where the CLI loads
+# numpy under its own default of one OpenBLAS thread; the runs below with a
+# count set must write the same bytes
 for workflow in kmeans kfpls; do
-  spectral-sift fit --config $workflow.json --out $workflow
-  spectral-sift apply --model $workflow/model.json --cube scene/cube.hdr --out $workflow/applied
+  env -u OMP_NUM_THREADS -u OPENBLAS_NUM_THREADS spectral-sift fit --config $workflow.json --out $workflow
+  env -u OMP_NUM_THREADS -u OPENBLAS_NUM_THREADS spectral-sift apply --model $workflow/model.json \
+    --cube scene/cube.hdr --out $workflow/applied
   spectral-sift inspect --model $workflow/model.json --json > $workflow/inspect.json
   python -c "import json, sys; assert json.load(open(sys.argv[1]))['format_version'] == 5" $workflow/inspect.json
   spectral-sift inspect --model $workflow/model.json > $workflow/inspect.txt

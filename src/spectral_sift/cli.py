@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
+# Every command holds OpenBLAS to one thread (pipeline._blas_threads_held), yet
+# with no thread count set, numpy's import starts a pool of them, which doubles
+# its import time. So the package is imported with OpenBLAS's default at one
+# thread, and the environment is put back as it was after it: a count the
+# user set is kept, and importing the CLI leaves no trace.
+_BLAS_UNSET = "OPENBLAS_NUM_THREADS" not in os.environ
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .cluster import EscalationError
 from .kernel import KfConvergenceError, save_loss_trace
 from .modelio import dumps
@@ -32,6 +40,8 @@ from .pipeline import (
 )
 from .specdata import open_envi
 from .specdata import read_envi  # noqa: F401  bench/spans.py traces cli.read_envi by name
+if _BLAS_UNSET:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 log = logging.getLogger("spectral_sift")
 

@@ -53,6 +53,9 @@ CLASS_OTHER = "other"
 #: thousands of iterations. ``kernel.cdist`` is the second caller: it takes the
 #: square root of those squared distances and sets entries within this margin of
 #: zero to exactly 0, so that equal rows are at distance 0.
+#: ``kernel.predict_indicators`` does the same after one product of the d + 2
+#: terms, whose two squared norms are each within d·ε·reach² themselves: inside
+#: the same margin.
 MARGIN = 2.0**-36
 
 #: Lloyd stops once no centroid moves by this much in an update
@@ -200,9 +203,19 @@ def kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
                 raise ValueError(f"k={k} exceeds the {i} distinct rows")
             centroids[i] = X[unused[0]]
         else:
-            centroids[i] = X[rng.choice(X.shape[0], p=d2 / total)]
+            centroids[i] = X[_weighted_draw(rng, d2 / total)]
         np.minimum(d2, _summed_squares(columns, centroids[i]), out=d2)
     return centroids
+
+
+def _weighted_draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """One index drawn with probabilities ``p`` (non-negative, summing to 1):
+    the steps of ``rng.choice(p.size, p=p)``, one uniform draw searched in the
+    normalized cumulative sum, without its validation of ``p``, which costs a
+    third of a draw over 16 384 points."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _summed_squares(columns: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -30,9 +30,14 @@ are computed in row blocks; a Gram matrix is centered in place by the fit
 that takes it; and the final Gram matrix overwrites the distances.
 
 Prediction runs in row chunks of about :data:`BLOCK_CELLS` cross-kernel
-cells (:func:`classify`), which fit a core's L2 cache: each chunk's distance
-product and the passes after it run in place on one (chunk × support)
-array, with the same functions and the same bits as the Gram path.
+cells (:func:`classify`), which fit a core's L2 cache. A chunk takes two
+products (:func:`predict_indicators`): the first gives its squared distances
+to the support spectra with the norms folded in; the margin, the square root
+and the kernel (the Gram path's function) then run on it in place; the
+second gives the scores with the centering folded in. Their sums run in
+another order than :func:`cdist`'s and :func:`center_kernel`'s, so the
+scores differ from that plain chain in the last bits, within a first-order
+bound the tests state.
 """
 
 from __future__ import annotations
@@ -59,15 +64,18 @@ LENGTHSCALE_BOUNDS = (1e-4, 1e4)
 BATCH_DRAWS = 200
 
 #: float64 cells per chunk of cross-kernel rows in :func:`classify` (512 KiB):
-#: a chunk of ``max(2, BLOCK_CELLS // support)`` rows goes through the product
-#: and every pass after it, so its operands stay in a core's L2 cache instead
-#: of streaming a tile-sized array from L3 or memory about fifteen times
-#: (loop blocking: Lam, Rothberg & Wolf, ASPLOS 1991), and a classified tile
-#: holds a few chunks whatever its row width or support count. Sized on the
-#: 256×256 M cube of the benchmark against 654 support spectra (matern52, 2
-#: threads on 2 vCPU, medians of 7): the passes after the product took 508 ms
-#: in blocks of 100 rows, 537 and 515 ms in blocks of 50 and 200, 550 ms in
-#: blocks of 400 (2 MB) and 568 ms on whole 768-pixel tiles.
+#: a chunk of ``max(2, BLOCK_CELLS // support)`` rows goes through both
+#: products of :func:`predict_indicators` and the ten passes between them
+#: (the margin's test and zeroing, the square root, matern52's seven), so its
+#: operands stay in a core's L2 cache instead of streaming a tile-sized array
+#: from L3 or memory (loop blocking: Lam, Rothberg & Wolf, ASPLOS 1991), and a
+#: classified tile holds a few chunks whatever its row width or support count.
+#: Sized against 654 support spectra of 204 bands (matern52, one thread on
+#: 2 vCPU, medians of 5): a 768-pixel tile took 6.9, 6.0, 5.7 and 9.3 ms in
+#: chunks of 50, 100, 200 and 400 rows. With 200-row chunks the apply command
+#: on the benchmark's M cube took a median 0.60 s against 0.65 s (6 alternating
+#: runs each, spread 0.51–0.98 s), within noise, and peaked at 41.6 MB against
+#: 38.8 MB.
 BLOCK_CELLS = 1 << 16
 
 
@@ -135,10 +143,10 @@ def distance_kernel(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = No
     The values are written to ``out`` or one new array; ``out`` may be ``r``
     itself, otherwise ``r`` is left as it is. Above ``BLOCK_CELLS`` cells the
     rows of ``r`` go through in blocks of at most that many cells (a single
-    wider row is one block), so the temporaries (matern52's u and, briefly,
-    1 + u) are block-sized. The operations and their order are those of the
-    plain expressions in the comments, entry by entry, so the values keep
-    every bit whatever the blocks.
+    wider row is one block), so matern52's one scratch array is block-sized.
+    The operations and their order are those of the plain expressions in the
+    comments, entry by entry, so the values keep every bit whatever the
+    blocks.
     """
     if out is None:
         out = np.empty_like(r)
@@ -148,29 +156,30 @@ def distance_kernel(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = No
     return out
 
 
-def _distance_kernel_block(spec: KernelSpec, r: np.ndarray,
-                           out: np.ndarray | None) -> np.ndarray:
+def _distance_kernel_block(spec: KernelSpec, r: np.ndarray, out: np.ndarray) -> np.ndarray:
     """:func:`distance_kernel` on one block, each formula updated in place in
-    ``out`` or a new array."""
+    ``out``."""
     ell = spec.lengthscale
     if spec.family == "gaussian":  # exp(-(r**2) / (2 ell**2))
-        out = np.square(r, out=out)
+        np.square(r, out=out)
         np.negative(out, out=out)
         out /= 2.0 * ell**2
     elif spec.family == "laplacian":  # exp(-r / ell)
-        out = np.negative(r, out=out)
+        np.negative(r, out=out)
         out /= ell
-    elif spec.family == "matern52":  # (1 + u + u**2 / 3) exp(-u), u = sqrt(5) r / ell
-        u = np.multiply(r, np.sqrt(5.0))
-        u /= ell
-        out = np.square(u, out=out)
-        out /= 3.0
-        out += 1.0 + u
-        np.negative(u, out=u)
-        out *= np.exp(u, out=u)
+    elif spec.family == "matern52":
+        # (1 + u + u**2 / 3) exp(-u), u = sqrt(5) r / ell, as ((v / 3 - 1) v + 1) exp(v)
+        # with v = -u = r (-sqrt(5) / ell): seven passes, one scratch array
+        np.multiply(r, -np.sqrt(5.0) / ell, out=out)
+        scratch = np.divide(out, 3.0)
+        scratch -= 1.0
+        scratch *= out
+        scratch += 1.0
+        np.exp(out, out=out)
+        out *= scratch
         return out
     else:  # cauchy: 1 / (1 + (r / ell)**2)
-        out = np.divide(r, ell, out=out)
+        np.divide(r, ell, out=out)
         np.square(out, out=out)
         out += 1.0
         return np.divide(1.0, out, out=out)
@@ -211,6 +220,18 @@ def center_kernel(K: np.ndarray, stats: KernelCenterStats,
     return out
 
 
+class _Predictor(NamedTuple):
+    """What :func:`predict_indicators` reads of a model, with S the support
+    spectra, B the dual coefficients, c and μ the training kernel's column
+    means and mean, and ȳ the indicator means."""
+
+    support: np.ndarray  # [S | 1 | ‖s‖²], (n, bands + 2)
+    reach: float  # the largest row norm of S
+    weights: np.ndarray  # [B | 1/n], (n, classes + 1)
+    col_sums: np.ndarray  # 1ᵀB
+    offset: np.ndarray  # μ·1ᵀB − cᵀB + ȳ
+
+
 @dataclass(frozen=True)
 class KernelPlsModel:
     kernel: KernelSpec
@@ -226,11 +247,21 @@ class KernelPlsModel:
         return self.support.shape[0]
 
     @functools.cached_property
-    def _support_norms(self) -> tuple[np.ndarray, float]:
-        """Squared row norms of the support spectra and the largest row norm:
-        the support side of every cross-kernel, computed on first use."""
+    def _predictor(self) -> _Predictor:
+        """The model side of :func:`predict_indicators`, derived on first use;
+        the model file does not hold it."""
+        n, bands = self.support.shape
         sq = np.sum(self.support**2, axis=1)
-        return sq, _largest_norm(sq)
+        support = np.empty((n, bands + 2))
+        support[:, :bands] = self.support
+        support[:, bands] = 1.0
+        support[:, bands + 1] = sq
+        B = self.dual_coef
+        col_sums = B.sum(axis=0)
+        offset = self.center_stats.mean_all * col_sums - self.center_stats.col_means @ B
+        return _Predictor(support=support, reach=_largest_norm(sq),
+                          weights=np.column_stack((B, np.full(n, 1.0 / n))),
+                          col_sums=col_sums, offset=offset + self.y_means)
 
 
 def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -350,24 +381,39 @@ def predict_indicators(model: KernelPlsModel, X_new: np.ndarray) -> np.ndarray:
     """Predicted class-indicator scores for new spectra.
 
     ``center_kernel(kernel_matrix(spec, X_new, support), stats) @ dual_coef
-    + y_means``, bit for bit, holding one (new rows × support) array: the
-    product of :func:`cdist` is taken once, on all rows, and every later pass
-    (norms, margin, square root, kernel, centering) runs on it in place.
-    Callers bound that array by the rows they pass: :func:`classify` passes
-    chunks of about ``BLOCK_CELLS`` cells.
+    + y_means`` in two products on one (new rows × support) array K. The
+    first, ``[−2X | ‖x‖² | 1] @ [S | 1 | ‖s‖²]ᵀ``, gives the squared
+    distances with the norms folded in; the margin's zeroing, the square root
+    and the kernel then run on K in place (:func:`cdist`,
+    :func:`distance_kernel`). The second, ``K @ [B | 1/n]``, gives K·B and
+    each row's mean m, and the scores are K·B − m·1ᵀB + (μ·1ᵀB − cᵀB + ȳ)
+    (see :class:`_Predictor`): the centering, folded into the product. The
+    sums run in another order than the plain chain's, so the scores differ
+    from it in the last bits, within the first-order bound that the tests
+    state (on the benchmark's cubes by at most 6.2e-15, where a pixel's top
+    two scores are at least 0.55 apart). The product's squared distances err
+    within ``cluster.MARGIN`` too, so a row equal to a support spectrum is at
+    distance exactly 0, its kernel exactly 1. Callers bound K by the rows
+    they pass: :func:`classify` passes chunks of about ``BLOCK_CELLS`` cells.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.support.shape[1]:
         raise ValueError(
             f"expected {model.support.shape[1]} bands, got shape {X_new.shape}"
         )
-    x_sq = np.sum(X_new**2, axis=1)
-    s_sq, s_reach = model._support_norms
-    K = _finish_squared_distances(_cross_product(X_new, model.support), x_sq, s_sq)
-    _distances_from_squares(K, _largest_norm(x_sq) + s_reach)
+    side = model._predictor
+    rows, bands = X_new.shape
+    left = np.empty((rows, bands + 2))
+    np.multiply(X_new, -2.0, out=left[:, :bands])
+    x_sq = np.einsum("ij,ij->i", X_new, X_new, out=left[:, bands])
+    left[:, bands + 1] = 1.0
+    K = left @ side.support.T
+    _distances_from_squares(K, _largest_norm(x_sq) + side.reach)
     distance_kernel(model.kernel, K, out=K)
-    center_kernel(K, model.center_stats, out=K)
-    return K @ model.dual_coef + model.y_means
+    P = K @ side.weights
+    scores = P[:, :-1] - P[:, -1:] * side.col_sums
+    scores += side.offset
+    return scores
 
 
 def classify(model: KernelPlsModel, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,9 +424,10 @@ def classify(model: KernelPlsModel, X_new: np.ndarray) -> tuple[np.ndarray, np.n
     (rows × classes) array; a last chunk of one row joins the chunk before
     it (:func:`cluster._row_blocks`). So no (rows × support) cross-kernel is
     held, only a chunk's: about ``BLOCK_CELLS`` cells, or two rows of a
-    wider support. A chunk's scores are those of the whole-chunk chain, bit
-    for bit; against one product on all rows they can move in the last bits,
-    as OpenBLAS rounds a row by the product's row count.
+    wider support. A chunk's scores are those of :func:`predict_indicators`
+    on that chunk, bit for bit, and within its stated bound of the plain
+    chain; against one call on all rows they can move in the last bits, as
+    OpenBLAS rounds a row by the product's row count.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     scores = np.empty((X_new.shape[0], model.dual_coef.shape[1]))

@@ -17,6 +17,7 @@ from spectral_sift.cluster import (
     _finish_squared_distances,
     _nearest_two,
     _summed_squares,
+    _weighted_draw,
     assign,
     fit_supervised,
     kmeans_fit,
@@ -168,6 +169,29 @@ class TestKmeansppInit:
             assert got.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(got, want, rtol=d * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize("design", ["dense", "zeros", "one-non-zero", "tiny-and-huge"])
+    def test_weighted_draw_is_rng_choice(self, design):
+        # the draw of rng.choice(n, p=p), draw for draw, on the installed numpy;
+        # both generators stay in step
+        meta = np.random.default_rng(len(design))
+        for trial in range(75):
+            n = int(meta.integers(1, 3000))
+            d2 = meta.normal(size=n) ** 2
+            if design == "zeros":
+                d2[meta.random(n) < 0.8] = 0.0
+                d2[meta.integers(n)] = 1.0
+            elif design == "one-non-zero":
+                d2[:] = 0.0
+                d2[meta.integers(n)] = meta.uniform(1e-3, 1e3)
+            elif design == "tiny-and-huge":
+                d2 *= 10.0 ** meta.integers(-200, 200, size=n)
+            p = d2 / d2.sum()
+            seed = int(meta.integers(2**32))
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                assert _weighted_draw(mine, p) == theirs.choice(n, p=p)
+            assert mine.random() == theirs.random()
 
     def test_k_equals_n_gives_permutation(self):
         rng = np.random.default_rng(0)

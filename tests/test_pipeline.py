@@ -467,6 +467,34 @@ def test_kfpls_fit_and_apply_run_without_scipy(scene, tmp_path):
         assert run.returncode == EXIT_OK, run.stderr
 
 
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user-set"])
+def test_cli_import_loads_numpy_at_one_openblas_thread(preset):
+    # in a fresh process with no thread count set, numpy loads under the CLI's
+    # default of one OpenBLAS thread; a count the user set is kept, read as a
+    # plain numpy import reads it; either way the import leaves the
+    # environment as it was
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    report = ("from spectral_sift.pipeline import _openblas_threads; blas = _openblas_threads(); "
+              "print(blas and blas[0](), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    seen = {}
+    for first in ("spectral_sift.cli", "numpy"):
+        run = subprocess.run([sys.executable, "-c", f"import os, {first}; {report}"],
+                             capture_output=True, text=True, env=env, check=True, timeout=60)
+        seen[first] = run.stdout.split()
+    if seen["numpy"][0] == "None":
+        pytest.skip("numpy is not linked to OpenBLAS")
+    assert seen["spectral_sift.cli"][1] == str(preset)
+    if preset is None:
+        assert seen["spectral_sift.cli"][0] == "1"
+    else:
+        assert seen["spectral_sift.cli"] == seen["numpy"]
+
+
 def test_infeasible_latent_count_is_null_in_diagnostics(scene, tmp_path):
     # at the lower lengthscale clamp the Gram matrix is the identity, which carries
     # one factor fewer than the 3 classes: a = 3 has no fit
