@@ -48,6 +48,17 @@ for workflow in kmeans kfpls; do
   spectral-sift inspect --model $workflow/model.json > $workflow/inspect.txt
   grep -q "^workflow: $workflow$" $workflow/inspect.txt
 done
+# where numpy's BLAS is OpenBLAS, a fit takes the Kernel Flows batches on a
+# forked helper per further usable CPU, so the kfpls run above, with 4 batches,
+# forked helpers on a runner of 2 or more CPUs; pinned to one CPU where taskset
+# exists, it forks none and writes the same bytes
+first_cpu=$(python -c "import os; print(min(os.sched_getaffinity(0)) if hasattr(os, 'sched_getaffinity') else '')")
+if command -v taskset > /dev/null && [ -n "$first_cpu" ]; then
+  taskset -c "$first_cpu" spectral-sift fit --config kfpls.json --out kfpls-cpu1 > /dev/null
+  for name in model.json diagnostics.json kf_loss_trace.csv; do
+    cmp kfpls/$name kfpls-cpu1/$name
+  done
+fi
 # fit runs on one BLAS thread whatever OpenBLAS is set to, so 1 and 2 threads
 # write the bytes of the run above (on macOS numpy has no OpenBLAS, and the
 # variable changes nothing)
@@ -68,7 +79,6 @@ done
 # support spectra give three 16-row tiles: unpinned on two or more CPUs,
 # helper threads share them with the calling thread; pinned, the calling
 # thread classifies all three alone.
-first_cpu=$(python -c "import os; print(min(os.sched_getaffinity(0)) if hasattr(os, 'sched_getaffinity') else '')")
 for workflow in kmeans kfpls; do
   names="class_mask.raw counts.json"
   if [ $workflow = kmeans ]; then names="$names cluster_mask.raw"; fi

@@ -23,11 +23,26 @@ Distances do not depend on the lengthscale, so the training distances are
 computed once: every Gram matrix of the Kernel Flows loop and of the
 latent-count search is a kernel of index slices of that one matrix. An
 iteration slices each batch's block once, for both of its losses. The fit
-holds that one n × n array, plus a batch's blocks (a quarter of its cells
-each) and row blocks of :data:`BLOCK_CELLS`: the lengthscale medians come
-from one copy of its upper triangle, released before the descent; kernels
-are computed in row blocks; a Gram matrix is centered in place by the fit
-that takes it; and the final Gram matrix overwrites the distances.
+holds that one n × n array, shared by every process of the descent, plus in
+each process a batch's blocks (a quarter of its cells each) and row blocks
+of :data:`BLOCK_CELLS`: the lengthscale medians come from one copy of its
+upper triangle, released before the descent; kernels are computed in row
+blocks; a Gram matrix is centered in place by the fit that takes it; and
+the final Gram matrix overwrites the distances.
+
+An iteration's batch losses do not depend on each other, and most of a loss
+is small numpy calls that hold the GIL, so they run on processes, not
+threads (:class:`_BatchProcesses`). Once per fit, after the distances, the
+caller forks up to one helper per further usable CPU; the helpers read the
+distances copy-on-write, so they are never copied or pickled. Each
+iteration, every process, the caller included, claims batch numbers from one
+pipe until a stop marker, so a helper that starts slow takes fewer; the
+caller puts the losses back in batch order before their mean, so traces,
+lengthscale and model have the bits of a one-process run. One process forks
+nothing and claims every batch through the same loop. Helpers leave by
+``os._exit`` and are reaped, on every exit path, before the final Gram
+matrix overwrites the distances, so the caller's writes copy none of their
+pages.
 
 Prediction runs in row chunks of about :data:`BLOCK_CELLS` cross-kernel
 cells (:func:`classify`), which fit a core's L2 cache. A chunk takes two
@@ -42,9 +57,15 @@ bound the tests state.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import logging
-from dataclasses import dataclass, field
+import os
+import pickle
+import signal
+import struct
+import threading
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -246,22 +267,26 @@ class KernelPlsModel:
     def n_support(self) -> int:
         return self.support.shape[0]
 
-    @functools.cached_property
-    def _predictor(self) -> _Predictor:
-        """The model side of :func:`predict_indicators`, derived on first use;
-        the model file does not hold it."""
+    def __post_init__(self) -> None:
+        """Derives the model side of :func:`predict_indicators`, which the
+        model file does not hold. The support spectra are held once, as the
+        first columns of its [S | 1 | ‖s‖²]: ``support`` becomes a view of
+        them, and the array passed in is not kept."""
         n, bands = self.support.shape
-        sq = np.sum(self.support**2, axis=1)
-        support = np.empty((n, bands + 2))
-        support[:, :bands] = self.support
-        support[:, bands] = 1.0
-        support[:, bands + 1] = sq
+        augmented = np.empty((n, bands + 2))
+        # ‖s‖² with the bits of np.sum(S**2, axis=1), the squares taken in place
+        sq = np.square(self.support, out=augmented[:, :bands]).sum(axis=1)
+        augmented[:, :bands] = self.support
+        augmented[:, bands] = 1.0
+        augmented[:, bands + 1] = sq
         B = self.dual_coef
         col_sums = B.sum(axis=0)
         offset = self.center_stats.mean_all * col_sums - self.center_stats.col_means @ B
-        return _Predictor(support=support, reach=_largest_norm(sq),
-                          weights=np.column_stack((B, np.full(n, 1.0 / n))),
-                          col_sums=col_sums, offset=offset + self.y_means)
+        object.__setattr__(self, "support", augmented[:, :bands])
+        object.__setattr__(self, "_predictor", _Predictor(
+            support=augmented, reach=_largest_norm(sq),
+            weights=np.column_stack((B, np.full(n, 1.0 / n))),
+            col_sums=col_sums, offset=offset + self.y_means))
 
 
 def _dual_simpls(Kc: np.ndarray, Yc: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +362,7 @@ class _NestedFit(NamedTuple):
 
     def model(self, spec: KernelSpec, X: np.ndarray, a: int) -> KernelPlsModel:
         """The fit at ``a`` factors as a model with support spectra ``X``."""
-        return KernelPlsModel(kernel=spec, support=X.copy(), center_stats=self.center_stats,
+        return KernelPlsModel(kernel=spec, support=X, center_stats=self.center_stats,
                               dual_coef=self.dual_coef(a), y_means=self.y_means,
                               classes=self.classes, a=a)
 
@@ -575,11 +600,211 @@ def kf_loss(
     return float(np.sum((yhat_full - yhat_half) ** 2)) / denom
 
 
+#: a batch number in the claims pipe of :class:`_BatchProcesses`; -1 stops
+_CLAIM = struct.Struct("h")
+
+#: the most batches claimed through one write to the claims pipe, and the
+#: most processes: with a stop marker per process, one write is at most 512
+#: bytes, POSIX's least ``PIPE_BUF``, so it is atomic and fits any pipe's
+#: buffer, and the caller, which reads from that pipe too, never blocks on it
+_ROUND = 128
+
+#: the byte count in front of each message of :func:`_send`
+_LENGTH = struct.Struct("Q")
+
+
+def _send(fd: int, message: bytes) -> None:
+    """Writes ``message`` to the pipe ``fd``, after its length."""
+    view = memoryview(_LENGTH.pack(len(message)) + message)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> bytes | None:
+    """``size`` bytes from the pipe ``fd``, or None at its end."""
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            return None
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _receive(fd: int):
+    """The next message that :func:`_send` wrote to the pipe ``fd``,
+    unpickled, or None at the pipe's end."""
+    head = _read(fd, _LENGTH.size)
+    body = None if head is None else _read(fd, _LENGTH.unpack(head)[0])
+    return None if body is None else pickle.loads(body)
+
+
+class _Helper(NamedTuple):
+    pid: int
+    jobs: int  # the write end of its jobs pipe
+    results: int  # the read end of its results pipe
+
+
+class _BatchProcesses:
+    """The processes that take the Kernel Flows batch losses on the training
+    distances ``D``: the caller and up to ``processes`` − 1 forked helpers.
+
+    Helpers are forked at once, and only where ``os`` has fork and one
+    Python thread runs: at most :data:`_ROUND` processes in all. They read
+    ``D`` copy-on-write. For each round of at most :data:`_ROUND` batches
+    (:meth:`losses`), the caller sends the lengthscale pair and the batches
+    to every helper and writes the batch numbers and a stop marker per
+    process into one pipe; then every process, the caller too, claims
+    batches from it (:meth:`_claim`), and each helper sends back the losses
+    of the batches it took, or the error that stopped it. With one process
+    nothing is forked, and the caller claims every batch in the same way.
+
+    A helper ignores SIGINT, closes the pipe ends it does not use, so it
+    sees their end if the caller dies, and leaves through ``os._exit``: no
+    ``finally``, ``atexit`` handler or stdio flush of the caller's runs in
+    it. Leaving the context, by a return or any exception, closes the
+    caller's pipe ends, then kills and reaps every helper.
+    """
+
+    def __init__(self, D: np.ndarray, labels: np.ndarray, a: int, processes: int) -> None:
+        self.D, self.labels, self.a = D, labels, a
+        self._claims, self._claims_in = os.pipe()  # read and write end
+        self._fds = [self._claims, self._claims_in]  # the caller's pipe ends
+        self._helpers: list[_Helper] = []  # the helpers not yet reaped
+        try:
+            if hasattr(os, "fork") and threading.active_count() == 1:
+                for _ in range(min(processes, _ROUND) - 1):
+                    self._fork()
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> _BatchProcesses:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _fork(self) -> None:
+        jobs, jobs_in = os.pipe()
+        results_out, results = os.pipe()
+        self._fds += [jobs_in, results_out]
+        try:
+            # signals wait until the helper is in the try that ends in os._exit,
+            # so none unwinds the caller's stack in it, and until the caller
+            # has it on its list
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns of every thread, OpenBLAS's too; OpenBLAS
+                    # registers fork handlers, and no other Python thread runs
+                    warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        # an interrupt from the terminal reaches the whole process
+                        # group: the caller's ends the helpers
+                        signal.signal(signal.SIGINT, signal.SIG_IGN)
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        for fd in self._fds:
+                            if fd != self._claims:
+                                os.close(fd)
+                        self._serve(jobs, results)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                self._helpers.append(_Helper(pid, jobs_in, results_out))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        finally:
+            os.close(jobs)
+            os.close(results)
+
+    def _serve(self, jobs: int, results: int) -> None:
+        """A helper's loop, until the end of its jobs pipe: claim batches of
+        each round, then send back their losses or the error raised."""
+        while (job := _receive(jobs)) is not None:
+            try:
+                reply = self._claim(*job)
+            except Exception as error:
+                reply = error
+            _send(results, pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+
+    def _claim(self, specs: tuple[KernelSpec, KernelSpec],
+               batches: list[tuple[np.ndarray, np.ndarray]]) -> dict[int, tuple[float, float]]:
+        """The losses (up, down) at the lengthscales of ``specs`` of each batch
+        this process claims from the pipe, until a stop marker or the pipe's
+        end. After a non-finite loss it takes no further loss, but reads on
+        to its stop marker, so the round leaves the pipe empty."""
+        losses: dict[int, tuple[float, float]] = {}
+        finite = True
+        for claim in iter(lambda: os.read(self._claims, _CLAIM.size), b""):
+            (b,) = _CLAIM.unpack(claim)
+            if b < 0:
+                break
+            if finite:
+                full, half = batches[b]
+                D_ff = self.D[np.ix_(full, full)]
+                up, down = losses[b] = tuple(kf_loss(D_ff, self.labels, s, self.a, full, half)
+                                             for s in specs)
+                finite = bool(np.isfinite(up) and np.isfinite(down))
+        return losses
+
+    def losses(self, specs: tuple[KernelSpec, KernelSpec],
+               batches: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[float, float]] | None:
+        """The losses (up, down) of each batch at the lengthscales of
+        ``specs``, in batch order whichever process took it, or None when
+        one is non-finite. Raises what a helper raised, and RuntimeError
+        naming the exit status of a helper that ended before its reply."""
+        pairs = []
+        for r0 in range(0, len(batches), _ROUND):
+            found = self._round(specs, batches[r0:r0 + _ROUND])
+            if not np.isfinite(list(found.values())).all():
+                return None
+            pairs += [found[b] for b in range(len(found))]  # all there: every loss is finite
+        return pairs
+
+    def _round(self, specs: tuple[KernelSpec, KernelSpec],
+               batches: list[tuple[np.ndarray, np.ndarray]]) -> dict[int, tuple[float, float]]:
+        job = pickle.dumps((specs, batches), pickle.HIGHEST_PROTOCOL)
+        for helper in self._helpers:
+            with contextlib.suppress(BrokenPipeError):  # it ended: its results pipe tells
+                _send(helper.jobs, job)
+        os.write(self._claims_in, b"".join(map(_CLAIM.pack, range(len(batches))))
+                 + _CLAIM.pack(-1) * (1 + len(self._helpers)))
+        found = self._claim(specs, batches)
+        for helper in self._helpers:
+            reply = _receive(helper.results)
+            if reply is None:
+                self._ended(helper)
+            if isinstance(reply, BaseException):
+                raise reply
+            found.update(reply)
+        return found
+
+    def _ended(self, helper: _Helper) -> None:
+        self._helpers.remove(helper)
+        _, status = os.waitpid(helper.pid, 0)
+        raise RuntimeError(f"Kernel Flows helper process {helper.pid} ended early, "
+                           f"exit status {os.waitstatus_to_exitcode(status)}")
+
+    def close(self) -> None:
+        """Closes the caller's pipe ends, then kills and reaps every helper:
+        one still at work stops at once."""
+        while self._fds:
+            os.close(self._fds.pop())
+        while self._helpers:
+            pid = self._helpers.pop().pid
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def kf_gradient(
-    D: np.ndarray,
-    labels: np.ndarray,
+    processes: _BatchProcesses,
     spec: KernelSpec,
-    a: int,
     batches: list[tuple[np.ndarray, np.ndarray]],
     step: float,
 ) -> tuple[float, float]:
@@ -587,23 +812,18 @@ def kf_gradient(
     losses at log lengthscale ± ``step``: the loss is their midpoint
     (up + down)/2, the derivative their central difference.
 
-    Each loss is the mean over the batches of :func:`kf_loss`. Both losses
-    are taken batch by batch, so each batch's block of ``D`` is sliced once
-    and only one block is held at a time. A batch with an infinite loss
-    ends the evaluation: (inf, nan).
+    Each loss is the mean over the batches, in batch order, of
+    :func:`kf_loss` on the distances that ``processes`` hold, whichever
+    process took each batch. One process takes both losses of a batch, from
+    one slice of its block, and holds one batch's blocks at a time. A
+    non-finite loss ends the evaluation: (inf, nan).
     """
-    D = np.asarray(D, dtype=np.float64)
     log_ell = np.log(spec.lengthscale)
-    specs = [KernelSpec(spec.family, np.exp(log_ell + s)) for s in (step, -step)]
-    ups, downs = [], []
-    for full, half in batches:
-        D_ff = D[np.ix_(full, full)]
-        up, down = (kf_loss(D_ff, labels, s, a, full, half) for s in specs)
-        if not (np.isfinite(up) and np.isfinite(down)):
-            return float("inf"), float("nan")
-        ups.append(up)
-        downs.append(down)
-    up, down = float(np.mean(ups)), float(np.mean(downs))
+    specs = tuple(KernelSpec(spec.family, np.exp(log_ell + s)) for s in (step, -step))
+    pairs = processes.losses(specs, batches)
+    if pairs is None:
+        return float("inf"), float("nan")
+    up, down = (float(np.mean(losses)) for losses in zip(*pairs))
     return (up + down) / 2.0, (up - down) / (2.0 * step)
 
 
@@ -635,6 +855,7 @@ def kf_optimize(
     kernel: KernelConfig,
     cfg: KfConfig,
     seed: int,
+    processes: int,
 ) -> KfResult:
     """Learn the kernel lengthscale by stochastic Kernel Flows descent.
 
@@ -655,6 +876,13 @@ def kf_optimize(
     triangle (:func:`_pair_medians`) that is released before the descent,
     and the final Gram matrix is computed over it in place, in row blocks,
     then centered in place by the fit. ``seed`` draws the batches.
+
+    The descent takes each iteration's batch losses on at most
+    ``min(processes, cfg.subsamplings_per_iter)`` processes: the caller and
+    helpers forked once, after the medians (:class:`_BatchProcesses`). They
+    share the distances copy-on-write and each holds one batch's blocks at a
+    time; they are reaped, on every exit path, before the final Gram matrix
+    overwrites the distances. The result has the bits of a one-process run.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
@@ -680,21 +908,23 @@ def kf_optimize(
     log_ell = float(np.clip(np.log(spec0.lengthscale), lo, hi))
     velocity = 0.0
     trace = np.empty((cfg.iterations, 3))
-    for it in range(cfg.iterations):
-        batches = draw_kf_batches(rng, labels, cfg.subsamplings_per_iter, cfg.batch_ratio)
-        spec_it = KernelSpec(kernel.family, float(np.exp(log_ell)))
-        loss, grad = kf_gradient(D, labels, spec_it, a_inner, batches, cfg.fd_step)
-        if not (np.isfinite(loss) and np.isfinite(grad)):
-            # log_ell is already clipped into range, so a retry would repeat this
-            raise KfConvergenceError(
-                f"Kernel Flows loss is non-finite at lengthscale {np.exp(log_ell):.3e}"
-            )
-        trace[it] = (it + 1, loss, np.exp(log_ell))
-        log.debug("Kernel Flows iteration %d: mean_rho=%.6g lengthscale=%.6g",
-                  it + 1, loss, np.exp(log_ell))
-        grad = float(np.clip(grad, -cfg.max_gradient, cfg.max_gradient))
-        velocity = cfg.momentum * velocity - cfg.learning_rate * grad
-        log_ell = float(np.clip(log_ell + velocity, lo, hi))
+    with _BatchProcesses(D, labels, a_inner,
+                         min(processes, cfg.subsamplings_per_iter)) as batch_processes:
+        for it in range(cfg.iterations):
+            batches = draw_kf_batches(rng, labels, cfg.subsamplings_per_iter, cfg.batch_ratio)
+            spec_it = KernelSpec(kernel.family, float(np.exp(log_ell)))
+            loss, grad = kf_gradient(batch_processes, spec_it, batches, cfg.fd_step)
+            if not (np.isfinite(loss) and np.isfinite(grad)):
+                # log_ell is already clipped into range, so a retry would repeat this
+                raise KfConvergenceError(
+                    f"Kernel Flows loss is non-finite at lengthscale {np.exp(log_ell):.3e}"
+                )
+            trace[it] = (it + 1, loss, np.exp(log_ell))
+            log.debug("Kernel Flows iteration %d: mean_rho=%.6g lengthscale=%.6g",
+                      it + 1, loss, np.exp(log_ell))
+            grad = float(np.clip(grad, -cfg.max_gradient, cfg.max_gradient))
+            velocity = cfg.momentum * velocity - cfg.learning_rate * grad
+            log_ell = float(np.clip(log_ell + velocity, lo, hi))
 
     spec_opt = KernelSpec(kernel.family, float(np.exp(log_ell)))
 

@@ -498,7 +498,10 @@ def _fit_kfpls_path(cube: CubeFile, columns: list[int] | None,
     _discriminant_rows(labels, config.labels.mite, config.labels.bee)  # both insects must exist
     pixels, y_train = _sample_labeled_pixels(labels, config.samples_per_class, config.seed)
     X_train = _gather_pixels(cube, columns, pixels)
-    result = kn.kf_optimize(X_train, y_train, config.kernel, config.kf, config.seed)
+    # OpenBLAS registers fork handlers, so the Kernel Flows batches may run on a
+    # forked helper per usable CPU; with another BLAS they run on one process
+    processes = _usable_cpus() if _openblas_threads() is not None else 1
+    result = kn.kf_optimize(X_train, y_train, config.kernel, config.kf, config.seed, processes)
     diagnostics = {
         "kernel": modelio.encode(result.spec),
         "initial_lengthscale": result.initial_lengthscale,

@@ -1,11 +1,17 @@
 """Kernel functions, centering, dual PLS-DA, and Kernel Flows tuning."""
 
+import gc
+import json
 import logging
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -598,6 +604,17 @@ class TestKernelPls:
             scaled = predict_gram(factor * K_new, *fit_gram(factor * K, labels, a))
             np.testing.assert_allclose(scaled, plain, rtol=1e-9, atol=1e-12)
 
+    def test_support_is_held_once(self):
+        # the predictor's [S | 1 | ‖s‖²] holds the support spectra; the model's
+        # support is a view of its first columns, not the array passed in
+        X, labels = three_blobs(np.random.default_rng(25))
+        model = fit_kernel_pls(X, labels, KernelSpec("gaussian", 2.0), a=2)
+        augmented = model._predictor.support
+        assert model.support.base is augmented
+        assert model.support.tobytes() == X.tobytes()
+        assert not np.shares_memory(model.support, X)
+        assert augmented[:, -1].tobytes() == np.sum(X**2, axis=1).tobytes()
+
     def test_one_support_point_per_class(self):
         X = np.array([[0.0, 0.0], [2.0, 0.0]])
         model = fit_kernel_pls(X, np.array([5, 9]), KernelSpec("gaussian", 1.0), a=1)
@@ -750,6 +767,21 @@ class TestKfBatches:
             assert set(half).issubset(set(full))
             assert half.size == full.size // 2
 
+    def test_labels_may_be_a_list(self):
+        labels = np.repeat([0, 1, 2], [50, 30, 20])
+        drawn = draw_kf_batches(np.random.default_rng(9), labels, 5, 0.5)
+        from_list = draw_kf_batches(np.random.default_rng(9), labels.tolist(), 5, 0.5)
+        for (full, half), (full_l, half_l) in zip(drawn, from_list, strict=True):
+            assert np.array_equal(full, full_l) and np.array_equal(half, half_l)
+
+    def test_draws_that_keep_missing_a_class_raise(self, monkeypatch):
+        # one row of class 1 in 100: a half-batch of 25 holds it one time in 4
+        monkeypatch.setattr(kernel, "BATCH_DRAWS", 2)
+        labels = np.zeros(100, dtype=int)
+        labels[7] = 1
+        with pytest.raises(KfConvergenceError, match="in 2 tries"):
+            draw_kf_batches(np.random.default_rng(10), labels, 10, 0.5)
+
     def test_impossible_batches_rejected(self):
         rng = np.random.default_rng(8)
         labels = np.arange(8)  # 8 classes, half-batch of 2 can't hold them
@@ -811,10 +843,10 @@ class TestKfLossOnDistances:
         cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=4,
                        subsamplings_per_iter=5, a_grid=(1, 2, 3, 4))
         spec0 = KernelConfig("matern52", float(np.median(pdist(X))))
-        fast = kf_optimize(X, labels, spec0, cfg, seed=3)
+        fast = kf_optimize(X, labels, spec0, cfg, seed=3, processes=1)
         monkeypatch.setattr(kernel, "kf_loss", lambda D_ff, labels, spec, a, full, half:
                             reference_kf_loss(X, labels, spec, a, [(full, half)]))
-        slow = kf_optimize(X, labels, spec0, cfg, seed=3)
+        slow = kf_optimize(X, labels, spec0, cfg, seed=3, processes=1)
         np.testing.assert_array_equal(fast.trace, slow.trace)
         assert fast.spec == slow.spec
         assert fast.a_star == slow.a_star
@@ -824,7 +856,7 @@ class TestKfLossOnDistances:
         rng = np.random.default_rng(16)
         X, labels = three_blobs(rng)
         cfg = KfConfig(iterations=2, subsamplings_per_iter=4, a_grid=(1, 2, 3, 5, 8))
-        result = kf_optimize(X, labels, KernelConfig(family, 2.0), cfg, seed=1)
+        result = kf_optimize(X, labels, KernelConfig(family, 2.0), cfg, seed=1, processes=1)
         Y = pls.encode_da(labels).indicators
         tss = float(np.sum((Y - Y.mean(axis=0)) ** 2))
         expected = {}
@@ -860,9 +892,9 @@ class TestKfOptimize:
             batches = draw_kf_batches(rng, labels, 8, 0.5)
             ell = float(np.median(pdist(X))) * rng.uniform(0.5, 2.0)
             spec = KernelSpec("gaussian", ell)
-            D = cdist(X, X)
-            g_coarse = kf_gradient(D, labels, spec, 3, batches, step=1e-4)[1]
-            g_fine = kf_gradient(D, labels, spec, 3, batches, step=5e-5)[1]
+            with kernel._BatchProcesses(cdist(X, X), labels, 3, processes=1) as processes:
+                g_coarse = kf_gradient(processes, spec, batches, step=1e-4)[1]
+                g_fine = kf_gradient(processes, spec, batches, step=5e-5)[1]
             assert abs(g_coarse - g_fine) <= 1e-3 * max(abs(g_fine), 1e-6)
 
     def test_recovers_grid_search_lengthscale(self):
@@ -879,7 +911,8 @@ class TestKfOptimize:
 
         cfg = KfConfig(learning_rate=0.02, momentum=0.8, iterations=25,
                        subsamplings_per_iter=40, a_grid=tuple(range(1, 9)))
-        result = kf_optimize(X, labels, KernelConfig("gaussian", 3.0 * ell_star), cfg, seed=11)
+        result = kf_optimize(X, labels, KernelConfig("gaussian", 3.0 * ell_star), cfg, seed=11,
+                             processes=1)
         ratio = result.spec.lengthscale / ell_star
         assert 0.5 <= ratio <= 2.0
         moving = np.convolve(result.trace[:, 1], np.ones(10) / 10, mode="valid")
@@ -890,8 +923,8 @@ class TestKfOptimize:
         X, labels = checkerboard(rng, cells=4, n_per=4)
         cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=6,
                        subsamplings_per_iter=8, a_grid=(1, 2, 3))
-        r1 = kf_optimize(X, labels, KernelConfig("gaussian", 0.8), cfg, seed=21)
-        r2 = kf_optimize(X, labels, KernelConfig("gaussian", 0.8), cfg, seed=21)
+        r1 = kf_optimize(X, labels, KernelConfig("gaussian", 0.8), cfg, seed=21, processes=1)
+        r2 = kf_optimize(X, labels, KernelConfig("gaussian", 0.8), cfg, seed=21, processes=1)
         np.testing.assert_array_equal(r1.trace, r2.trace)
         assert r1.spec.lengthscale == r2.spec.lengthscale
         assert r1.a_star == r2.a_star
@@ -905,7 +938,7 @@ class TestKfOptimize:
         labels = np.repeat([0, 1, 2, 3], 25)
         cfg = KfConfig(learning_rate=0.02, momentum=0.8, iterations=10,
                        subsamplings_per_iter=10, a_grid=tuple(range(1, 7)))
-        result = kf_optimize(X, labels, KernelConfig("gaussian", 3.0), cfg, seed=2)
+        result = kf_optimize(X, labels, KernelConfig("gaussian", 3.0), cfg, seed=2, processes=1)
         assert result.a_star == 3
         assert result.r2_by_a[3] == pytest.approx(1.0, abs=1e-3)
         assert result.r2_by_a[2] < 0.9
@@ -915,7 +948,7 @@ class TestKfOptimize:
         # oracle: refit at the learned kernel and a*, then classify the training rows
         X, labels = three_blobs(np.random.default_rng(19))
         cfg = KfConfig(iterations=2, subsamplings_per_iter=4, a_grid=(1, 2, 3, 5))
-        result = kf_optimize(X, labels, KernelConfig(family, 2.0), cfg, seed=4)
+        result = kf_optimize(X, labels, KernelConfig(family, 2.0), cfg, seed=4, processes=1)
         oracle = fit_kernel_pls(X, labels, result.spec, result.a_star)
         assert result.model.a == oracle.a and result.model.kernel == oracle.kernel
         for name in ("support", "dual_coef", "y_means", "classes"):
@@ -929,7 +962,7 @@ class TestKfOptimize:
         X = np.vstack([X, X[:5]])  # repeated rows put zeros among the distances
         labels = np.concatenate([labels, labels[:5]])
         cfg = KfConfig(iterations=1, subsamplings_per_iter=2, a_grid=(1, 2))
-        result = kf_optimize(X, labels, KernelConfig("gaussian"), cfg, seed=0)
+        result = kf_optimize(X, labels, KernelConfig("gaussian"), cfg, seed=0, processes=1)
         d = pdist(X)
         assert result.initial_lengthscale == pytest.approx(float(np.median(d[d > 0])), rel=1e-12)
         assert result.trace[0, 2] == pytest.approx(result.initial_lengthscale, rel=1e-12)
@@ -937,12 +970,14 @@ class TestKfOptimize:
     def test_null_lengthscale_on_identical_spectra_rejected(self):
         X, labels = np.ones((8, 3)), np.repeat([0, 1], 4)
         with pytest.raises(ValueError, match="sampled spectra are identical"):
-            kf_optimize(X, labels, KernelConfig("gaussian"), KfConfig(iterations=1), seed=0)
+            kf_optimize(X, labels, KernelConfig("gaussian"), KfConfig(iterations=1), seed=0,
+                        processes=1)
 
     def test_identical_spectra_with_a_lengthscale_rejected(self):
         X, labels = np.ones((8, 3)), np.repeat([0, 1], 4)
         with pytest.raises(ValueError, match="median pairwise distance is zero"):
-            kf_optimize(X, labels, KernelConfig("gaussian", 1.0), KfConfig(iterations=1), seed=0)
+            kf_optimize(X, labels, KernelConfig("gaussian", 1.0), KfConfig(iterations=1), seed=0,
+                        processes=1)
 
     def test_working_set_is_one_distance_matrix_and_batch_blocks(self):
         # the fit holds its n x n distances (then their Gram matrix, in the same
@@ -955,10 +990,10 @@ class TestKfOptimize:
         labels = np.repeat([0, 1, 2], n // 3)
         cfg = KfConfig(iterations=2, subsamplings_per_iter=2)
         # first call: np.median imports numpy.ma, about 1 MB that a fit holds once
-        kf_optimize(X, labels, KernelConfig("matern52"), cfg, seed=0)
+        kf_optimize(X, labels, KernelConfig("matern52"), cfg, seed=0, processes=1)
         tracemalloc.start()
         try:
-            kf_optimize(X, labels, KernelConfig("matern52"), cfg, seed=0)
+            kf_optimize(X, labels, KernelConfig("matern52"), cfg, seed=0, processes=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -979,14 +1014,70 @@ class TestKfOptimize:
             warnings.simplefilter("error")
             with pytest.raises(KfConvergenceError, match="non-finite"):
                 kf_optimize(X, labels, KernelConfig("gaussian", 2.0), KfConfig(iterations=3),
-                            seed=0)
+                            seed=0, processes=1)
         assert len(calls) == 2
+
+    def test_non_finite_loss_raises_at_once_on_three_processes(self, monkeypatch):
+        # each process takes no loss after a non-finite one: the caller at most
+        # one batch's two, and no helper is left
+        X, labels = three_blobs(np.random.default_rng(22))
+        calls = []
+
+        def infinite_loss(*args):
+            calls.append(args)
+            return np.inf
+
+        monkeypatch.setattr(kernel, "kf_loss", infinite_loss)
+        with no_helper_left():
+            with pytest.raises(KfConvergenceError, match="non-finite"):
+                kf_optimize(X, labels, KernelConfig("gaussian", 2.0), KfConfig(iterations=3),
+                            seed=0, processes=3)
+        assert len(calls) in (0, 2)
+
+    def test_lists_give_the_bits_of_arrays(self):
+        X, labels = three_blobs(np.random.default_rng(23))
+        cfg = KfConfig(iterations=2, subsamplings_per_iter=3, a_grid=(1, 2, 3))
+        arrays = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=6, processes=1)
+        lists = kf_optimize(X.tolist(), labels.tolist(), KernelConfig("gaussian", 2.0), cfg,
+                            seed=6, processes=1)
+        assert lists.trace.tobytes() == arrays.trace.tobytes()
+        assert lists.model.dual_coef.tobytes() == arrays.model.dual_coef.tobytes()
+
+    def test_batches_too_small_for_one_factor_rejected(self):
+        # 4 rows of one class: half-batches of 1 row leave no latent variable
+        X, labels = np.arange(8.0).reshape(4, 2), np.zeros(4, dtype=int)
+        with pytest.raises(ValueError, match="batches too small"):
+            kf_optimize(X, labels, KernelConfig("gaussian", 1.0), KfConfig(iterations=1), seed=0,
+                        processes=1)
+
+    def test_factors_past_the_kernels_rank_have_no_r2(self):
+        # 4 distinct spectra: the centered Gram matrix has rank 3
+        X = np.repeat(np.random.default_rng(26).normal(size=(4, 3)) * 3, 8, axis=0)
+        labels = np.repeat([0, 0, 1, 1], 8)
+        cfg = KfConfig(iterations=2, subsamplings_per_iter=2, a_grid=(1, 2, 3, 4, 5))
+        result = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=0, processes=1)
+        assert [result.r2_by_a[a] is None for a in cfg.a_grid] == [False] * 3 + [True] * 2
+
+    def test_no_fit_on_the_grid_raises(self, monkeypatch):
+        # the batches' fits work; the fit on every training row does not
+        X, labels = three_blobs(np.random.default_rng(24))
+        fit = kernel._fit_nested
+
+        def degenerate_on_every_row(K, *args):
+            if K.shape[0] == X.shape[0]:
+                raise ValueError("degenerate kernel")
+            return fit(K, *args)
+
+        monkeypatch.setattr(kernel, "_fit_nested", degenerate_on_every_row)
+        cfg = KfConfig(iterations=1, subsamplings_per_iter=2, a_grid=(1, 2))
+        with pytest.raises(KfConvergenceError, match="no feasible latent-variable count"):
+            kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=0, processes=1)
 
     def test_each_iteration_logged_at_debug(self, caplog):
         X, labels = three_blobs(np.random.default_rng(18))
         cfg = KfConfig(iterations=3, subsamplings_per_iter=4, a_grid=(1, 2))
         with caplog.at_level(logging.DEBUG, logger="spectral_sift.kernel"):
-            result = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=2)
+            result = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=2, processes=1)
         records = [r for r in caplog.records if r.name == "spectral_sift.kernel"]
         assert len(records) == cfg.iterations
         for record, (it, rho, ell) in zip(records, result.trace):
@@ -1001,22 +1092,336 @@ class TestKfOptimize:
         ell0 = float(np.median(pdist(X)))
         cfg = KfConfig(learning_rate=0.05, momentum=0.8, iterations=40,
                        subsamplings_per_iter=20, a_grid=tuple(range(1, 9)))
-        result = kf_optimize(X, labels, KernelConfig("gaussian", ell0), cfg, seed=5)
+        result = kf_optimize(X, labels, KernelConfig("gaussian", ell0), cfg, seed=5, processes=1)
         model = fit_kernel_pls(X, labels, result.spec, result.a_star)
         predicted, _ = classify(model, X)
         assert np.mean(predicted == labels) == 1.0
+
+
+def open_fds():
+    """This process's open file descriptors, None where /proc does not list them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@contextmanager
+def no_helper_left():
+    """Asserts that the block leaves no child process, reaped or not, no
+    ResourceWarning (an unclosed pipe file) and no file descriptor open that
+    was not open before it, also when it raises."""
+    fds = open_fds()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            gc.collect()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert open_fds() == fds
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def forks_counted(monkeypatch):
+    """The pids of the processes forked from here on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def slow_in_the_caller(monkeypatch, in_helper):
+    """Patch kf_loss: the calling process takes each loss 20 ms late, so its
+    helpers claim batches too, and a helper runs ``in_helper`` first."""
+    caller, loss = os.getpid(), kernel.kf_loss
+
+    def patched(*args):
+        if os.getpid() == caller:
+            time.sleep(0.02)
+        else:
+            in_helper()
+        return loss(*args)
+
+    monkeypatch.setattr(kernel, "kf_loss", patched)
+
+
+def raise_unpicklable():
+    """Raises an error that pickle cannot send: its argument is a lambda."""
+    raise ValueError(lambda: None)
+
+
+class TestBatchProcesses:
+    """Kernel Flows batch losses claimed by the caller and forked helpers."""
+
+    CFG = KfConfig(iterations=3, subsamplings_per_iter=5, a_grid=(1, 2, 3))
+
+    @pytest.mark.parametrize("family", ["gaussian", "matern52"])
+    def test_any_process_count_gives_the_bits_of_one(self, family, monkeypatch):
+        X, labels = three_blobs(np.random.default_rng(31))
+        forks = forks_counted(monkeypatch)
+        results = {}
+        for processes in (1, 2, 3, 7):  # 7 > 5 batches: 4 helpers
+            with no_helper_left():
+                results[processes] = kf_optimize(X, labels, KernelConfig(family, 2.0), self.CFG,
+                                                 seed=5, processes=processes)
+        assert len(forks) == 0 + 1 + 2 + 4
+        one = results[1]
+        for result in results.values():
+            assert result.trace.tobytes() == one.trace.tobytes()
+            assert result.spec == one.spec and result.a_star == one.a_star
+            assert result.model.dual_coef.tobytes() == one.model.dual_coef.tobytes()
+            assert result.predicted.tobytes() == one.predicted.tobytes()
+
+    def test_one_batch_forks_nothing(self, monkeypatch):
+        X, labels = three_blobs(np.random.default_rng(32))
+        forks = forks_counted(monkeypatch)
+        cfg = KfConfig(iterations=2, subsamplings_per_iter=1, a_grid=(1, 2))
+        one = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=1, processes=1)
+        three = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=1, processes=3)
+        assert forks == []
+        assert three.trace.tobytes() == one.trace.tobytes()
+
+    def test_a_second_python_thread_forks_nothing(self, monkeypatch):
+        X, labels = three_blobs(np.random.default_rng(33))
+        forks = forks_counted(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            result = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), self.CFG, seed=2,
+                                 processes=3)
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+        one = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), self.CFG, seed=2, processes=1)
+        assert result.trace.tobytes() == one.trace.tobytes()
+
+    def test_more_batches_than_a_round_keep_the_bits(self, monkeypatch):
+        # rounds of 3 batches: 8 batches take three rounds a gradient
+        X, labels = three_blobs(np.random.default_rng(34))
+        monkeypatch.setattr(kernel, "_ROUND", 3)
+        cfg = KfConfig(iterations=2, subsamplings_per_iter=8, a_grid=(1, 2))
+        with no_helper_left():
+            three = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=3,
+                                processes=3)
+        monkeypatch.setattr(kernel, "_ROUND", 128)
+        one = kf_optimize(X, labels, KernelConfig("gaussian", 2.0), cfg, seed=3, processes=1)
+        assert three.trace.tobytes() == one.trace.tobytes()
+
+    def test_a_failed_fork_closes_every_pipe_and_reaps_the_helpers(self, monkeypatch):
+        X, labels = three_blobs(np.random.default_rng(39))
+        fork, calls = os.fork, []
+
+        def second_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("fork failed")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        with no_helper_left():
+            with pytest.raises(OSError, match="fork failed"):
+                kf_optimize(X, labels, KernelConfig("gaussian", 2.0), self.CFG, seed=4,
+                            processes=3)
+        assert len(calls) == 2
+
+    def test_a_helpers_error_is_raised_by_the_caller(self, monkeypatch):
+        def fail():
+            raise ValueError("helper failed")
+
+        X, labels = three_blobs(np.random.default_rng(35))
+        slow_in_the_caller(monkeypatch, fail)
+        with no_helper_left():
+            with pytest.raises(ValueError, match="helper failed"):
+                kf_optimize(X, labels, KernelConfig("gaussian", 2.0), self.CFG, seed=4,
+                            processes=2)
+
+    def test_a_helper_ignores_sigint(self, monkeypatch):
+        # an interrupt from a terminal reaches the whole process group: the
+        # caller's KeyboardInterrupt ends the helpers, which take none of their own
+        def check():
+            if signal.getsignal(signal.SIGINT) != signal.SIG_IGN:
+                raise ValueError("SIGINT reaches a helper")
+
+        X, labels = three_blobs(np.random.default_rng(45))
+        slow_in_the_caller(monkeypatch, check)
+        with no_helper_left():
+            kf_optimize(X, labels, KernelConfig("gaussian", 2.0), self.CFG, seed=4, processes=2)
+
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os._exit(3), 3),
+        (lambda: os.kill(os.getpid(), signal.SIGTERM), -signal.SIGTERM),  # its default action
+        (raise_unpicklable, 1),  # leaves by an error it cannot send
+    ], ids=["exit", "sigterm", "unpicklable-error"])
+    def test_a_helper_that_dies_is_named_with_its_exit_status(self, end, status, monkeypatch):
+        X, labels = three_blobs(np.random.default_rng(36))
+        slow_in_the_caller(monkeypatch, end)
+        with no_helper_left():
+            with pytest.raises(RuntimeError, match="helper process [0-9]+ ended early, "
+                                                   f"exit status {status}$"):
+                kf_optimize(X, labels, KernelConfig("gaussian", 2.0), self.CFG, seed=4,
+                            processes=2)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_loss_gives_inf_and_nan(self, bad, processes, monkeypatch):
+        # one of the two losses of every batch is non-finite: the gradient is
+        # (inf, nan) whatever the value and whichever process took the batch
+        X, labels = three_blobs(np.random.default_rng(40))
+        loss = kernel.kf_loss
+
+        def down_is_bad(D_ff, labels, spec, a, full, half):
+            return bad if spec.lengthscale < 2.0 else loss(D_ff, labels, spec, a, full, half)
+
+        monkeypatch.setattr(kernel, "kf_loss", down_is_bad)
+        batches = draw_kf_batches(np.random.default_rng(41), labels, 6, 0.5)
+        with no_helper_left(), kernel._BatchProcesses(kernel.cdist(X, X), labels, 3,
+                                                      processes) as batch_processes:
+            result = kf_gradient(batch_processes, KernelSpec("gaussian", 2.0), batches, 1e-4)
+        assert result[0] == float("inf") and np.isnan(result[1])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a Linux subreaper")
+    def test_helpers_leave_when_the_caller_is_killed(self, tmp_path):
+        # the caller dies by SIGKILL, closing nothing: each helper holds no other
+        # end of its pipes, so it sees their end and leaves. A subreaper (this
+        # script) adopts the helpers, to see them leave and reap them.
+        caller = """
+import numpy as np
+from spectral_sift import kernel
+rng = np.random.default_rng(42)
+X = np.vstack([c + 0.4 * rng.normal(size=(14, 4)) for c in rng.normal(scale=3.0, size=(3, 4))])
+kernel.kf_optimize(X, np.repeat([0, 1, 2], 14), kernel.KernelConfig("gaussian", 2.0),
+                   kernel.KfConfig(iterations=100_000, subsamplings_per_iter=6), 4, 3)
+"""
+        subreaper = """
+import ctypes, json, os, signal, subprocess, sys, time
+ctypes.CDLL(None).prctl(36, 1, 0, 0, 0)  # PR_SET_CHILD_SUBREAPER
+caller = subprocess.Popen([sys.executable, "-c", sys.argv[1]])
+children = f"/proc/{caller.pid}/task/{caller.pid}/children"
+helpers, deadline = [], time.monotonic() + 60
+while len(helpers) < 2 and time.monotonic() < deadline:
+    time.sleep(0.01)
+    helpers = [int(pid) for pid in open(children).read().split()]
+time.sleep(0.3)
+caller.kill()
+caller.wait()
+left, deadline = set(helpers), time.monotonic() + 20
+while left and time.monotonic() < deadline:
+    pid, _ = os.waitpid(-1, os.WNOHANG)
+    left.discard(pid)
+    time.sleep(0.01 if pid == 0 else 0)
+for pid in left:
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+print(json.dumps({"helpers": len(helpers), "left": len(left)}))
+"""
+        src = str(Path(kernel.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", subreaper, caller], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {"helpers": 2, "left": 0}
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_the_caller_raising_mid_iteration_leaves_no_helper(self, error, monkeypatch):
+        # the helpers are at work, each loss a minute long, when the caller
+        # raises at its second loss: it kills them rather than wait for them
+        X, labels = three_blobs(np.random.default_rng(37))
+        caller, loss, calls = os.getpid(), kernel.kf_loss, []
+
+        def patched(*args):
+            if os.getpid() == caller:
+                calls.append(args)
+                if len(calls) == 2:
+                    raise error("caller failed")
+            else:
+                time.sleep(60)
+            return loss(*args)
+
+        monkeypatch.setattr(kernel, "kf_loss", patched)
+        start = time.monotonic()
+        with no_helper_left():
+            with pytest.raises(error, match="caller failed"):
+                kf_optimize(X, labels, KernelConfig("gaussian", 2.0), self.CFG, seed=4,
+                            processes=3)
+        assert time.monotonic() - start < 30
+
+    def test_a_helper_that_ended_between_rounds_is_named(self):
+        X, labels = three_blobs(np.random.default_rng(43))
+        batches = draw_kf_batches(np.random.default_rng(44), labels, 4, 0.5)
+        specs = (KernelSpec("gaussian", 2.0), KernelSpec("gaussian", 1.5))
+        with no_helper_left(), kernel._BatchProcesses(kernel.cdist(X, X), labels, 3,
+                                                      3) as batch_processes:
+            assert len(batch_processes.losses(specs, batches)) == 4
+            os.kill(batch_processes._helpers[0].pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError, match=f"exit status {-signal.SIGKILL}$"):
+                batch_processes.losses(specs, batches)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["done", "error-it-cannot-send"])
+    def test_a_helper_runs_no_exit_handler_of_the_caller(self, fails, tmp_path):
+        # a helper leaves through os._exit, also when it cannot send the error
+        # that stopped it: the caller's finally and atexit handlers run once, in
+        # the caller, and its unflushed stdout is written once
+        script = f"""
+import atexit, os, sys
+import numpy as np
+from spectral_sift import kernel
+log = open({str(tmp_path / "log")!r}, "a", buffering=1)
+atexit.register(lambda: log.write(f"atexit {{os.getpid()}}\\n"))
+loss, caller = kernel.kf_loss, os.getpid()
+def traced(*args):
+    log.write(f"loss {{os.getpid()}}\\n")
+    if {fails!r} and os.getpid() != caller:
+        raise ValueError(lambda: None)
+    return loss(*args)
+kernel.kf_loss = traced
+rng = np.random.default_rng(38)
+X = np.vstack([c + 0.4 * rng.normal(size=(14, 4)) for c in rng.normal(scale=3.0, size=(3, 4))])
+sys.stdout.write("once")
+try:
+    kernel.kf_optimize(X, np.repeat([0, 1, 2], 14), kernel.KernelConfig("gaussian", 2.0),
+                       kernel.KfConfig(iterations=3, subsamplings_per_iter=40), 4, 2)
+finally:
+    log.write(f"finally {{os.getpid()}}\\n")
+"""
+        src = str(Path(kernel.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        if fails:
+            assert out.returncode == 1 and out.stderr.rstrip().endswith("exit status 1")
+        else:
+            assert out.returncode == 0, out.stderr
+        assert out.stdout == "once"
+        events = [line.split() for line in (tmp_path / "log").read_text().splitlines()]
+        losses = {pid for kind, pid in events if kind == "loss"}
+        ends = [(kind, pid) for kind, pid in events if kind != "loss"]
+        caller = ends[0][1]
+        assert ends == [("finally", caller), ("atexit", caller)]
+        assert caller in losses and len(losses) == 2  # the helper took losses too
 
 
 class TestPairMedians:
     """The lengthscale medians against np.median of the upper triangle."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 40])
-    @pytest.mark.parametrize("design", ["distinct", "one-copy", "all-but-one-equal", "all-equal"])
+    @pytest.mark.parametrize("design", ["distinct", "one-copy", "three-quarters-equal",
+                                        "all-but-one-equal", "all-equal"])
     def test_bits_of_np_median(self, n, design):
         rng = np.random.default_rng(n)
         X = rng.normal(size=(n, 3))
         if design == "one-copy":
             X[0] = X[-1]
+        elif design == "three-quarters-equal":  # at 40 rows, most distances are zero
+            X[:n * 3 // 4] = X[0]
         elif design == "all-but-one-equal":
             X[1:] = X[1]
         elif design == "all-equal":

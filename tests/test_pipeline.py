@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -549,6 +550,17 @@ def test_malformed_model_array_exits_1_naming_the_key(corrupt, error, scene, fit
     assert code == EXIT_USAGE
     assert "kernel.support is not an array" in caplog.text and error in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("chars", [4, 12, 1 << 16])
+def test_model_array_decodes_in_pieces_to_its_bits(chars, monkeypatch):
+    monkeypatch.setattr(modelio, "DECODE_CHARS", chars)
+    values = np.random.default_rng(0).normal(size=(7, 5))
+    view = np.hstack([values, np.ones((7, 2))])[:, :5]  # as a kfpls model's support
+    doc = modelio.encode_array(view)
+    assert doc == modelio.encode_array(values)
+    decoded = modelio.decode_array(doc)
+    assert decoded.tobytes() == values.tobytes() and decoded.flags.writeable
 
 
 @pytest.mark.parametrize("case, message", [
@@ -1137,6 +1149,114 @@ def test_blas_threads_restored_after_a_failed_fit(fitted, scene, monkeypatch, op
                                               band_selection=bands))
     assert seen and set(seen) == {1}  # the tiles before the failure ran held
     assert openblas_at_two() == 2
+
+
+def kfpls_fit_config(scene_root, out, iterations, batches):
+    """A kfpls run-config file on the tiny scene, 40 pixels a class."""
+    inputs = {"cube_header": str(scene_root / "cube.hdr"), "mask": str(scene_root / "mask.hdr"),
+              "palette": str(scene_root / "palette.json")}
+    out.mkdir(parents=True)
+    (out / "run.json").write_text(json.dumps({
+        "workflow": "kfpls", "samples_per_class": 40, "inputs": inputs,
+        "kf": {"iterations": iterations, "subsamplings_per_iter": batches}}))
+    return out / "run.json"
+
+
+def needs_openblas():
+    """Skips a test of the Kernel Flows helpers where the fit forks none:
+    numpy's BLAS is not the OpenBLAS that registers fork handlers."""
+    if pipeline._openblas_threads() is None:
+        pytest.skip("numpy is not linked to OpenBLAS: a fit forks no helper")
+
+
+@pytest.mark.parametrize("batches", [4, 2, 1])
+def test_kfpls_fit_bytes_do_not_depend_on_the_process_count(batches, scene, tmp_path,
+                                                            monkeypatch):
+    # a helper per further usable CPU, at most one per batch: at 2 batches 3
+    # CPUs fork one helper, at 1 batch nothing is forked
+    needs_openblas()
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    names = ("model.json", "diagnostics.json", "kf_loss_trace.csv")
+    written = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / str(cpus)
+        config = kfpls_fit_config(scene[0], out, 2, batches)
+        assert cli.main(["fit", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        written[cpus] = [(out / name).read_bytes() for name in names]
+    assert written[2] == written[1] and written[3] == written[1]
+    assert len(forks) == sum(min(cpus, batches) - 1 for cpus in (1, 2, 3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("ending, code", [("fit", EXIT_OK), ("helper-error", EXIT_USAGE),
+                                          ("non-finite", EXIT_QUALITY)])
+def test_kfpls_fit_leaves_no_helper_whatever_its_exit_code(ending, code, scene, tmp_path,
+                                                           monkeypatch):
+    needs_openblas()
+    caller, loss = os.getpid(), kn.kf_loss
+
+    def patched(*args):
+        if ending == "non-finite":
+            return float("inf")
+        if os.getpid() == caller:
+            time.sleep(0.02)  # so that the helpers claim batches too
+        elif ending == "helper-error":
+            raise ValueError("helper failed")
+        return loss(*args)
+
+    monkeypatch.setattr(kn, "kf_loss", patched)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+    config = kfpls_fit_config(scene[0], tmp_path / "out", 2, 6)
+    assert cli.main(["fit", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads the helpers in /proc")
+@pytest.mark.parametrize("group", [False, True], ids=["fit", "process-group"])
+def test_interrupted_kfpls_fit_leaves_no_helper(group, scene, tmp_path):
+    # SIGINT to the fit alone, or to its process group as from a terminal,
+    # where the helpers ignore it: the fit reaps its helpers on the way out
+    needs_openblas()
+    config = kfpls_fit_config(scene[0], tmp_path / "out", 100_000, 4)
+    code = ("import sys; from spectral_sift import cli, pipeline; "
+            "pipeline._usable_cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", code, "fit", "--config", str(config),
+                             "--out", str(tmp_path / "out")],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        helpers: list[str] = []
+        deadline = time.monotonic() + 60
+        while len(helpers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            helpers = children.read_text().split()
+        assert len(helpers) == 2, proc.stderr.read() if proc.poll() is not None else helpers
+        time.sleep(0.2)  # into the descent
+        if group:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert stderr.rstrip().endswith(b"KeyboardInterrupt")
+    assert not [pid for pid in helpers if Path(f"/proc/{pid}").exists()]
 
 
 def test_truncated_payload_exits_1_before_any_tile(fitted, bil_copy, tmp_path, monkeypatch, caplog):
